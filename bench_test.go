@@ -28,6 +28,7 @@ import (
 
 	"neutrality"
 	"neutrality/internal/figures"
+	"neutrality/internal/measure"
 )
 
 // printOnce deduplicates figure output across -benchtime iterations.
@@ -59,6 +60,16 @@ func benchFig8(b *testing.B, set int) {
 		// fails the bench. Sets 4–8 must agree everywhere; set 9's R=0.5
 		// corner is the documented divergence, so it may disagree on at
 		// most that one experiment.
+		//
+		// Set 8's 4/4 holds at Algorithm 2 seed 1 (measure.DefaultOptions),
+		// the seed every output here is byte-identical at. It is one
+		// lucky realization: with the same sampler, 14 of 16 alternative
+		// seeds (1–16) gave 3/4, missing the 200 ms row, whose noise-free
+		// expected unsolvability (0.093) sits below cluster.DefaultMinGap
+		// (0.1). Any change to Algorithm 2's draws — a different sampler
+		// or seed derivation — will likely fail this target without
+		// making inference worse; re-evaluate set 8 across seeds then
+		// rather than tuning until it passes.
 		minAgreement := len(r.Rows)
 		if set == 9 {
 			minAgreement = len(r.Rows) - 1
@@ -360,6 +371,22 @@ func BenchmarkFleetLocal(b *testing.B) {
 	}
 }
 
+// plantedFigure4Table samples `intervals` intervals of Figure 4 with an
+// l1 violation (c2 congests 70% of the time, c1 5%, every other link 2%)
+// and turns them into packet counts — the service benches' input.
+func plantedFigure4Table(intervals int) (*neutrality.Network, *neutrality.Measurements) {
+	n := neutrality.Figure4()
+	perf := neutrality.NewPerf(n.NumLinks(), n.NumClasses())
+	for l := 0; l < n.NumLinks(); l++ {
+		perf.SetNeutral(neutrality.LinkID(l), 0.02)
+	}
+	l1, _ := n.LinkByName("l1")
+	perf.Set(l1.ID, neutrality.C1, 0.05)
+	perf.Set(l1.ID, neutrality.C2, 0.7)
+	states := neutrality.NewSampler(n, perf, 11).SampleIntervals(intervals)
+	return n, neutrality.SyntheticMeasurements(states, neutrality.DefaultSyntheticOptions())
+}
+
 // BenchmarkServeIngest measures the streaming inference service's
 // ingest path end to end: per-record validation, sequence dedup,
 // journal append + flush (durable ack), the online fold into the
@@ -369,17 +396,8 @@ func BenchmarkFleetLocal(b *testing.B) {
 // bounds what the streaming layer costs over the batch pipeline, so
 // `neutrality serve` keeps absorbing real measurement streams.
 func BenchmarkServeIngest(b *testing.B) {
-	n := neutrality.Figure4()
-	perf := neutrality.NewPerf(n.NumLinks(), n.NumClasses())
-	for l := 0; l < n.NumLinks(); l++ {
-		perf.SetNeutral(neutrality.LinkID(l), 0.02)
-	}
-	l1, _ := n.LinkByName("l1")
-	perf.Set(l1.ID, neutrality.C1, 0.05)
-	perf.Set(l1.ID, neutrality.C2, 0.7)
 	const intervals = 1024
-	states := neutrality.NewSampler(n, perf, 11).SampleIntervals(intervals)
-	meas := neutrality.SyntheticMeasurements(states, neutrality.DefaultSyntheticOptions())
+	n, meas := plantedFigure4Table(intervals)
 	recs := make([]neutrality.StreamRecord, 0, intervals*n.NumPaths())
 	seq := int64(0)
 	for t := 0; t < intervals; t++ {
@@ -435,6 +453,98 @@ func BenchmarkServeIngest(b *testing.B) {
 	}
 }
 
+// normalizeSink keeps BenchmarkNormalize's result live.
+var normalizeSink *measure.Processor
+
+// BenchmarkNormalize measures Algorithm 2 alone: measure.NewProcessor
+// (per-interval hypergeometric discounting to the minimum per-path
+// count, then the congestion-free bitsets) over all four Figure 4
+// paths of a fixed table of T intervals. intervals_per_sec is its
+// throughput; an epoch close pays this per re-derived row and slice.
+func BenchmarkNormalize(b *testing.B) {
+	for _, T := range []int{1 << 10, 1 << 14} {
+		b.Run(fmt.Sprintf("T=%d", T), func(b *testing.B) {
+			n, meas := plantedFigure4Table(T)
+			paths := make([]neutrality.PathID, n.NumPaths())
+			for i := range paths {
+				paths[i] = neutrality.PathID(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				normalizeSink = measure.NewProcessor(meas, paths, measure.DefaultOptions())
+			}
+			if sec := b.Elapsed().Seconds(); sec > 0 {
+				b.ReportMetric(float64(T)*float64(b.N)/sec, "intervals_per_sec")
+			}
+		})
+	}
+}
+
+// BenchmarkEpochClose measures one in-memory leaf epoch close — the
+// loss-stat fold, shipping the epoch's rows to the inference side,
+// incremental Algorithm 2 and Algorithm 1 — after 1, 100 and 1000
+// earlier epochs of 256 new intervals each (1,024 records, one per
+// interval and path). Only the close is timed. Close cost is
+// O(rows changed + pathsets × intervals/64), so depth=1000 (256k
+// intervals) stays within 2× of depth=1; benchjson gates that ratio on
+// ns/op.
+func BenchmarkEpochClose(b *testing.B) {
+	const span = 256
+	n, block := plantedFigure4Table(span)
+	paths := n.NumPaths()
+	epochRecs := func(e int) []neutrality.StreamRecord {
+		recs := make([]neutrality.StreamRecord, 0, span*paths)
+		for t := 0; t < span; t++ {
+			for p := 0; p < paths; p++ {
+				recs = append(recs, neutrality.StreamRecord{
+					Source: fmt.Sprintf("vp-%d", p), Seq: int64(e*span + t + 1), Interval: e*span + t, Path: p,
+					Sent: block.Sent[t][p], Lost: block.Lost[t][p],
+				})
+			}
+		}
+		return recs
+	}
+	for _, depth := range []int{1, 100, 1000} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			svc, err := neutrality.NewServe(neutrality.ServeConfig{Net: n, EpochRecords: 0})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer svc.Close()
+			ingest := func(e int) {
+				if _, err := svc.Ingest(epochRecs(e)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for e := 0; e < depth; e++ {
+				ingest(e)
+				if _, err := svc.CloseEpoch(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ingest(depth + i)
+				b.StartTimer()
+				if _, err := svc.CloseEpoch(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			var ev neutrality.ServeEpochVerdict
+			if err := json.Unmarshal(svc.VerdictJSON(), &ev); err != nil {
+				b.Fatal(err)
+			}
+			if ev.Epoch != depth+b.N || !ev.NonNeutral {
+				b.Fatalf("epoch-close bench verdict off target: %+v", ev)
+			}
+		})
+	}
+}
+
 // BenchmarkServeIngestSharded is the concurrent multi-source variant:
 // eight vantage points stream their own sequence spaces from separate
 // goroutines into a journal partitioned eight ways by source hash.
@@ -443,18 +553,9 @@ func BenchmarkServeIngest(b *testing.B) {
 // inference — and its ingest_records_per_sec gate keeps the sharded
 // path from regressing below the single-sender one.
 func BenchmarkServeIngestSharded(b *testing.B) {
-	n := neutrality.Figure4()
-	perf := neutrality.NewPerf(n.NumLinks(), n.NumClasses())
-	for l := 0; l < n.NumLinks(); l++ {
-		perf.SetNeutral(neutrality.LinkID(l), 0.02)
-	}
-	l1, _ := n.LinkByName("l1")
-	perf.Set(l1.ID, neutrality.C1, 0.05)
-	perf.Set(l1.ID, neutrality.C2, 0.7)
 	const intervals = 1024
 	const senders = 8
-	states := neutrality.NewSampler(n, perf, 11).SampleIntervals(intervals)
-	meas := neutrality.SyntheticMeasurements(states, neutrality.DefaultSyntheticOptions())
+	n, meas := plantedFigure4Table(intervals)
 	// Deal the flattened table round-robin across the senders, each
 	// with its own source name and contiguous sequence space.
 	streams := make([][]neutrality.StreamRecord, senders)

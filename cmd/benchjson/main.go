@@ -19,6 +19,11 @@
 // CI uses this to pin the allocation budget, the event-engine
 // throughput of the emulation benches, the sweep engine's cell
 // throughput, and the artifact-integrity scrub's scan rate.
+//
+// Independently of any baseline, ratio gates bound one benchmark's
+// metric by a multiple of another's from the same run (see ratioGates),
+// e.g. that an epoch close deep into a service's history costs at most
+// twice one at its start.
 package main
 
 import (
@@ -63,6 +68,38 @@ var gatedMetrics = []gatedMetric{
 	{unit: "ingest_records_per_sec", higherIsWorse: false},
 }
 
+// ratioGate bounds the unit metric of benchmark num by max times the
+// same metric of benchmark den, both from the current run — a shape a
+// per-benchmark baseline cannot express, such as "cost does not grow
+// with depth". A gate whose benchmarks did not both run is skipped.
+type ratioGate struct {
+	num, den, unit string
+	max            float64
+}
+
+// ratioGates: an epoch close after 1000 epochs of history must cost at
+// most twice one after a single epoch — close cost is bounded by the
+// rows an epoch changes, not by the service's lifetime.
+var ratioGates = []ratioGate{
+	{num: "EpochClose/depth=1000", den: "EpochClose/depth=1", unit: "ns_op", max: 2},
+}
+
+// checkRatios reports every ratio gate the current results violate.
+func checkRatios(cur map[string]map[string]float64) []string {
+	var out []string
+	for _, g := range ratioGates {
+		n, okN := cur[g.num][g.unit]
+		d, okD := cur[g.den][g.unit]
+		if !okN || !okD || d <= 0 {
+			continue
+		}
+		if n > g.max*d {
+			out = append(out, fmt.Sprintf("%s: %s %.0f is %.2f× %s's %.0f (max %.2g×)", g.num, g.unit, n, n/d, g.den, d, g.max))
+		}
+	}
+	return out
+}
+
 func main() {
 	baseline := flag.String("baseline", "", "recorded BENCH json; fail if allocs_op regresses above it")
 	flag.Parse()
@@ -91,6 +128,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
+	regressions := checkRatios(benches)
 	if *baseline != "" {
 		data, err := os.ReadFile(*baseline)
 		if err != nil {
@@ -102,12 +140,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", *baseline, err)
 			os.Exit(1)
 		}
-		if regressions := checkRegressions(benches, base); len(regressions) > 0 {
-			for _, r := range regressions {
-				fmt.Fprintf(os.Stderr, "benchjson: %s\n", r)
-			}
-			os.Exit(1)
+		regressions = append(regressions, checkRegressions(benches, base)...)
+	}
+	if len(regressions) > 0 {
+		for _, r := range regressions {
+			fmt.Fprintf(os.Stderr, "benchjson: %s\n", r)
 		}
+		os.Exit(1)
 	}
 }
 

@@ -165,3 +165,24 @@ func TestCheckRegressionsMergeThroughputGate(t *testing.T) {
 		t.Fatalf("missing merge metric not caught: %v", got)
 	}
 }
+
+func TestCheckRatios(t *testing.T) {
+	ok := map[string]map[string]float64{
+		"EpochClose/depth=1":    {"ns_op": 3e6},
+		"EpochClose/depth=1000": {"ns_op": 5.9e6},
+	}
+	if got := checkRatios(ok); len(got) != 0 {
+		t.Fatalf("close within 2x flagged: %v", got)
+	}
+	bad := map[string]map[string]float64{
+		"EpochClose/depth=1":    {"ns_op": 3e6},
+		"EpochClose/depth=1000": {"ns_op": 6.1e6},
+	}
+	if got := checkRatios(bad); len(got) != 1 || !strings.Contains(got[0], "EpochClose/depth=1000") {
+		t.Fatalf("close growth past 2x not flagged exactly once: %v", got)
+	}
+	// A run without both benchmarks leaves the gate to the baseline check.
+	if got := checkRatios(map[string]map[string]float64{"EpochClose/depth=1000": {"ns_op": 1e9}}); len(got) != 0 {
+		t.Fatalf("gate fired without its denominator: %v", got)
+	}
+}

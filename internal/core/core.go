@@ -14,11 +14,20 @@
 //     unsolvability is the spread of its per-path-pair estimates of x_τ,
 //     the spreads are clustered into two groups, and the high cluster is
 //     declared non-neutral. Appropriate for measured observations.
+//
+// Measured observations come from Algorithm 2 per slice: in batch via
+// MeasurementObserver, or via IncrementalObserver when the same table
+// is re-inferred as it grows. The incremental form re-normalizes only
+// the rows changed since its last inference — close cost O(rows
+// changed + pathsets × intervals/64) instead of O(history) — with
+// byte-identical results, provided its inferences run one at a time in
+// table order.
 package core
 
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 	"strings"
 
@@ -44,9 +53,10 @@ type YFunc func(graph.Pathset) float64
 // Y implements Observer.
 func (f YFunc) Y(*nslice.Slice) func(graph.Pathset) float64 { return f }
 
-// MeasurementObserver runs Algorithm 2 over raw packet counts, building a
-// fresh normalization per slice (over that slice's involved paths), as the
-// paper prescribes.
+// MeasurementObserver runs Algorithm 2 over raw packet counts per slice
+// (over that slice's involved paths), as the paper prescribes. Each Y
+// call normalizes the whole table from scratch; IncrementalObserver is
+// the form that keeps its normalizations across a growing table.
 type MeasurementObserver struct {
 	Meas *measure.Measurements
 	Opts measure.Options
@@ -54,13 +64,69 @@ type MeasurementObserver struct {
 
 // Y implements Observer.
 func (m MeasurementObserver) Y(s *nslice.Slice) func(graph.Pathset) float64 {
-	opts := m.Opts
-	// Derive a per-slice seed so runs are deterministic but slices draw
-	// independent discount samples.
+	return measure.NewProcessor(m.Meas, s.Paths, sliceOptions(m.Opts, nslice.Key(s.Seq))).YFunc()
+}
+
+// sliceOptions derives slice key's Algorithm 2 options: a per-slice
+// seed, so runs are deterministic but slices draw independent discount
+// samples.
+func sliceOptions(opts measure.Options, key string) measure.Options {
 	h := fnv.New64a()
-	h.Write([]byte(nslice.Key(s.Seq)))
-	opts.Seed = m.Opts.Seed ^ int64(h.Sum64())
-	return measure.NewProcessor(m.Meas, s.Paths, opts).YFunc()
+	h.Write([]byte(key))
+	opts.Seed ^= int64(h.Sum64())
+	return opts
+}
+
+// IncrementalObserver is MeasurementObserver for a table that changes
+// between inferences: it keeps one measure.Processor per slice and, at
+// each inference, re-derives only the rows changed since that slice's
+// last one (see measure.Processor.Update). Its lookups are
+// byte-identical to MeasurementObserver's over the same table, so
+// streaming and batch inference agree exactly.
+//
+// Call Update with the table before each Infer. An IncrementalObserver
+// is not safe for concurrent use; callers run their inferences one at
+// a time, in table order.
+type IncrementalObserver struct {
+	Opts measure.Options
+
+	meas  *measure.Measurements
+	procs map[string]*sliceProc
+}
+
+// sliceProc is one slice's cached processor and the lowest row changed
+// since it was last brought up to date.
+type sliceProc struct {
+	p     *measure.Processor
+	dirty int
+}
+
+// Update points the observer at the table the next inference reads:
+// the previous table with rows from `from` on changed (and possibly
+// more rows). A from at or past the previous table's end marks only new
+// rows; a fresh observer derives everything regardless.
+func (o *IncrementalObserver) Update(meas *measure.Measurements, from int) {
+	o.meas = meas
+	for _, sp := range o.procs {
+		sp.dirty = min(sp.dirty, from)
+	}
+}
+
+// Y implements Observer.
+func (o *IncrementalObserver) Y(s *nslice.Slice) func(graph.Pathset) float64 {
+	key := nslice.Key(s.Seq)
+	sp := o.procs[key]
+	if sp == nil {
+		if o.procs == nil {
+			o.procs = make(map[string]*sliceProc)
+		}
+		sp = &sliceProc{p: measure.NewProcessor(o.meas, s.Paths, sliceOptions(o.Opts, key))}
+		o.procs[key] = sp
+	} else {
+		sp.p.Update(o.meas, sp.dirty)
+	}
+	sp.dirty = math.MaxInt
+	return sp.p.YFunc()
 }
 
 // Mode selects the System 4 solvability decision procedure.

@@ -11,11 +11,22 @@
 // fraction is below the loss threshold; a pathset is congestion-free when
 // all member paths are. The performance number of a pathset is
 // y = −log P(congestion-free).
+//
+// A Processor is incremental: Update re-derives only the intervals from
+// the first changed one on, so a caller whose table grows and changes
+// near its end (the streaming service) pays O(rows changed + pathsets ×
+// T/64) per update instead of O(T). The result is byte-identical to a
+// fresh NewProcessor: the discount draws come from one seeded stream in
+// interval order, and Update restarts that stream from a checkpoint
+// copy (stats.Sampler, a copy of math/rand's generator that Go 1 keeps
+// stable) taken at or before the first changed row. Checkpoints cost
+// about 21 bytes per interval; see ckptRows.
 package measure
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"neutrality/internal/graph"
 	"neutrality/internal/stats"
@@ -134,16 +145,43 @@ type PathsetPerf struct {
 // Processor computes pathset performance numbers from raw measurements for
 // a fixed set of paths (typically Paths(τ) of one slice). It normalizes
 // once across those paths and then serves any pathset over them.
+//
+// A Processor is also incremental: Update re-derives only the rows from
+// a given interval on, restarting Algorithm 2's sampler from a
+// checkpoint, and yields bytes identical to a fresh NewProcessor over
+// the updated table. The sampler draws rows in interval order from one
+// seeded stream, so row t's discount depends on every row before it;
+// every ckptRows rows the processor keeps a copy of the sampler (a
+// stats.Sampler is a plain value), so re-deriving from row t replays at
+// most ckptRows-1 unchanged rows before it. The per-path indicators are
+// bitsets over intervals, so Perf is an AND and a popcount per 64
+// intervals.
 type Processor struct {
-	meas  *Measurements
 	paths []graph.PathID
 	opts  Options
 
-	// cf[t][i] is the congestion-free indicator of paths[i] in interval t;
-	// usable[t] is false when some path sent nothing in interval t.
-	cf     [][]bool
-	usable []bool
+	// rows is the number of intervals derived. cf[i] is the
+	// congestion-free bitset of paths[i] over intervals; usable has bit t
+	// clear when some path sent nothing in interval t; nUsable counts
+	// usable's set bits.
+	rows    int
+	cf      [][]uint64
+	usable  []uint64
+	nUsable int
+
+	// tail is the sampler state after row rows-1; ckpts[c] is its state
+	// before row c*ckptRows.
+	tail  stats.Sampler
+	ckpts []*stats.Sampler
 }
+
+// ckptRows is the sampler checkpoint spacing, in rows. It is a multiple
+// of 64, so a re-derivation starts on a bitset word. A checkpoint is one
+// stats.Sampler (4,872 bytes, a 5,376-byte allocation), so checkpoints
+// cost a processor about 21 bytes per interval — 340 KB at 16k
+// intervals — against the re-derivation of up to ckptRows-1 rows below
+// the first changed one.
+const ckptRows = 256
 
 // NewProcessor runs the per-path half of Algorithm 2 (normalization +
 // congestion-free indicators) over the given paths.
@@ -154,51 +192,109 @@ type Processor struct {
 // congestion for every path, poisoning P(θ) with application silence
 // rather than network behaviour.
 func NewProcessor(meas *Measurements, paths []graph.PathID, opts Options) *Processor {
-	rng := stats.NewRand(opts.Seed)
-	T := meas.Intervals()
 	p := &Processor{
-		meas:   meas,
-		paths:  append([]graph.PathID(nil), paths...),
-		opts:   opts,
-		cf:     make([][]bool, T),
-		usable: make([]bool, T),
+		paths: append([]graph.PathID(nil), paths...),
+		opts:  opts,
+		cf:    make([][]uint64, len(paths)),
+		tail:  stats.NewSampler(opts.Seed),
 	}
-	for t := 0; t < T; t++ {
-		p.cf[t] = make([]bool, len(p.paths))
-		m := math.MaxInt
-		for _, pid := range p.paths {
-			if s := meas.Sent[t][pid]; s < m {
-				m = s
-			}
-		}
-		if m <= 0 || m == math.MaxInt {
-			continue
-		}
-		p.usable[t] = true
-		for i, pid := range p.paths {
-			sent, lost := meas.Sent[t][pid], meas.Lost[t][pid]
-			effSent, effLost := sent, lost
-			if opts.Normalize && sent > m {
-				effLost = rng.Hypergeometric(sent, lost, m)
-				effSent = m
-			}
-			frac := float64(effLost) / float64(effSent)
-			p.cf[t][i] = frac < opts.LossThreshold
-		}
-	}
+	p.Update(meas, 0)
 	return p
 }
 
-// UsableIntervals returns how many intervals carry information.
-func (p *Processor) UsableIntervals() int {
-	n := 0
-	for _, u := range p.usable {
-		if u {
-			n++
+// Update brings the processor up to date with meas, given that rows
+// before from are unchanged since the last derivation (the table may
+// have grown). It re-derives rows [from, meas.Intervals()) — from the
+// sampler checkpoint at or before from — and afterwards the processor
+// is byte-identical to NewProcessor(meas, ...). from is clamped to the
+// rows derived so far, so Update(meas, 0) and any from on a processor
+// that has seen fewer rows re-derive conservatively; rows the table no
+// longer has are dropped.
+func (p *Processor) Update(meas *Measurements, from int) {
+	T := meas.Intervals()
+	from = max(0, min(from, p.rows, T))
+	if from < p.rows {
+		c := from / ckptRows
+		from = c * ckptRows
+		p.tail = *p.ckpts[c]
+	}
+	words := (T + 63) / 64
+	p.usable = resizeWords(p.usable, words)
+	for i := range p.cf {
+		p.cf[i] = resizeWords(p.cf[i], words)
+	}
+	for t := from; t < T; t++ {
+		if t%ckptRows == 0 {
+			if c := t / ckptRows; c < len(p.ckpts) {
+				*p.ckpts[c] = p.tail
+			} else {
+				ck := p.tail
+				p.ckpts = append(p.ckpts, &ck)
+			}
+		}
+		p.deriveRow(meas, t)
+	}
+	n := (T + ckptRows - 1) / ckptRows
+	clear(p.ckpts[n:])
+	p.ckpts = p.ckpts[:n]
+	p.rows = T
+	if T%64 != 0 {
+		// Drop bits of rows a shrunken table no longer has.
+		mask := uint64(1)<<(T%64) - 1
+		p.usable[words-1] &= mask
+		for i := range p.cf {
+			p.cf[i][words-1] &= mask
 		}
 	}
-	return n
+	p.nUsable = 0
+	for _, w := range p.usable {
+		p.nUsable += bits.OnesCount64(w)
+	}
 }
+
+// deriveRow runs Algorithm 2 on interval t: discount every path to the
+// group's minimum packet count m and set its congestion-free bit.
+func (p *Processor) deriveRow(meas *Measurements, t int) {
+	w, bit := t/64, uint64(1)<<(t%64)
+	m := math.MaxInt
+	for _, pid := range p.paths {
+		if s := meas.Sent[t][pid]; s < m {
+			m = s
+		}
+	}
+	if m <= 0 || m == math.MaxInt {
+		p.usable[w] &^= bit
+		for i := range p.cf {
+			p.cf[i][w] &^= bit
+		}
+		return
+	}
+	p.usable[w] |= bit
+	for i, pid := range p.paths {
+		sent, lost := meas.Sent[t][pid], meas.Lost[t][pid]
+		effSent, effLost := sent, lost
+		if p.opts.Normalize && sent > m {
+			effLost = p.tail.Hypergeometric(sent, lost, m)
+			effSent = m
+		}
+		if float64(effLost)/float64(effSent) < p.opts.LossThreshold {
+			p.cf[i][w] |= bit
+		} else {
+			p.cf[i][w] &^= bit
+		}
+	}
+}
+
+// resizeWords returns b with exactly n words, zero-extending it.
+func resizeWords(b []uint64, n int) []uint64 {
+	if n <= len(b) {
+		return b[:n]
+	}
+	return append(b, make([]uint64, n-len(b))...)
+}
+
+// UsableIntervals returns how many intervals carry information.
+func (p *Processor) UsableIntervals() int { return p.nUsable }
 
 // Perf computes the performance of one pathset over the processor's paths.
 // It panics if the pathset contains a path outside the processor's group.
@@ -217,22 +313,14 @@ func (p *Processor) Perf(ps graph.Pathset) PathsetPerf {
 		}
 		idx[k] = found
 	}
-	good, total := 0, 0
-	for t := range p.cf {
-		if !p.usable[t] {
-			continue
-		}
-		total++
-		all := true
+	// An interval counts as good when it is usable and every member
+	// path is congestion-free in it.
+	good, total := 0, p.nUsable
+	for w, x := range p.usable {
 		for _, i := range idx {
-			if !p.cf[t][i] {
-				all = false
-				break
-			}
+			x &= p.cf[i][w]
 		}
-		if all {
-			good++
-		}
+		good += bits.OnesCount64(x)
 	}
 	pp := PathsetPerf{Pathset: ps, Intervals: total}
 	if total == 0 {

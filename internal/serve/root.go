@@ -151,6 +151,7 @@ type Root struct {
 	log *rootLog // nil when running in-memory
 
 	meas      *measure.Measurements
+	obs       *core.IncrementalObserver       // Algorithm 2 cache over meas
 	leafEpoch map[string]int                  // per-leaf delivered high-water mark
 	staged    map[string]map[int]*EpochReport // undigested reports by leaf, epoch
 	records   int64
@@ -184,6 +185,7 @@ func NewRoot(cfg RootConfig) (*Root, error) {
 		cfg:       cfg,
 		net:       cfg.Net,
 		meas:      measure.NewMeasurements(0, cfg.Net.NumPaths()),
+		obs:       &core.IncrementalObserver{Opts: cfg.Opts},
 		leafEpoch: make(map[string]int),
 		staged:    make(map[string]map[int]*EpochReport),
 		cumSketch: sweep.NewUnitSketch(),
@@ -386,7 +388,8 @@ func (r *Root) foldReadyLocked() bool {
 
 // foldEpochLocked folds one complete tree epoch in leaf-name order —
 // the canonical fold order that makes the cumulative accumulators
-// deterministic — and runs the inference over the merged table.
+// deterministic — and runs the inference over the merged table,
+// re-normalizing only the rows from the lowest interval folded.
 func (r *Root) foldEpochLocked() error {
 	next := r.epoch + 1
 	leaves := make([]string, 0, len(r.leafEpoch))
@@ -399,8 +402,12 @@ func (r *Root) foldEpochLocked() error {
 	epochSketch := sweep.NewUnitSketch()
 	sources := 0
 	paths := r.net.NumPaths()
+	from := r.meas.Intervals()
 	for _, leaf := range leaves {
 		rep := r.staged[leaf][next]
+		if len(rep.Counts) > 0 {
+			from = min(from, rep.Counts[0].Interval) // counts are in interval order
+		}
 		for _, c := range rep.Counts {
 			r.meas.EnsureIntervals(c.Interval+1, paths)
 			r.meas.Add(c.Interval, graph.PathID(c.Path), c.Sent, c.Lost)
@@ -428,7 +435,8 @@ func (r *Root) foldEpochLocked() error {
 	if cfg == (core.Config{}) {
 		cfg = core.DefaultConfig()
 	}
-	res := core.Infer(r.net, core.MeasurementObserver{Meas: r.meas, Opts: r.cfg.Opts}, cfg)
+	r.obs.Update(r.meas, from)
+	res := core.Infer(r.net, r.obs, cfg)
 	ev := buildVerdict(res, r.epoch, r.records, r.meas.Intervals(), sources, resolveMinGap(cfg))
 	vb, err := json.Marshal(ev)
 	if err != nil {

@@ -39,17 +39,24 @@
 // to byte-identical verdicts; see journal.go and snapshot.go.
 //
 // Epoch closes do not stall ingest on inference: the close folds the
-// epoch and deep-copies the measurement table under the lock, then
-// runs core.Infer outside it and publishes the verdict atomically in
-// epoch order, so concurrent Ingest calls proceed while inference
-// runs. A service can also be one *leaf* of a multi-instance tree,
-// shipping every closed epoch's aggregate to a Root; see root.go.
+// epoch under the lock and hands the table rows the epoch changed to
+// the inference side, which — outside the lock, taking turns in epoch
+// order — installs them in its mirror of the table, runs core.Infer
+// through a core.IncrementalObserver that re-normalizes only those
+// rows, and publishes the verdict atomically, so concurrent Ingest
+// calls proceed while inference runs. Rows are handed over by
+// reference and copied only when a late record lands on one (copy on
+// write), so a close copies nothing, and its cost is O(rows changed +
+// pathsets × intervals/64), not O(service lifetime). A service can
+// also be one *leaf* of a multi-instance tree, shipping every closed
+// epoch's aggregate to a Root; see root.go.
 package serve
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -243,6 +250,12 @@ type Service struct {
 	pending []measure.StreamRecord
 	records int64 // cumulative accepted records
 
+	// Rows of meas below shared are shared with the inference side's
+	// mirror: a record landing on one copies the row first, and owned
+	// marks the rows copied since the last close.
+	shared int
+	owned  map[int]bool
+
 	// epoch counts folded (closed) epochs; published counts epochs
 	// whose verdict has been installed. They differ only while an
 	// inference runs outside the lock (published < epoch).
@@ -274,6 +287,14 @@ type Service struct {
 	verdictMarshal func(EpochVerdict) ([]byte, error)
 
 	jr *journal // nil when running in-memory
+
+	// The inference side: the table as of the last inferred epoch and
+	// the per-slice Algorithm 2 cache over it. Only the close whose
+	// epoch is next to publish touches them (see finishClose), so they
+	// need no lock of their own. Both start empty — also after a
+	// snapshot restore, whose first close then hands over every row.
+	mirror measure.Measurements
+	obs    *core.IncrementalObserver
 }
 
 // maxSummaryBlocks bounds the per-epoch summary window; older blocks
@@ -296,6 +317,7 @@ func New(cfg Config) (*Service, error) {
 		holes:     make(map[string][]seqRange),
 		cumSketch: sweep.NewUnitSketch(),
 		reportCh:  make(chan struct{}, 1),
+		obs:       &core.IncrementalObserver{Opts: cfg.Opts},
 	}
 	s.pub = sync.NewCond(&s.mu)
 	if v, err := json.Marshal(EpochVerdict{}); err != nil {
@@ -489,6 +511,14 @@ func (s *Service) applyLocked(r measure.StreamRecord) {
 	}
 	s.seqs[r.Source] = r.Seq
 	s.meas.EnsureIntervals(r.Interval+1, s.net.NumPaths())
+	if t := r.Interval; t < s.shared && !s.owned[t] {
+		if s.owned == nil {
+			s.owned = make(map[int]bool)
+		}
+		s.meas.Sent[t] = slices.Clone(s.meas.Sent[t])
+		s.meas.Lost[t] = slices.Clone(s.meas.Lost[t])
+		s.owned[t] = true
+	}
 	s.meas.Add(r.Interval, graph.PathID(r.Path), r.Sent, r.Lost)
 	s.pending = append(s.pending, r)
 	s.records++
@@ -620,12 +650,16 @@ type closeJob struct {
 	records   int64
 	intervals int
 	sources   int
-	meas      *measure.Measurements // deep copy of the table at close
-	epochLoss sweep.Welford
-	epochSk   *sweep.Sketch
-	cumLoss   sweep.Welford // cumulative accumulators *at this epoch*
-	cumSk     *sweep.Sketch
-	report    *EpochReport // leaf mode: sealed aggregate for the root
+	// sent and lost are the table's rows [from, intervals) at the
+	// close — every row added or changed since the previous close —
+	// now shared with the inference side.
+	from       int
+	sent, lost [][]int
+	epochLoss  sweep.Welford
+	epochSk    *sweep.Sketch
+	cumLoss    sweep.Welford // cumulative accumulators *at this epoch*
+	cumSk      *sweep.Sketch
+	report     *EpochReport // leaf mode: sealed aggregate for the root
 }
 
 // closeBeginLocked records the epoch boundary durably, then folds it.
@@ -649,9 +683,9 @@ func (s *Service) closeBeginLocked() (*closeJob, error) {
 
 // foldEpochLocked folds the open epoch under the lock: the canonical-
 // order floating-point folds, the cumulative merges, the epoch count —
-// everything order-sensitive — plus a deep copy of the measurement
-// table for the inference to run on outside the lock. Everything here
-// is a pure function of the accepted-record multiset and the epoch
+// everything order-sensitive — plus the table rows the epoch changed,
+// for the inference to run on outside the lock. Everything here is a
+// pure function of the accepted-record multiset and the epoch
 // partitioning.
 func (s *Service) foldEpochLocked() *closeJob {
 	// Canonical order for the floating-point folds: FP addition does
@@ -687,13 +721,25 @@ func (s *Service) foldEpochLocked() *closeJob {
 	s.epoch++
 	s.pending = s.pending[:0]
 
+	// The sort puts the epoch's lowest interval first: no earlier row
+	// changed since the previous close, and every row from s.shared on
+	// is new since then.
+	from := s.shared
+	if len(epochRecs) > 0 {
+		from = min(from, epochRecs[0].Interval)
+	}
+	T := s.meas.Intervals()
+	s.shared = T
+	clear(s.owned)
 	cumSk := *s.cumSketch // value copy: fixed-size bin array
 	job := &closeJob{
 		epoch:     s.epoch,
 		records:   s.records,
-		intervals: s.meas.Intervals(),
+		intervals: T,
 		sources:   len(s.seqs),
-		meas:      s.copyMeasLocked(),
+		from:      from,
+		sent:      slices.Clone(s.meas.Sent[from:]),
+		lost:      slices.Clone(s.meas.Lost[from:]),
 		epochLoss: epochLoss,
 		epochSk:   epochSketch,
 		cumLoss:   s.cumLoss,
@@ -725,9 +771,11 @@ func (s *Service) foldEpochLocked() *closeJob {
 }
 
 // finishClose runs the inference for one folded epoch *without*
-// holding the service lock, then publishes the verdict atomically and
-// in epoch order (a later epoch's inference finishing first waits its
-// turn). Settled-state side effects — queueing the leaf report,
+// holding the service lock, then publishes the verdict atomically.
+// Inference takes turns in epoch order: a close waits until the
+// previous epoch has published, so the mirror table and the observer's
+// cache advance one epoch at a time and two closes never mutate them
+// concurrently. Settled-state side effects — queueing the leaf report,
 // running due compaction — happen inside the publish critical section.
 //
 // Every path out of the critical section advances s.published and
@@ -735,8 +783,17 @@ func (s *Service) foldEpochLocked() *closeJob {
 // return that skipped the advance would leave every later epoch's
 // publish (and Close) waiting on the condition forever.
 func (s *Service) finishClose(job *closeJob) error {
+	s.mu.Lock()
+	for s.published != job.epoch-1 {
+		s.pub.Wait()
+	}
+	s.mu.Unlock()
+
 	start := time.Now()
-	res := core.Infer(s.net, core.MeasurementObserver{Meas: job.meas, Opts: s.cfg.Opts}, s.inferConfig())
+	s.mirror.Sent = append(s.mirror.Sent[:job.from], job.sent...)
+	s.mirror.Lost = append(s.mirror.Lost[:job.from], job.lost...)
+	s.obs.Update(&s.mirror, job.from)
+	res := core.Infer(s.net, s.obs, s.inferConfig())
 	ms := float64(time.Since(start).Microseconds()) / 1000
 
 	ev := buildVerdict(res, job.epoch, job.records, job.intervals, job.sources, resolveMinGap(s.inferConfig()))
@@ -748,9 +805,6 @@ func (s *Service) finishClose(job *closeJob) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.published != job.epoch-1 {
-		s.pub.Wait()
-	}
 	s.published = job.epoch
 	defer s.pub.Broadcast()
 	s.counters.LastInferMillis = ms
@@ -808,8 +862,8 @@ func (s *Service) inferConfig() core.Config {
 	return s.cfg.Infer
 }
 
-// copyMeasLocked deep-copies the accumulated table (for out-of-lock
-// inference and for the measure.Source view).
+// copyMeasLocked deep-copies the accumulated table (for the
+// measure.Source view).
 func (s *Service) copyMeasLocked() *measure.Measurements {
 	out := measure.NewMeasurements(s.meas.Intervals(), s.net.NumPaths())
 	for t := range s.meas.Sent {

@@ -1,7 +1,8 @@
 // Package stats provides the statistical utilities shared across the
 // repository: seeded deterministic RNG, the Pareto and exponential
 // distributions that drive the paper's traffic model (Section 6.1),
-// hypergeometric sampling for Algorithm 2's packet discounting, and
+// hypergeometric sampling for Algorithm 2's packet discounting (on
+// Sampler, a checkpointable copy of math/rand's stream), and
 // five-number summaries for the boxplot-style figures.
 package stats
 
@@ -67,9 +68,13 @@ func (r *Rand) Pareto(mean, alpha float64) float64 {
 // successes. This is exactly Algorithm 2's step of keeping the losses among
 // m randomly chosen packets.
 //
-// The implementation draws sequentially in O(n); all uses in this
-// repository have n bounded by the per-interval packet count.
-func (r *Rand) Hypergeometric(total, k, n int) int {
+// It draws the n items one by one, one Intn each, and stops early once
+// all k successes are drawn. Algorithm 2 calls it with n = the interval's
+// minimum per-path packet count, once per path sending more than that,
+// so it dominates normalization; an incremental measure.Processor pays
+// it only for the rows it re-derives. The draw sequence is part of the
+// seeded output, so it must not change.
+func (s *Sampler) Hypergeometric(total, k, n int) int {
 	switch {
 	case n < 0 || k < 0 || total < 0:
 		panic("stats: negative hypergeometric parameter")
@@ -85,7 +90,7 @@ func (r *Rand) Hypergeometric(total, k, n int) int {
 	succ := 0
 	for i := 0; i < n; i++ {
 		// Remaining population: total-i items, k-succ successes.
-		if r.Intn(total-i) < k-succ {
+		if s.Intn(total-i) < k-succ {
 			succ++
 			if succ == k {
 				break

@@ -83,7 +83,7 @@ func TestParetoInvalidShapePanics(t *testing.T) {
 }
 
 func TestHypergeometricBounds(t *testing.T) {
-	r := NewRand(3)
+	r := NewSampler(3)
 	for i := 0; i < 2000; i++ {
 		total := 1 + r.Intn(50)
 		k := r.Intn(total + 1)
@@ -104,7 +104,7 @@ func TestHypergeometricBounds(t *testing.T) {
 }
 
 func TestHypergeometricMean(t *testing.T) {
-	r := NewRand(5)
+	r := NewSampler(5)
 	const total, k, n, trials = 100, 30, 50, 50000
 	sum := 0
 	for i := 0; i < trials; i++ {
@@ -118,7 +118,7 @@ func TestHypergeometricMean(t *testing.T) {
 }
 
 func TestHypergeometricEdges(t *testing.T) {
-	r := NewRand(1)
+	r := NewSampler(1)
 	if r.Hypergeometric(10, 0, 5) != 0 {
 		t.Error("k=0 should give 0")
 	}

@@ -46,6 +46,41 @@ func assertDirsEqual(t *testing.T, got, want string) {
 	}
 }
 
+// cutClaim rewinds a finished sweep directory to a completed prefix of
+// its range, as a kill right after that checkpoint would leave it: each
+// shard keeps exactly the lines the new frontier claims and the
+// manifest's counts and sums are re-sealed to match.
+func cutClaim(t *testing.T, dir string, completed int) {
+	t.Helper()
+	data, err := os.ReadFile(manifestPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := parseManifest(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Completed = completed
+	for s := range m.PerShard {
+		lines, err := os.ReadFile(shardPath(dir, s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep, end := linesOf(completed, s, m.Shards), 0
+		for n := 0; n < keep; n++ {
+			end += strings.IndexByte(string(lines[end:]), '\n') + 1
+		}
+		if err := os.WriteFile(shardPath(dir, s), lines[:end], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m.PerShard[s] = keep
+		m.ShardSums[s] = shaHex(lines[:end])
+	}
+	if err := writeManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPartitionMergeByteIdentical is the tentpole contract: a sweep
 // split into 4 partitions, run independently, then merged, produces a
 // manifest, shard files, and aggregate summary byte-identical to the
@@ -262,23 +297,33 @@ func TestMergeValidation(t *testing.T) {
 		t.Fatalf("seed mismatch err = %v", err)
 	}
 	// An interrupted partition is incomplete: the error carries its
-	// resumable frontier.
+	// resumable frontier. The interrupt is built deterministically — a
+	// cancel from OnRecord races the partition's other in-flight cells,
+	// which may all finish first. Partition 3 (cells 6–8) is cut back to
+	// its first cell, and a resume under an already-cancelled context
+	// replays that cell and stops before dispatching the next.
 	half := filepath.Join(base, "half")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	_, err := Run(ctx, g, Options{
+	if _, err := Run(context.Background(), g, Options{
 		Shards: 3, BaseSeed: 7, Dir: half, Partition: Partition{K: 3, N: 4},
-		OnRecord: func(r Record) {
-			if r.Cell == 6 {
-				cancel()
-			}
-		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cutClaim(t, half, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	replayed := 0
+	_, err := Run(ctx, g, Options{
+		Shards: 3, BaseSeed: 7, Dir: half, Partition: Partition{K: 3, N: 4}, Resume: true,
+		OnRecord: func(Record) { replayed++ },
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupt err = %v", err)
 	}
+	if replayed != 1 {
+		t.Fatalf("interrupted resume replayed %d cells, want 1", replayed)
+	}
 	if _, err := Merge(g, []string{dirs[0], dirs[1], half, dirs[3]}, filepath.Join(base, "m5")); err == nil ||
-		!strings.Contains(err.Error(), "resumable frontier at cell") {
+		!strings.Contains(err.Error(), "resumable frontier at cell 7") {
 		t.Fatalf("incomplete err = %v", err)
 	}
 	// A directory without a sweep is not a partition.

@@ -161,35 +161,20 @@ func TestResumeAfterInterrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The cancel races the workers: with 12 tiny cells the whole grid
-	// can finish computing before the cancellation is observed, in
-	// which case the run legitimately completes (Stream still delivers
-	// buffered results after cancellation — that is what lets a
-	// checkpointing caller keep every completed record). Retry until
-	// the interrupt actually lands mid-sweep.
-	var dir string
-	for attempt := 0; ; attempt++ {
-		if attempt == 50 {
-			t.Fatal("cancellation never landed before completion in 50 attempts")
-		}
-		dir = t.TempDir()
-		ctx, cancel := context.WithCancel(context.Background())
-		_, err := Run(ctx, g, Options{
-			Workers: 2, Shards: 3, BaseSeed: 7, Dir: dir,
-			OnRecord: func(r Record) {
-				if r.Cell == 4 {
-					cancel() // interrupt mid-sweep
-				}
-			},
-		})
-		cancel()
-		if err == nil {
-			continue // the grid outran the cancel — not an interrupt
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v", err)
-		}
-		break
+	// The interrupt is built deterministically. A cancel from OnRecord
+	// races the workers (with 12 tiny cells the whole grid can finish
+	// before it is observed), so instead a finished sweep is cut back
+	// to a 5-cell frontier (see cutClaim) and resumed under an
+	// already-cancelled context, which replays the claim and stops.
+	dir := t.TempDir()
+	if _, err := Run(context.Background(), g, Options{Workers: 2, Shards: 3, BaseSeed: 7, Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	cutClaim(t, dir, 5)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Run(ctx, g, Options{Workers: 2, Shards: 3, BaseSeed: 7, Dir: dir, Resume: true}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v", err)
 	}
 
 	res, err := Run(context.Background(), g, Options{
@@ -198,8 +183,8 @@ func TestResumeAfterInterrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Resumed < 5 || res.Resumed >= g.Cells() {
-		t.Fatalf("resumed %d cells", res.Resumed)
+	if res.Resumed != 5 {
+		t.Fatalf("resumed %d cells, want 5", res.Resumed)
 	}
 	if res.Agg.Cells() != g.Cells() {
 		t.Fatalf("aggregated %d cells", res.Agg.Cells())

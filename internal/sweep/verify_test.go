@@ -354,26 +354,17 @@ func TestRepairIncompleteDirectory(t *testing.T) {
 	if _, err := Run(context.Background(), g, Options{Shards: 3, BaseSeed: 7, Dir: want}); err != nil {
 		t.Fatal(err)
 	}
+	// The interrupt is built deterministically: a finished sweep cut
+	// back to a 6-cell frontier (see cutClaim), as a kill right after
+	// that checkpoint leaves it.
 	dir := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	_, err := Run(ctx, g, Options{
-		Workers: 1, Shards: 3, BaseSeed: 7, Dir: dir,
-		OnRecord: func(r Record) {
-			if r.Cell == 5 {
-				cancel()
-			}
-		},
-	})
-	if err == nil {
-		t.Skip("grid outran the cancel; nothing incomplete to repair")
+	if _, err := Run(context.Background(), g, Options{Shards: 3, BaseSeed: 7, Dir: dir}); err != nil {
+		t.Fatal(err)
 	}
+	cutClaim(t, dir, 6)
 	m, err := ReadManifestDir(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if m.Completed == 0 || m.Completed == g.Cells() {
-		t.Skipf("frontier %d leaves nothing interesting to repair", m.Completed)
 	}
 	// Damage a record inside the claimed prefix.
 	path := shardPath(dir, 0)

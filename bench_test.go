@@ -17,9 +17,12 @@ package neutrality_test
 // Run with: go test -bench=. -benchmem
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -620,6 +623,132 @@ func BenchmarkServeIngestSharded(b *testing.B) {
 	}
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(records)/sec, "ingest_records_per_sec")
+	}
+}
+
+// stageBatches deals a planted Figure 4 table (4,096 intervals) into
+// 64 batches of 256 records from 16 sources, each source's sequence
+// increasing across the batches in order: what one service absorbs
+// before the ingest stage benches swap in a fresh one, so the open
+// epoch's buffer stays bounded however long the bench runs.
+func stageBatches() (*neutrality.Network, [][]neutrality.StreamRecord) {
+	const batch, sources = 256, 16
+	n, meas := plantedFigure4Table(4096)
+	var all []neutrality.StreamRecord
+	seqs := make([]int64, sources)
+	for t := range meas.Sent {
+		for p := range meas.Sent[t] {
+			s := len(all) % sources
+			seqs[s]++
+			all = append(all, neutrality.StreamRecord{
+				Source: fmt.Sprintf("vp-%02d", s), Seq: seqs[s], Interval: t, Path: p,
+				Sent: meas.Sent[t][p], Lost: meas.Lost[t][p],
+			})
+		}
+	}
+	var out [][]neutrality.StreamRecord
+	for lo := 0; lo < len(all); lo += batch {
+		out = append(out, all[lo:lo+batch])
+	}
+	return n, out
+}
+
+// BenchmarkIngestDecode is the HTTP stage of the ingest path: one
+// 256-line body of canonical JSON records per op through the ingest
+// handler — body scan, line decode, then validation, dedup and the
+// fold into an in-memory service that never closes an epoch
+// (EpochRecords 0), so neither the journal nor inference is in the
+// number. Every record is new to the service, as in live ingest. The
+// allocs_op gate catches a decode that falls back to reflection.
+func BenchmarkIngestDecode(b *testing.B) {
+	n, batches := stageBatches()
+	bodies := make([][]byte, len(batches))
+	for i, batch := range batches {
+		for j := range batch {
+			bodies[i] = measure.AppendStreamRecordJSON(bodies[i], &batch[j])
+			bodies[i] = append(bodies[i], '\n')
+		}
+	}
+	var svc *neutrality.ServeService
+	var srv *neutrality.ServeServer
+	b.ReportAllocs()
+	b.ResetTimer()
+	records := 0
+	for i := 0; i < b.N; i++ {
+		k := i % len(bodies)
+		if k == 0 {
+			b.StopTimer()
+			var err error
+			if svc, err = neutrality.NewServe(neutrality.ServeConfig{Net: n, EpochRecords: 0}); err != nil {
+				b.Fatal(err)
+			}
+			srv = neutrality.NewServeServer(svc)
+			b.StartTimer()
+		}
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(bodies[k])))
+		if w.Code != http.StatusOK {
+			b.Fatalf("ingest: %d %s", w.Code, w.Body)
+		}
+		records += len(batches[k])
+		if st := svc.Status(); k == len(bodies)-1 && st.Records != int64(len(bodies)*len(batches[0])) {
+			b.Fatalf("service holds %d records after a full pass", st.Records)
+		}
+	}
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(records)/sec, "records_per_sec")
+	}
+}
+
+// BenchmarkJournalAppend is the journal stage: one 256-record batch
+// per op into a durable service with 4 journal shards and no epoch
+// closes — per record the encode, frame and buffered write into its
+// shard, per batch the flush that precedes the ack and, at the default
+// 256-line cadence, the manifest checkpoint. The in-memory fold rides
+// along (BenchmarkIngestDecode measures it without a journal). The
+// allocs_op gate catches an encoder that falls back to reflection.
+func BenchmarkJournalAppend(b *testing.B) {
+	n, batches := stageBatches()
+	root := b.TempDir()
+	var svc *neutrality.ServeService
+	var dir string
+	retire := func() {
+		if svc == nil {
+			return
+		}
+		if err := svc.Close(); err != nil {
+			b.Fatal(err)
+		}
+		os.RemoveAll(dir)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	records := 0
+	for i := 0; i < b.N; i++ {
+		k := i % len(batches)
+		if k == 0 {
+			b.StopTimer()
+			retire()
+			dir = filepath.Join(root, fmt.Sprint(i))
+			var err error
+			svc, err = neutrality.NewServe(neutrality.ServeConfig{
+				Net: n, EpochRecords: 0, JournalShards: 4, Dir: dir,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		res, err := svc.Ingest(batches[k])
+		if err != nil || res.Accepted != len(batches[k]) {
+			b.Fatalf("ingest: %+v, %v", res, err)
+		}
+		records += res.Accepted
+	}
+	b.StopTimer()
+	retire()
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(records)/sec, "records_per_sec")
 	}
 }
 

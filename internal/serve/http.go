@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"neutrality/internal/measure"
@@ -21,6 +22,12 @@ import (
 // (Content-Encoding: gzip) with the same bomb guard as the fleet's
 // upload path.
 //
+// Lines are decoded by measure.DecodeStreamRecord: a line in the
+// canonical shape (keys in field order, no whitespace, no escapes —
+// what encoding/json writes for a plain source name) decodes without
+// reflection, and any other valid JSON line is still accepted, with
+// the values and errors encoding/json gives it.
+//
 //	POST /v1/ingest   JSON lines of StreamRecord → 200 IngestResult
 //	                  400 on validation failure (nothing applied),
 //	                  429 + Retry-After on backpressure (partial
@@ -29,6 +36,25 @@ import (
 //	GET  /v1/summary  per-epoch summary window (text/plain)
 //	GET  /v1/status   operational counters
 const maxIngestBytes = 16 << 20
+
+// maxIngestLine caps one ingest line.
+const maxIngestLine = 1 << 20
+
+// ingestBuffers is one POST's reusable decode state, pooled so a POST
+// allocates neither: the line scanner's initial buffer, which a
+// typical few-KB body never outgrows (a longer line grows the
+// scanner's own buffer, up to the cap, and leaves this one as is), and
+// the decoded batch, which Service.Ingest copies from and does not
+// keep. A batch grown past pooledRecs is not pooled, so one huge body
+// does not pin its memory.
+type ingestBuffers struct {
+	scan []byte
+	recs []measure.StreamRecord
+}
+
+const pooledRecs = 4096
+
+var ingestPool = sync.Pool{New: func() any { return &ingestBuffers{scan: make([]byte, 64<<10)} }}
 
 // httpError is the ingest error envelope.
 type httpError struct {
@@ -92,18 +118,27 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) {
 		body = io.LimitReader(zr, maxIngestBytes+1)
 	}
 
-	var recs []measure.StreamRecord
+	bufs := ingestPool.Get().(*ingestBuffers)
+	recs := bufs.recs[:0]
+	defer func() {
+		bufs.recs = nil
+		if cap(recs) <= pooledRecs {
+			clear(recs) // drop the source strings
+			bufs.recs = recs[:0]
+		}
+		ingestPool.Put(bufs)
+	}()
 	var total int64
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
+	sc.Buffer(bufs.scan, maxIngestLine)
 	for sc.Scan() {
 		line := sc.Bytes()
 		total += int64(len(line)) + 1
 		if len(line) == 0 {
 			continue
 		}
-		var rec measure.StreamRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
+		rec, err := measure.DecodeStreamRecord(line)
+		if err != nil {
 			// A body that does not parse is malformed input, same
 			// taxonomy as a corrupt CSV: reject the whole batch.
 			writeJSON(w, http.StatusBadRequest, httpError{Err: "validation", Msg: "record does not parse: " + err.Error()})

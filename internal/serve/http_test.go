@@ -229,3 +229,115 @@ func TestHTTPRetryAfterDerived(t *testing.T) {
 		}
 	}
 }
+
+// newlines is a reader of n '\n' bytes: an oversized body without an
+// oversized allocation (empty lines are skipped, so only the size
+// guards can reject it).
+type newlines struct{ n int64 }
+
+func (r *newlines) Read(p []byte) (int, error) {
+	if r.n <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > r.n {
+		p = p[:r.n]
+	}
+	for i := range p {
+		p[i] = '\n'
+	}
+	r.n -= int64(len(p))
+	return len(p), nil
+}
+
+// TestHTTPIngestLimits pins the ingest size guards — the 1 MB line
+// cap, the plain body cap, and the decompressed-size cap that stops a
+// gzip bomb — each answering 400 with nothing applied, and checks that
+// the pooled scanner buffer a rejected request dirtied still decodes
+// the next body, in canonical and non-canonical JSON alike.
+func TestHTTPIngestLimits(t *testing.T) {
+	n, recs := testStream(4, 2, 7)
+	s := mustNew(t, Config{Net: n, EpochRecords: 0})
+	srv := NewServer(s)
+	valid := recordLines(recs[:2])
+
+	// Requests run on the test goroutine, so consecutive ones draw the
+	// same pooled buffer.
+	post := func(body io.Reader, gzipped bool) (int, httpError) {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/v1/ingest", body)
+		if gzipped {
+			req.Header.Set("Content-Encoding", "gzip")
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		var he httpError
+		json.Unmarshal(rec.Body.Bytes(), &he)
+		return rec.Code, he
+	}
+	gz := func(r io.Reader) io.Reader {
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		if _, err := io.Copy(zw, r); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+
+	longLine := `{"source":"` + strings.Repeat("a", maxIngestLine) + `","seq":1,"interval":0,"path":0,"sent":1,"lost":0}` + "\n"
+	cases := []struct {
+		name    string
+		body    io.Reader
+		gzipped bool
+		msg     string
+	}{
+		{"line over the cap", strings.NewReader(valid + longLine), false, "token too long"},
+		{"plain body over the cap", io.MultiReader(strings.NewReader(valid), &newlines{n: maxIngestBytes}), false, "request body too large"},
+		{"gzip body inflating past the cap", gz(io.MultiReader(strings.NewReader(valid), &newlines{n: maxIngestBytes})), true, "exceeds ingest limit"},
+	}
+	for _, tc := range cases {
+		code, he := post(tc.body, tc.gzipped)
+		if code != http.StatusBadRequest || he.Err != "validation" || !strings.Contains(he.Msg, tc.msg) {
+			t.Fatalf("%s: %d %+v, want 400 validation %q", tc.name, code, he, tc.msg)
+		}
+		if st := s.Status(); st.Records != 0 {
+			t.Fatalf("%s: rejected body applied %d records", tc.name, st.Records)
+		}
+	}
+
+	// Non-canonical lines — whitespace, reordered keys, escapes — take
+	// encoding/json's path and decode to the same records.
+	var body strings.Builder
+	for i, r := range recs {
+		line, _ := json.Marshal(r)
+		switch i % 3 {
+		case 1:
+			line = []byte(fmt.Sprintf(`{ "lost": %d, "sent": %d, "path": %d, "interval": %d, "seq": %d, "source": %q }`,
+				r.Lost, r.Sent, r.Path, r.Interval, r.Seq, r.Source))
+		case 2:
+			line = []byte(fmt.Sprintf(`{"source":"\u%04x%s","seq":%d,"interval":%d,"path":%d,"sent":%d,"lost":%d}`,
+				r.Source[0], r.Source[1:], r.Seq, r.Interval, r.Path, r.Sent, r.Lost))
+		}
+		body.Write(line)
+		body.WriteByte('\n')
+	}
+	code, _ := post(strings.NewReader(body.String()), false)
+	if st := s.Status(); code != http.StatusOK || st.Records != int64(len(recs)) {
+		t.Fatalf("valid body after rejections: %d, %d of %d records applied", code, st.Records, len(recs))
+	}
+	want := mustNew(t, Config{Net: n, EpochRecords: 0})
+	if _, err := want.Ingest(recs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CloseEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := want.CloseEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if got, exp := s.VerdictJSON(), want.VerdictJSON(); !bytes.Equal(got, exp) {
+		t.Fatalf("verdict over mixed-form lines differs from direct ingest:\n%s\n%s", got, exp)
+	}
+}

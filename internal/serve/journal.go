@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -169,11 +168,16 @@ func identity(cfg Config) manifest {
 }
 
 // shardOf maps a source name to its journal shard: an FNV-1a hash so
-// the partition is stable across processes and restarts.
+// the partition is stable across processes and restarts. The hash is
+// computed over the string in place (hash/fnv's New32a, unrolled).
 func shardOf(source string, shards int) int {
-	h := fnv.New32a()
-	h.Write([]byte(source))
-	return int(h.Sum32() % uint32(shards))
+	const offset32, prime32 = 2166136261, 16777619
+	h := uint32(offset32)
+	for i := 0; i < len(source); i++ {
+		h ^= uint32(source[i])
+		h *= prime32
+	}
+	return int(h % uint32(shards))
 }
 
 // shaSum is the snapshot content hash: SHA-256, lowercase hex.
@@ -372,13 +376,34 @@ func recoverShard(data []byte, claims []int, s int) (shardRecovery, error) {
 	return sh, nil
 }
 
+// recordPrefix and recordSuffix bracket a record entry's payload:
+// json.Marshal of journalEntry{Rec: r} is exactly
+// recordPrefix + json.Marshal(r) + recordSuffix.
+const recordPrefix, recordSuffix = `{"rec":`, `}`
+
 // parseEntry validates one framed journal line: frame CRC, decodable
 // JSON, exactly one of rec/close set, and byte-for-byte canonical form
 // (so replayed bytes are exactly what a re-serialization would write).
+// A record entry is decoded by the StreamRecord codec and is canonical
+// when the codec re-encodes it to the same bytes; anything else,
+// including every close marker, takes the encoding/json path. Both
+// accept exactly the payloads json.Marshal(journalEntry) writes.
 func parseEntry(line []byte) (journalEntry, error) {
 	payload, err := sweep.UnframePayload(line)
 	if err != nil {
 		return journalEntry{}, err
+	}
+	if body, ok := bytes.CutPrefix(payload, []byte(recordPrefix)); ok && bytes.HasSuffix(body, []byte(recordSuffix)) {
+		body = body[:len(body)-len(recordSuffix)]
+		r, err := measure.DecodeStreamRecord(body)
+		if err != nil {
+			return journalEntry{}, fmt.Errorf("entry does not parse: %v", err)
+		}
+		var buf [128]byte
+		if !bytes.Equal(measure.AppendStreamRecordJSON(buf[:0], &r), body) {
+			return journalEntry{}, fmt.Errorf("entry is not in canonical form")
+		}
+		return journalEntry{Rec: &r}, nil
 	}
 	var e journalEntry
 	if err := json.Unmarshal(payload, &e); err != nil {
@@ -411,36 +436,50 @@ func (j *journal) adopt(keeps []int64, counts []int) error {
 	return nil
 }
 
-// append buffers one journal line: a record into the shard its source
-// hashes to, a close marker into every shard (each shard partitions
-// into the same epochs). Durability comes at the next flush — Ingest
+// appendRecord buffers one accepted record into the shard its source
+// hashes to, encoded and framed straight into that shard's write
+// buffer. The bytes are json.Marshal(journalEntry{Rec: r}) framed by
+// sweep.FramePayload. Durability comes at the next flush — Ingest
 // flushes before acknowledging.
-func (j *journal) append(e journalEntry) error {
+func (j *journal) appendRecord(r *measure.StreamRecord) error {
 	if j.broken != nil {
 		return j.broken
 	}
-	payload, err := json.Marshal(e)
+	s := shardOf(r.Source, len(j.ws))
+	line := sweep.AppendFrame(j.ws[s].AvailableBuffer(), func(b []byte) []byte {
+		b = append(b, recordPrefix...)
+		b = measure.AppendStreamRecordJSON(b, r)
+		return append(b, recordSuffix...)
+	})
+	return j.writeLine(s, line)
+}
+
+// appendClose buffers the marker closing epoch into every shard (each
+// shard partitions into the same epochs).
+func (j *journal) appendClose(epoch int) error {
+	if j.broken != nil {
+		return j.broken
+	}
+	payload, err := json.Marshal(journalEntry{Close: epoch})
 	if err != nil {
 		return fmt.Errorf("serve: journal marshal: %w", err)
 	}
-	if e.Close != 0 {
-		for s := range j.ws {
-			if err := j.writeLine(s, payload); err != nil {
-				return err
-			}
+	line := sweep.FramePayload(payload)
+	for s := range j.ws {
+		if err := j.writeLine(s, line); err != nil {
+			return err
 		}
-		return nil
 	}
-	return j.writeLine(shardOf(e.Rec.Source, len(j.ws)), payload)
+	return nil
 }
 
-func (j *journal) writeLine(s int, payload []byte) error {
+func (j *journal) writeLine(s int, line []byte) error {
 	if j.fault != nil {
 		if err := j.fault(); err != nil {
 			return fmt.Errorf("serve: journal write: %w", err)
 		}
 	}
-	if _, err := j.ws[s].Write(sweep.FramePayload(payload)); err != nil {
+	if _, err := j.ws[s].Write(line); err != nil {
 		j.broken = fmt.Errorf("serve: journal write: %w", err)
 		return j.broken
 	}

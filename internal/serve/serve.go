@@ -542,7 +542,8 @@ func (s *Service) inHoleLocked(source string, seq int64) bool {
 // count reaches the boundary (inference runs outside the lock; the
 // verdict is published before Ingest returns), and a full buffer stops
 // the batch with ErrBusy, keeping the records already applied (the
-// result reports how many; a full retry is idempotent).
+// result reports how many; a full retry is idempotent). Ingest copies
+// the records it applies and does not retain recs.
 func (s *Service) Ingest(recs []measure.StreamRecord) (IngestResult, error) {
 	s.mu.Lock()
 	for i, r := range recs {
@@ -575,7 +576,7 @@ func (s *Service) Ingest(recs []measure.StreamRecord) (IngestResult, error) {
 			return res, &BusyError{Pending: pending}
 		}
 		if s.jr != nil {
-			if err := s.jr.append(journalEntry{Rec: &r}); err != nil {
+			if err := s.jr.appendRecord(&r); err != nil {
 				res := s.resultLocked(accepted, dups, ooo)
 				s.mu.Unlock()
 				return res, err
@@ -667,7 +668,7 @@ type closeJob struct {
 // exactly the same record counts this process did.
 func (s *Service) closeBeginLocked() (*closeJob, error) {
 	if s.jr != nil {
-		if err := s.jr.append(journalEntry{Close: s.epoch + 1}); err != nil {
+		if err := s.jr.appendClose(s.epoch + 1); err != nil {
 			return nil, err
 		}
 		// Epoch closes always checkpoint: the claim then proves the

@@ -38,27 +38,40 @@ func frameRecord(r Record) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)
 	}
-	return framePayload(payload), nil
+	return FramePayload(payload), nil
 }
 
 // FramePayload wraps an already-canonical JSON payload in the v2
-// frame — the exported face of the framing for other durable-log
-// writers (the streaming ingest journal uses it), so every
-// checksummed artifact in the tree shares one byte format.
-func FramePayload(payload []byte) []byte { return framePayload(payload) }
+// frame — shared with the other durable-log writers (the streaming
+// ingest journal and the root report log), so every checksummed
+// artifact in the tree has one byte format.
+func FramePayload(payload []byte) []byte {
+	line := make([]byte, 0, frameHeader+len(payload)+1)
+	return AppendFrame(line, func(b []byte) []byte { return append(b, payload...) })
+}
 
 // UnframePayload validates one framed line (without its newline) and
 // returns the JSON payload; see unframe. Record-level validation stays
 // with the caller.
 func UnframePayload(line []byte) ([]byte, error) { return unframe(line) }
 
-// framePayload wraps an already-canonical JSON payload in the v2
-// frame.
-func framePayload(payload []byte) []byte {
-	line := make([]byte, 0, frameHeader+len(payload)+1)
-	line = fmt.Appendf(line, "%08x ", crc32.Checksum(payload, crcTable))
-	line = append(line, payload...)
-	return append(line, '\n')
+// AppendFrame appends one v2-framed line to b and returns the extended
+// slice: it reserves the header, lets payload append the canonical
+// JSON payload after it, then patches in the crc32c of exactly those
+// bytes and appends the newline. Writers that encode straight into an
+// output buffer (bufio.Writer.AvailableBuffer) frame without copying
+// the payload; every framed log in the tree goes through here.
+func AppendFrame(b []byte, payload func([]byte) []byte) []byte {
+	start := len(b)
+	b = append(b, "00000000 "...)
+	b = payload(b)
+	const digits = "0123456789abcdef"
+	crc := crc32.Checksum(b[start+frameHeader:], crcTable)
+	for i := frameHeader - 2; i >= 0; i-- {
+		b[start+i] = digits[crc&0xf]
+		crc >>= 4
+	}
+	return append(b, '\n')
 }
 
 // unframe validates one shard line (without its newline) and returns

@@ -362,7 +362,7 @@ func TestMergeCorruptRecordLeavesNoManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.SplitAfter(string(data), "\n")
-	lines[0] = string(framePayload([]byte(`{"cell":0,"seed":1}`)))
+	lines[0] = string(FramePayload([]byte(`{"cell":0,"seed":1}`)))
 	corrupted := strings.Join(lines, "")
 	if err := os.WriteFile(path, []byte(corrupted), 0o644); err != nil {
 		t.Fatal(err)

@@ -146,6 +146,11 @@ type Link struct {
 
 	sim *Sim
 	net *Network
+	// txLane holds the link's (at most one) pending transmit
+	// completion, propLane its propagation arrivals, shared with every
+	// link of the same Delay.
+	txLane   int32
+	propLane int32
 
 	queue  idxRing
 	qBytes int
@@ -186,6 +191,9 @@ type pathRoute struct {
 	links    []*Link
 	ackDelay Time
 	rtt      Time
+	// ackLane holds the path's ACKs in flight, shared with every path
+	// of the same ackDelay.
+	ackLane int32
 }
 
 // Hooks receive measurement events from the network. Nil hooks are
@@ -232,6 +240,24 @@ func Build(sim *Sim, g *graph.Network, linkCfg map[graph.LinkID]LinkConfig, rtts
 	n := &Network{Sim: sim, Graph: g}
 	n.id = sim.registerNet(n)
 	n.links = make([]Link, g.NumLinks())
+	// Events scheduled a fixed delay after the current time come due in
+	// the order they were scheduled, whichever link or path they belong
+	// to, so one lane serves every link of a given Delay and every path
+	// of a given ACK delay. Fewer lanes make a shallower lane tree.
+	type delayKey struct {
+		kind  EventKind
+		delay Time
+	}
+	delayLanes := map[delayKey]int32{}
+	delayLane := func(kind EventKind, delay Time) int32 {
+		k := delayKey{kind, delay}
+		li, ok := delayLanes[k]
+		if !ok {
+			li = sim.newLane(kind, n.id, nil)
+			delayLanes[k] = li
+		}
+		return li
+	}
 
 	// Forward propagation delay: half the RTT spread evenly over the
 	// path's links. When links are shared by paths with different RTTs the
@@ -254,6 +280,8 @@ func Build(sim *Sim, g *graph.Network, linkCfg map[graph.LinkID]LinkConfig, rtts
 		l.QLimit = cfg.QueueBytes
 		l.sim = sim
 		l.net = n
+		l.txLane = sim.newLane(evTxDone, n.id, nil)
+		l.propLane = delayLane(evPropArrive, l.Delay)
 		if cfg.Diff != nil {
 			if err := l.attachDiff(cfg.Diff); err != nil {
 				return nil, err
@@ -279,6 +307,7 @@ func Build(sim *Sim, g *graph.Network, linkCfg map[graph.LinkID]LinkConfig, rtts
 		if route.ackDelay < 0 {
 			return nil, fmt.Errorf("emu: path %s RTT %.4gs smaller than forward propagation %.4gs", g.Path(pid).Name, rtt, fwd)
 		}
+		route.ackLane = delayLane(evAckDeliver, route.ackDelay)
 		n.routes[p] = route
 	}
 
@@ -372,11 +401,12 @@ func (n *Network) SendData(h PacketHandle) {
 // reverse-channel delay. ACKs are not subject to loss.
 func (n *Network) SendAck(h PacketHandle) {
 	p := n.Pkt(h)
-	delay := n.routes[p.Path].ackDelay
+	route := &n.routes[p.Path]
+	delay := route.ackDelay
 	if delay <= 0 {
 		delay = minAckDelay
 	}
-	n.Sim.atAckDeliver(n.Sim.now+delay, n.id, h.idx, p.gen)
+	n.Sim.lanePush(route.ackLane, n.Sim.now+delay, h.idx, p.gen)
 }
 
 // txDone dispatches an evTxDone: the link at the packet's current hop
@@ -474,14 +504,14 @@ func (l *Link) transmitNext() {
 	p := &l.net.pkts[idx]
 	l.qBytes -= p.Size
 	txTime := Time(p.Size*8) / l.Cap
-	l.sim.atTxDone(l.sim.now+txTime, l.net.id, idx, p.gen)
+	l.sim.lanePush(l.txLane, l.sim.now+txTime, idx, p.gen)
 }
 
 // txDone finishes the packet's transmission: propagation happens in
 // parallel with the next transmission.
 func (l *Link) txDone(idx int32, p *Packet) {
 	l.forwarded++
-	l.sim.atPropArrive(l.sim.now+l.Delay, l.net.id, idx, p.gen)
+	l.sim.lanePush(l.propLane, l.sim.now+l.Delay, idx, p.gen)
 	l.transmitNext()
 }
 

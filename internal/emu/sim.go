@@ -11,22 +11,50 @@
 // # Event engine
 //
 // The scheduler is allocation-free on its hot path. Events are typed, not
-// closures: each scheduled event carries an EventKind (propArrive,
-// ackDeliver, shaperDrain for the network layer; KindRTOFire,
-// KindFlowStart, KindSampleTick for client packages) plus compact integer
-// operands, and Run dispatches on the kind with a switch. Timers live in a
-// pointer-free value-typed arena with a free list; the pending set is a
-// 4-ary min-heap whose entries carry the ordering key inline — the
-// IEEE-754 bit pattern of the non-negative event time (which orders
-// exactly like the float64 value) plus a monotonic sequence number
-// breaking ties in schedule order — so sift comparisons never touch the
-// arena. Timers are identified by generation-checked handles
-// (TimerHandle); cancelling physically removes the entry from the heap and
-// recycles the slot, and a stale handle held after the event fired cancels
-// nothing. The closure-based At/After API remains for tests and one-off
-// scheduling, as the evFunc kind; closures and Handler references live in
-// small parallel slices so the arena itself stays pointer-free and
-// invisible to the garbage collector.
+// closures: each carries an EventKind (txDone, propArrive, ackDeliver,
+// shaperDrain for the network layer; KindRTOFire, KindFlowStart,
+// KindSampleTick for client packages) plus compact integer operands, and
+// the run loop dispatches on the kind with a switch. Every event is
+// ordered by the IEEE-754 bit pattern of its non-negative time (which
+// orders exactly like the float64 value) with a monotonic sequence number,
+// taken when the event is scheduled, breaking ties in schedule order. The
+// pending events wait in one of two places.
+//
+// FIFO lanes hold the data path: one transmit lane per link (its at most
+// one pending evTxDone), one propagation lane per distinct link Delay
+// (evPropArrive at now + Delay) and one ACK lane per distinct path ACK
+// delay (evAckDeliver at now + that constant). The clock never runs back
+// and each shared lane adds one constant delay, so a lane's times never
+// decrease in schedule order; its sequence numbers always increase, so
+// each lane is sorted by (time, seq) and only its head competes: a winner
+// tree over the lane heads keeps the earliest at its root, and firing a
+// head re-plays the ~log2(lanes) matches on one leaf-to-root path. A lane
+// push earlier than the lane's tail (someone lowered Link.Delay mid-run)
+// becomes an ordinary timer event instead, so lane order is a checked
+// invariant, not an assumption.
+//
+// The timer heap holds everything else — the cancellable evFunc closures
+// behind At/After, the exported kinds (RTO, flow start, sample tick),
+// shaper drains — in a pointer-free value-typed arena with a free list,
+// ordered by a 4-ary min-heap whose entries carry the ordering key inline
+// so sift comparisons never touch the arena. Timers are identified by
+// generation-checked handles (TimerHandle); cancelling physically removes
+// the entry and recycles the slot, and a stale handle held after the
+// event fired cancels nothing. Closures and Handler references live in
+// small parallel slices so the arena stays invisible to the garbage
+// collector.
+//
+// Each step fires the smaller of the tree root and the heap root by
+// (time, seq). Both are minima of their sets, so the step fires the global
+// (time, seq) minimum of every pending event — exactly the event a single
+// heap of all events would pop. A lane changes only where an event
+// waits, never its time or its sequence number (both are taken in the
+// call that schedules it), so the firing order is that of one heap by
+// construction. The split is a speed choice: roughly nine in ten events
+// are transmit completions and propagation arrivals, and they merge
+// among a few dozen lane heads instead of sifting past every armed RTO
+// timer and idle flow-start slot, while RTO re-arming churns only the
+// timer heap.
 //
 // # Packet arena and index-based queues
 //
@@ -46,15 +74,19 @@
 // times at enqueue and scheduling propagation arrivals without any
 // per-packet transmit-complete event — was prototyped and rejected. The
 // main queue is FIFO and admission-drop-only, so departure times ARE
-// fixed at enqueue; but ACK-clocked flows phase-lock onto the bottleneck's
-// departure grid, making bitwise-equal event timestamps systematic, and
-// the engine resolves such ties in schedule order. A propagation arrival's
-// place in that order is assigned when its transmit-complete event fires —
-// at the departure instant — and reproducing it from enqueue time requires
-// the scheduling lineage of every queued predecessor (an unbounded
-// recursive key). Removing the per-packet evTxDone therefore cannot stay
-// byte-identical with the recorded goldens; the event remains, and the
-// engine takes its speed from the data-path layout instead.
+// fixed at enqueue; but ACK-clocked flows phase-lock onto the
+// bottleneck's departure grid, making bitwise-equal event timestamps
+// systematic, and the engine resolves such ties in schedule order. A
+// propagation arrival's place in that order is assigned when its
+// transmit-complete event fires — at the departure instant — and
+// reproducing it from enqueue time requires the scheduling lineage of
+// every queued predecessor (an unbounded recursive key). Removing the
+// per-packet evTxDone therefore cannot stay byte-identical with the
+// recorded goldens; the event remains, and the engine takes its speed
+// from the data-path layout instead. The lanes above are not batching:
+// every evTxDone still fires, and each propagation arrival still takes
+// its sequence number when its evTxDone fires; only the place where the
+// event waits changed.
 //
 // A quantized integer nanosecond clock was considered and rejected:
 // rounding timestamps to any fixed tick perturbs RTT samples and
@@ -135,12 +167,12 @@ type timer struct {
 	kind EventKind
 }
 
-// heapEnt is one pending-set entry: the integer ordering key (bit pattern
-// of the non-negative event time) and the tie-breaking sequence number
-// packed with the arena slot index. Carrying the key here keeps sift
-// comparisons inside the contiguous heap slice instead of chasing arena
-// slots, and the 16-byte entry puts a 4-ary node's children in a single
-// cache line.
+// heapEnt is one timer-heap or lane-tree entry: the integer ordering key
+// (bit pattern of the non-negative event time) and the tie-breaking
+// sequence number packed with the arena slot index (timer heap) or lane
+// index (lane tree). Carrying the key here keeps comparisons inside the
+// contiguous slice instead of chasing arena slots or lanes, and the
+// 16-byte entry puts a 4-ary node's children in a single cache line.
 //
 // seqIdx is seq<<seqShift | idx. Sequence numbers are globally unique, so
 // comparing the packed word compares seq; the low idx bits never decide.
@@ -203,6 +235,14 @@ type Sim struct {
 	hs   []Handler
 	free []int32
 	heap []heapEnt
+	// lanes are the FIFO event lanes (see the package doc) and tree the
+	// winner tree merging their heads (see lane.go); a tree entry's
+	// seqIdx carries the lane index instead of an arena slot. stale is
+	// 1 + the lane whose tree path awaits its re-play, 0 for none.
+	lanes  []lane
+	tree   []heapEnt
+	stale  int32
+	queued int // entries waiting in lanes
 	// nets are the networks built on this simulator; internal events
 	// reference them by index so timers need no pointers.
 	nets []*Network
@@ -211,16 +251,16 @@ type Sim struct {
 }
 
 // NewSim returns a simulator at time zero.
-func NewSim() *Sim { return &Sim{} }
+func NewSim() *Sim { return &Sim{tree: []heapEnt{noEvent, noEvent}} }
 
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
 
-// Pending returns the number of scheduled events. Cancelled events are
-// removed from the heap immediately, so cancel-heavy workloads (e.g. TCP
-// re-arming its retransmission timer on every ACK) do not accumulate dead
-// entries.
-func (s *Sim) Pending() int { return len(s.heap) }
+// Pending returns the number of scheduled events, timers and lane
+// entries alike. Cancelled events are removed from the heap immediately,
+// so cancel-heavy workloads (e.g. TCP re-arming its retransmission timer
+// on every ACK) do not accumulate dead entries.
+func (s *Sim) Pending() int { return len(s.heap) + s.queued }
 
 // registerNet assigns the network an id for compact event operands.
 func (s *Sim) registerNet(n *Network) int32 {
@@ -228,10 +268,8 @@ func (s *Sim) registerNet(n *Network) int32 {
 	return int32(len(s.nets) - 1)
 }
 
-// schedule validates t, takes an arena slot, and pushes it on the heap.
-// The caller fills the slot's payload fields through the returned index
-// before any further scheduling call.
-func (s *Sim) schedule(t Time) int32 {
+// eventKey validates an event time and returns its ordering key.
+func (s *Sim) eventKey(t Time) uint64 {
 	if t < s.now {
 		panic(fmt.Sprintf("emu: scheduling into the past: %v < %v", t, s.now))
 	}
@@ -241,8 +279,16 @@ func (s *Sim) schedule(t Time) int32 {
 	if t == 0 {
 		// Canonicalize -0.0: its bit pattern would sort after every
 		// positive time instead of first.
-		t = 0
+		return 0
 	}
+	return math.Float64bits(t)
+}
+
+// schedule validates t, takes an arena slot, and pushes it on the timer
+// heap. The caller fills the slot's payload fields through the returned
+// index before any further scheduling call.
+func (s *Sim) schedule(t Time) int32 {
+	key := s.eventKey(t)
 	var idx int32
 	if n := len(s.free); n > 0 {
 		idx = s.free[n-1]
@@ -258,9 +304,9 @@ func (s *Sim) schedule(t Time) int32 {
 	}
 	s.seq++
 	tm := &s.arena[idx]
-	tm.at = t
+	tm.at = math.Float64frombits(key)
 	tm.pos = int32(len(s.heap))
-	s.heap = append(s.heap, heapEnt{key: math.Float64bits(t), seqIdx: s.seq<<seqShift | uint64(idx)})
+	s.heap = append(s.heap, heapEnt{key: key, seqIdx: s.seq<<seqShift | uint64(idx)})
 	s.siftUp(len(s.heap) - 1)
 	return idx
 }
@@ -335,33 +381,6 @@ func (s *Sim) AfterEvent(d Time, kind EventKind, h Handler, arg int32) TimerHand
 
 // Internal typed scheduling, used by the network layer.
 
-func (s *Sim) atPropArrive(t Time, netID, pktIdx int32, pktGen uint32) {
-	idx := s.schedule(t)
-	tm := &s.arena[idx]
-	tm.kind = evPropArrive
-	tm.a = netID
-	tm.b = pktIdx
-	tm.c = pktGen
-}
-
-func (s *Sim) atTxDone(t Time, netID, pktIdx int32, pktGen uint32) {
-	idx := s.schedule(t)
-	tm := &s.arena[idx]
-	tm.kind = evTxDone
-	tm.a = netID
-	tm.b = pktIdx
-	tm.c = pktGen
-}
-
-func (s *Sim) atAckDeliver(t Time, netID, pktIdx int32, pktGen uint32) {
-	idx := s.schedule(t)
-	tm := &s.arena[idx]
-	tm.kind = evAckDeliver
-	tm.a = netID
-	tm.b = pktIdx
-	tm.c = pktGen
-}
-
 func (s *Sim) atShaperDrain(t Time, netID, shaperIdx int32) {
 	idx := s.schedule(t)
 	tm := &s.arena[idx]
@@ -426,11 +445,23 @@ func (s *Sim) RunCtx(ctx context.Context, until Time) error {
 
 // runChunk fires up to maxEvents events whose key is <= untilKey and
 // reports whether eligible events remain. This is the engine's hot
-// loop; Run passes an unbounded budget so the extra counter is the
-// only cost over the pre-chunking loop.
+// loop: each step fires the smaller of the lane-tree root and the timer
+// root by (key, seq). Run passes an unbounded budget so the
+// extra counter is the only cost over the pre-chunking loop.
 func (s *Sim) runChunk(untilKey uint64, maxEvents uint64) bool {
+	if s.stale != 0 {
+		s.replay(s.stale - 1)
+		s.stale = 0
+	}
 	for fired := uint64(0); fired < maxEvents; fired++ {
-		if len(s.heap) == 0 || s.heap[0].key > untilKey {
+		if lh := &s.tree[1]; len(s.heap) == 0 || entLess(lh, &s.heap[0]) {
+			if lh.key > untilKey {
+				return false
+			}
+			s.fireLane(lh.idx())
+			continue
+		}
+		if s.heap[0].key > untilKey {
 			return false
 		}
 		idx := s.heap[0].idx()
@@ -459,14 +490,15 @@ func (s *Sim) runChunk(untilKey uint64, maxEvents uint64) bool {
 			h.OnEvent(ev.kind, ev.a)
 		}
 	}
-	return len(s.heap) > 0 && s.heap[0].key <= untilKey
+	return s.tree[1].key <= untilKey || len(s.heap) > 0 && s.heap[0].key <= untilKey
 }
 
-// 4-ary min-heap of (key, seq, arena index) entries, ordered by the
-// integer time key with seq breaking ties in schedule order. A wider node
-// shortens the sift paths, and because entries carry their keys the
-// compare loop stays inside the contiguous heap slice; the arena is only
-// touched to maintain each slot's heap position for cancellation.
+// The timer heap: a 4-ary min-heap of (key, seq, arena index) entries,
+// ordered by the integer time key with seq breaking ties in schedule
+// order. A wider node shortens the sift paths, and because entries carry
+// their keys the compare loop stays inside the contiguous heap slice; the
+// arena is only touched to maintain each slot's heap position for
+// cancellation.
 
 func (s *Sim) siftUp(i int) {
 	e := s.heap[i]

@@ -3,6 +3,7 @@ package figures
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"neutrality/internal/grid"
@@ -12,20 +13,30 @@ import (
 
 // Table1 renders the parameter grid of the paper's Table 1 with the
 // defaults this reproduction uses (defaults marked like the paper's bold).
+// It formats with strconv rather than fmt: fmt's per-P printer pool
+// makes the allocation count depend on which CPU the caller runs on,
+// and BenchmarkTable1Defaults gates this function's B/op.
 func Table1() string {
 	d := lab.DefaultParamsA()
 	var sb strings.Builder
 	sb.WriteString("Table 1: experiment parameters (defaults marked *)\n")
-	row := func(name, values string) { fmt.Fprintf(&sb, "  %-34s %s\n", name, values) }
-	row("Bottleneck capacity (Mbps)", fmt.Sprintf("*%g", d.CapacityBps/1e6))
+	row := func(name, values string) {
+		sb.WriteString("  ")
+		sb.WriteString(name)
+		sb.WriteString(strings.Repeat(" ", max(0, 34-len(name))+1))
+		sb.WriteString(values)
+		sb.WriteByte('\n')
+	}
+	g := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+	row("Bottleneck capacity (Mbps)", "*"+g(d.CapacityBps/1e6))
 	row("RTT (ms)", "*50, 80, 120, 200")
 	row("Policing/shaping rate (%)", "20, *30, 40, 50")
 	row("Congestion-control algorithm", "*CUBIC, NewReno")
-	row("Parallel TCP flows per path", fmt.Sprintf("1, *%d, 15, 20, 70", d.FlowsPerPath))
-	row("Mean TCP flow size (Mb)", fmt.Sprintf("1, *%g, 40, 10000", d.MeanFlowMb[0]))
-	row("Mean inter-flow gap (s)", fmt.Sprintf("*%g", d.GapMeanSec))
+	row("Parallel TCP flows per path", "1, *"+strconv.Itoa(d.FlowsPerPath)+", 15, 20, 70")
+	row("Mean TCP flow size (Mb)", "1, *"+g(d.MeanFlowMb[0])+", 40, 10000")
+	row("Mean inter-flow gap (s)", "*"+g(d.GapMeanSec))
 	row("Loss threshold (%)", "*1, 5, 10")
-	row("Measurement interval (ms)", fmt.Sprintf("*%g, 200, 500", d.IntervalSec*1000))
+	row("Measurement interval (ms)", "*"+g(d.IntervalSec*1000)+", 200, 500")
 	return sb.String()
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"unicode/utf8"
 )
 
 // Measurement sources. The inference pipeline historically consumed
@@ -71,7 +72,7 @@ func errValidation(format string, args ...any) error {
 // so an at-least-once transport stays idempotent: a receiver keeps one
 // high-water mark per source and drops any record at or below it.
 type StreamRecord struct {
-	// Source identifies the vantage point (non-empty).
+	// Source identifies the vantage point (non-empty, valid UTF-8).
 	Source string `json:"source"`
 	// Seq is the source's delivery sequence number, strictly increasing
 	// per source (>= 1).
@@ -93,6 +94,10 @@ func (r StreamRecord) Validate(paths, maxIntervals int) error {
 	switch {
 	case r.Source == "":
 		return errValidation("measure: stream record without a source")
+	case !utf8.ValidString(r.Source):
+		// encoding/json would write the bad bytes as U+FFFD, so a
+		// journaled record would not replay to itself.
+		return errValidation("measure: source %q is not valid UTF-8", r.Source)
 	case r.Seq <= 0:
 		return errValidation("measure: source %q: sequence %d (must be >= 1)", r.Source, r.Seq)
 	case r.Interval < 0:

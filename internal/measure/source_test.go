@@ -22,6 +22,8 @@ func TestStreamRecordValidate(t *testing.T) {
 		{"idle record", func(r *StreamRecord) { r.Sent, r.Lost = 0, 0 }, false},
 		{"last interval under cap", func(r *StreamRecord) { r.Interval = 9 }, false},
 		{"empty source", func(r *StreamRecord) { r.Source = "" }, true},
+		{"non-ASCII source", func(r *StreamRecord) { r.Source = "vp-é�" }, false},
+		{"invalid UTF-8 source", func(r *StreamRecord) { r.Source = "vp-\xff" }, true},
 		{"zero seq", func(r *StreamRecord) { r.Seq = 0 }, true},
 		{"negative seq", func(r *StreamRecord) { r.Seq = -3 }, true},
 		{"negative interval", func(r *StreamRecord) { r.Interval = -1 }, true},

@@ -232,6 +232,62 @@ func TestJournalResume(t *testing.T) {
 	}
 }
 
+// TestInvalidUTF8SourceRefused: a source name that is not valid UTF-8
+// would be journaled as U+FFFD and fail the replay's canonical check,
+// leaving the service unable to restart. Ingest refuses it as a
+// validation error before anything is applied or journaled, and the
+// durable service still resumes to the same verdict.
+func TestInvalidUTF8SourceRefused(t *testing.T) {
+	n, recs := testStream(20, 3, 2)
+	dir := t.TempDir()
+	cfg := Config{Net: n, NetName: "figure4", EpochRecords: 16, Dir: dir}
+	s := mustNew(t, cfg)
+	half := len(recs) / 2
+	if _, err := s.Ingest(recs[:half]); err != nil {
+		t.Fatal(err)
+	}
+	bad := measure.StreamRecord{Source: "vp-\xff\xfe", Seq: 1, Interval: 0, Path: 0, Sent: 10, Lost: 1}
+	if _, err := s.Ingest([]measure.StreamRecord{recs[half], bad}); !errors.Is(err, measure.ErrValidation) {
+		t.Fatalf("Ingest with an invalid UTF-8 source = %v, want ErrValidation", err)
+	}
+	if st := s.Status(); st.Records != int64(half) || st.RejectsValidation != 1 {
+		t.Fatalf("refused batch left state behind: %+v", st)
+	}
+	if _, err := s.Ingest(recs[half:]); err != nil {
+		t.Fatal(err)
+	}
+	wantVerdict, wantStatus := s.VerdictJSON(), s.Status()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if bytes.Contains(data, []byte("vp-\xff")) || bytes.Contains(data, []byte(`vp-\ufffd`)) || bytes.Contains(data, []byte("vp-\uFFFD")) {
+			t.Errorf("%s holds the refused record", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Resume = true
+	s2 := mustNew(t, cfg)
+	defer s2.Close()
+	if !bytes.Equal(s2.VerdictJSON(), wantVerdict) {
+		t.Fatalf("verdict changed across restart:\n%s\nvs\n%s", wantVerdict, s2.VerdictJSON())
+	}
+	if st := s2.Status(); st.Records != wantStatus.Records || st.Epochs != wantStatus.Epochs {
+		t.Fatalf("replayed state %+v, want %+v", st, wantStatus)
+	}
+}
+
 // TestJournalDamageTaxonomy: damage inside the manifest claim destroys
 // acknowledged data (ErrCorrupt); bytes past the claim are a torn tail
 // and are silently truncated — the sender never got an ack for them.

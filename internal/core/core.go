@@ -19,9 +19,8 @@
 // MeasurementObserver, or via IncrementalObserver when the same table
 // is re-inferred as it grows. The incremental form re-normalizes only
 // the rows changed since its last inference — close cost O(rows
-// changed + pathsets × intervals/64) instead of O(history) — with
-// byte-identical results, provided its inferences run one at a time in
-// table order.
+// changed) instead of O(history) — with byte-identical results: every
+// row's discount draws are a function of that row alone.
 package core
 
 import (

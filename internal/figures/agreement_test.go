@@ -101,6 +101,7 @@ func TestFig8CrossSeedAgreement(t *testing.T) {
 			t.Errorf("set %d: agreement %d/%d differs from the recorded %d/%d: 99%% interval of the rate difference [%.3f, %.3f] excludes 0",
 				g.Set, g.Agree, g.Rows, w.Agree, w.Rows, lo, hi)
 		}
+		t.Logf("set %d: %d/%d rows agree (recorded %d/%d)", g.Set, g.Agree, g.Rows, w.Agree, w.Rows)
 		totalGot += g.Agree
 		totalWant += w.Agree
 		rows += g.Rows

@@ -6,34 +6,16 @@ import (
 	"testing"
 
 	"neutrality/internal/graph"
+	"neutrality/internal/stats"
 )
 
-// refPerfs is the Algorithm 2 reference the bitset processor replaced:
-// a boolean interval × path matrix filled in one pass over the table
-// with discounts drawn from math/rand, and Perf as a counting loop. It
-// returns Perf for every non-empty pathset over paths (bitmask order).
+// refPerfs is a plain Algorithm 2 reference for the bitset processor:
+// a boolean interval × path matrix filled in one pass over the table,
+// each discount a full counter-based hypergeometric draw (no early
+// exit) judged by the loss-fraction predicate itself, and Perf as a
+// counting loop. It returns Perf for every non-empty pathset over paths
+// (bitmask order).
 func refPerfs(meas *Measurements, paths []graph.PathID, opts Options) []PathsetPerf {
-	rng := rand.New(rand.NewSource(opts.Seed))
-	hg := func(total, k, n int) int {
-		switch {
-		case n >= total:
-			return k
-		case k == 0 || n == 0:
-			return 0
-		case k == total:
-			return n
-		}
-		succ := 0
-		for i := 0; i < n; i++ {
-			if rng.Intn(total-i) < k-succ {
-				succ++
-				if succ == k {
-					break
-				}
-			}
-		}
-		return succ
-	}
 	T := meas.Intervals()
 	cf := make([][]bool, T)
 	usable := make([]bool, T)
@@ -51,7 +33,7 @@ func refPerfs(meas *Measurements, paths []graph.PathID, opts Options) []PathsetP
 			sent, lost := meas.Sent[t][pid], meas.Lost[t][pid]
 			effSent, effLost := sent, lost
 			if opts.Normalize && sent > m {
-				effLost = hg(sent, lost, m)
+				effLost = stats.Hypergeometric(stats.DrawKey(opts.Seed, t, int(pid)), sent, lost, m)
 				effSent = m
 			}
 			cf[t][i] = float64(effLost)/float64(effSent) < opts.LossThreshold
@@ -130,8 +112,9 @@ func randomRow(rng *rand.Rand, meas *Measurements, t int) {
 	}
 }
 
-// TestProcessorMatchesReference: NewProcessor reproduces the boolean-
-// matrix, math/rand formulation of Algorithm 2 bit for bit.
+// TestProcessorMatchesReference: NewProcessor — early-exit draws, the
+// integer loss threshold and bitsets — reproduces the boolean-matrix,
+// full-draw formulation of Algorithm 2 bit for bit.
 func TestProcessorMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 12; trial++ {
@@ -143,7 +126,26 @@ func TestProcessorMatchesReference(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Seed = rng.Int63() - rng.Int63()
 		opts.Normalize = trial%4 != 3
+		opts.LossThreshold = []float64{0.01, 0.02, 0.05}[trial%3]
 		samePerfs(t, "batch", NewProcessor(meas, paths, opts), refPerfs(meas, paths, opts))
+	}
+}
+
+// TestCongestedAtMatchesPredicate: c = congestedAt(threshold, m) splits
+// loss counts exactly where the loss-fraction predicate does — l < c
+// if and only if float64(l)/float64(m) < threshold — so the integer
+// early exit decides what the float comparison would.
+func TestCongestedAtMatchesPredicate(t *testing.T) {
+	thresholds := []float64{0.01, 0.02, 0.05, 0.1, 1.0 / 3, 0.07, 0.29, 0.57, 1, 1.5, 0, -0.1, math.NaN(), math.Inf(1), math.SmallestNonzeroFloat64}
+	for _, th := range thresholds {
+		for m := 1; m <= 700; m++ {
+			c := congestedAt(th, m)
+			for l := 0; l <= m; l++ {
+				if got, want := l < c, float64(l)/float64(m) < th; got != want {
+					t.Fatalf("threshold %v m %d: c = %d, but loss %d below threshold is %v", th, m, c, l, want)
+				}
+			}
+		}
 	}
 }
 
@@ -152,8 +154,9 @@ func TestProcessorMatchesReference(t *testing.T) {
 // from the lowest edited row leaves the processor byte-identical —
 // every pathset's Perf — to a fresh NewProcessor over the edited table.
 // Edits cover late records into old intervals, edits exactly on and
-// beside sampler checkpoint boundaries, growth (EnsureIntervals) with
-// idle rows, shrinking, and Normalize=false.
+// beside bitset word boundaries (where Perf's cached counts split),
+// growth (EnsureIntervals) with idle rows, shrinking, and
+// Normalize=false.
 func TestIncrementalMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const paths = 4
@@ -179,8 +182,8 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 				for n := 1 + rng.Intn(4); n > 0; n-- {
 					edit(rng.Intn(T))
 				}
-			case k == 1 && T > ckptRows: // on and beside a checkpoint boundary
-				b := ckptRows * (1 + rng.Intn(T/ckptRows))
+			case k == 1 && T > 64: // on and beside a word boundary
+				b := 64 * (1 + rng.Intn(T/64))
 				for _, r := range []int{b - 1, b, b + 1} {
 					if r < T {
 						edit(r)
@@ -190,7 +193,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 				n := T - 1 - rng.Intn(64)
 				meas.Sent, meas.Lost = meas.Sent[:n], meas.Lost[:n]
 			default: // growth: new rows, some left idle
-				meas.EnsureIntervals(T+1+rng.Intn(2*ckptRows), paths)
+				meas.EnsureIntervals(T+1+rng.Intn(512), paths)
 				for r := T; r < meas.Intervals(); r++ {
 					if rng.Intn(5) != 0 {
 						randomRow(rng, meas, r)

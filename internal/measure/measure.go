@@ -12,18 +12,30 @@
 // all member paths are. The performance number of a pathset is
 // y = −log P(congestion-free).
 //
+// The discount is order-free: the losses kept for path p in interval t
+// are drawn from a counter-based hash of (slice seed, t, p, draw index)
+// (stats.DrawKey), mapped to each draw's range by integer arithmetic
+// alone, so every row stands on its own and reads the same on every
+// architecture. The draw stops as soon as the congestion-free decision
+// is settled (stats.AtLeast). With c the smallest loss count at or over
+// the threshold, fewer than c losses is congestion-free with no draw;
+// otherwise the draw ends at the c-th kept loss (congested) or once
+// fewer than c can still be kept (congestion-free). It reads the same
+// draws as the full hypergeometric draw, so the early exit leaves the
+// decision's distribution unchanged. No generator state is kept
+// between rows, so a processor holds no checkpoints: its memory is the
+// bitsets, one bit per interval and path.
+//
 // A Processor is incremental: Update re-derives only the intervals from
 // the first changed one on, so a caller whose table grows and changes
-// near its end (the streaming service) pays O(rows changed + pathsets ×
-// T/64) per update instead of O(T). The result is byte-identical to a
-// fresh NewProcessor: the discount draws come from one seeded stream in
-// interval order, and Update restarts that stream from a checkpoint
-// copy (stats.Sampler, a copy of math/rand's generator that Go 1 keeps
-// stable) taken at or before the first changed row. Checkpoints cost
-// about 21 bytes per interval; see ckptRows.
+// near its end (the streaming service) pays O(rows changed) per update
+// instead of O(T), and Perf scans only the bitset words from the first
+// re-derived one. The result is byte-identical to a fresh NewProcessor
+// because no row's draws depend on another's.
 package measure
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -122,6 +134,13 @@ type Options struct {
 	Smoothing float64
 }
 
+// DrawScheme names the discount draw Algorithm 2 uses. Every verdict
+// depends on it, so stores that persist verdicts or resume inference
+// (the serve journal, sweep directories) record it in their identity
+// and refuse state written under another scheme — the sequential
+// math/rand-stream sampler before it wrote none.
+const DrawScheme = "counter-splitmix64-v2"
+
 // DefaultOptions mirror the paper: 1 % loss threshold, normalization on.
 func DefaultOptions() Options {
 	return Options{LossThreshold: 0.01, Normalize: true, Seed: 1, Smoothing: 0.5}
@@ -147,15 +166,12 @@ type PathsetPerf struct {
 // once across those paths and then serves any pathset over them.
 //
 // A Processor is also incremental: Update re-derives only the rows from
-// a given interval on, restarting Algorithm 2's sampler from a
-// checkpoint, and yields bytes identical to a fresh NewProcessor over
-// the updated table. The sampler draws rows in interval order from one
-// seeded stream, so row t's discount depends on every row before it;
-// every ckptRows rows the processor keeps a copy of the sampler (a
-// stats.Sampler is a plain value), so re-deriving from row t replays at
-// most ckptRows-1 unchanged rows before it. The per-path indicators are
+// a given interval on and yields bytes identical to a fresh
+// NewProcessor over the updated table. The per-path indicators are
 // bitsets over intervals, so Perf is an AND and a popcount per 64
-// intervals.
+// intervals; it keeps each pathset's count over the words below the
+// first re-derived one, so a Perf after an Update scans only the words
+// from there on.
 type Processor struct {
 	paths []graph.PathID
 	opts  Options
@@ -169,19 +185,17 @@ type Processor struct {
 	usable  []uint64
 	nUsable int
 
-	// tail is the sampler state after row rows-1; ckpts[c] is its state
-	// before row c*ckptRows.
-	tail  stats.Sampler
-	ckpts []*stats.Sampler
+	// goods caches Perf's count per pathset, keyed by its member
+	// indices into paths.
+	goods map[string]*goodCount
 }
 
-// ckptRows is the sampler checkpoint spacing, in rows. It is a multiple
-// of 64, so a re-derivation starts on a bitset word. A checkpoint is one
-// stats.Sampler (4,872 bytes, a 5,376-byte allocation), so checkpoints
-// cost a processor about 21 bytes per interval — 340 KB at 16k
-// intervals — against the re-derivation of up to ckptRows-1 rows below
-// the first changed one.
-const ckptRows = 256
+// goodCount is one pathset's count of good intervals (usable, every
+// member congestion-free) over the bitset words [0, upto).
+type goodCount struct {
+	idx        []int
+	upto, good int
+}
 
 // NewProcessor runs the per-path half of Algorithm 2 (normalization +
 // congestion-free indicators) over the given paths.
@@ -196,7 +210,7 @@ func NewProcessor(meas *Measurements, paths []graph.PathID, opts Options) *Proce
 		paths: append([]graph.PathID(nil), paths...),
 		opts:  opts,
 		cf:    make([][]uint64, len(paths)),
-		tail:  stats.NewSampler(opts.Seed),
+		goods: make(map[string]*goodCount),
 	}
 	p.Update(meas, 0)
 	return p
@@ -204,19 +218,22 @@ func NewProcessor(meas *Measurements, paths []graph.PathID, opts Options) *Proce
 
 // Update brings the processor up to date with meas, given that rows
 // before from are unchanged since the last derivation (the table may
-// have grown). It re-derives rows [from, meas.Intervals()) — from the
-// sampler checkpoint at or before from — and afterwards the processor
-// is byte-identical to NewProcessor(meas, ...). from is clamped to the
-// rows derived so far, so Update(meas, 0) and any from on a processor
-// that has seen fewer rows re-derive conservatively; rows the table no
-// longer has are dropped.
+// have grown). It re-derives rows [from, meas.Intervals()), and
+// afterwards the processor is byte-identical to NewProcessor(meas,
+// ...). from is clamped to the rows derived so far, so Update(meas, 0)
+// and any from on a processor that has seen fewer rows re-derive
+// conservatively; rows the table no longer has are dropped.
 func (p *Processor) Update(meas *Measurements, from int) {
 	T := meas.Intervals()
 	from = max(0, min(from, p.rows, T))
-	if from < p.rows {
-		c := from / ckptRows
-		from = c * ckptRows
-		p.tail = *p.ckpts[c]
+	// Retract the counts over the words about to change.
+	w0 := from / 64
+	p.nUsable -= p.count(nil, w0, len(p.usable))
+	for _, g := range p.goods {
+		if g.upto > w0 {
+			g.good -= p.count(g.idx, w0, g.upto)
+			g.upto = w0
+		}
 	}
 	words := (T + 63) / 64
 	p.usable = resizeWords(p.usable, words)
@@ -224,19 +241,8 @@ func (p *Processor) Update(meas *Measurements, from int) {
 		p.cf[i] = resizeWords(p.cf[i], words)
 	}
 	for t := from; t < T; t++ {
-		if t%ckptRows == 0 {
-			if c := t / ckptRows; c < len(p.ckpts) {
-				*p.ckpts[c] = p.tail
-			} else {
-				ck := p.tail
-				p.ckpts = append(p.ckpts, &ck)
-			}
-		}
 		p.deriveRow(meas, t)
 	}
-	n := (T + ckptRows - 1) / ckptRows
-	clear(p.ckpts[n:])
-	p.ckpts = p.ckpts[:n]
 	p.rows = T
 	if T%64 != 0 {
 		// Drop bits of rows a shrunken table no longer has.
@@ -246,10 +252,22 @@ func (p *Processor) Update(meas *Measurements, from int) {
 			p.cf[i][words-1] &= mask
 		}
 	}
-	p.nUsable = 0
-	for _, w := range p.usable {
-		p.nUsable += bits.OnesCount64(w)
+	p.nUsable += p.count(nil, w0, words)
+}
+
+// count returns the good intervals of the pathset with member indices
+// idx over bitset words [lo, hi): those usable and congestion-free on
+// every member. A nil idx counts usable intervals.
+func (p *Processor) count(idx []int, lo, hi int) int {
+	n := 0
+	for w := lo; w < hi; w++ {
+		x := p.usable[w]
+		for _, i := range idx {
+			x &= p.cf[i][w]
+		}
+		n += bits.OnesCount64(x)
 	}
+	return n
 }
 
 // deriveRow runs Algorithm 2 on interval t: discount every path to the
@@ -270,19 +288,46 @@ func (p *Processor) deriveRow(meas *Measurements, t int) {
 		return
 	}
 	p.usable[w] |= bit
+	c := congestedAt(p.opts.LossThreshold, m)
 	for i, pid := range p.paths {
 		sent, lost := meas.Sent[t][pid], meas.Lost[t][pid]
-		effSent, effLost := sent, lost
+		var free bool
 		if p.opts.Normalize && sent > m {
-			effLost = p.tail.Hypergeometric(sent, lost, m)
-			effSent = m
+			// Keep m of the path's sent packets; it is congested when
+			// at least c of them are lost.
+			free = !stats.AtLeast(stats.DrawKey(p.opts.Seed, t, int(pid)), sent, lost, m, c)
+		} else {
+			free = float64(lost)/float64(sent) < p.opts.LossThreshold
 		}
-		if float64(effLost)/float64(effSent) < p.opts.LossThreshold {
+		if free {
 			p.cf[i][w] |= bit
 		} else {
 			p.cf[i][w] &^= bit
 		}
 	}
+}
+
+// congestedAt is the smallest loss count c with float64(c)/float64(m) >=
+// threshold, or m+1 when no count up to m reaches it: of m kept packets,
+// c or more lost is exactly the loss fraction that is not below the
+// threshold, division rounding included.
+func congestedAt(threshold float64, m int) int {
+	x := threshold * float64(m)
+	c := 0
+	switch {
+	case !(x > 0): // also NaN: no fraction is below it
+	case x > float64(m):
+		c = m + 1
+	default:
+		c = int(math.Ceil(x))
+	}
+	for c > 0 && float64(c-1)/float64(m) >= threshold {
+		c--
+	}
+	for c <= m && float64(c)/float64(m) < threshold {
+		c++
+	}
+	return c
 }
 
 // resizeWords returns b with exactly n words, zero-extending it.
@@ -299,8 +344,10 @@ func (p *Processor) UsableIntervals() int { return p.nUsable }
 // Perf computes the performance of one pathset over the processor's paths.
 // It panics if the pathset contains a path outside the processor's group.
 func (p *Processor) Perf(ps graph.Pathset) PathsetPerf {
-	idx := make([]int, len(ps))
-	for k, pid := range ps {
+	var kb [64]byte
+	var ib [8]int
+	key, idx := kb[:0], ib[:0]
+	for _, pid := range ps {
 		found := -1
 		for i, q := range p.paths {
 			if q == pid {
@@ -311,17 +358,19 @@ func (p *Processor) Perf(ps graph.Pathset) PathsetPerf {
 		if found < 0 {
 			panic(fmt.Sprintf("measure: pathset path %d not covered by processor", pid))
 		}
-		idx[k] = found
+		key = binary.AppendUvarint(key, uint64(found))
+		idx = append(idx, found)
+	}
+	g := p.goods[string(key)]
+	if g == nil {
+		g = &goodCount{idx: append([]int(nil), idx...)}
+		p.goods[string(key)] = g
 	}
 	// An interval counts as good when it is usable and every member
 	// path is congestion-free in it.
-	good, total := 0, p.nUsable
-	for w, x := range p.usable {
-		for _, i := range idx {
-			x &= p.cf[i][w]
-		}
-		good += bits.OnesCount64(x)
-	}
+	g.good += p.count(g.idx, g.upto, len(p.usable))
+	g.upto = len(p.usable)
+	good, total := g.good, p.nUsable
 	pp := PathsetPerf{Pathset: ps, Intervals: total}
 	if total == 0 {
 		pp.Prob, pp.CongestionProb, pp.Y = 1, 0, 0

@@ -91,6 +91,10 @@ type manifest struct {
 	LossThresh   float64 `json:"loss_threshold"`
 	Normalize    bool    `json:"normalize"`
 	Smoothing    float64 `json:"smoothing"`
+	// Draw is Algorithm 2's discount draw (measure.DrawScheme): the
+	// snapshots carry verdict bytes verbatim, so a journal written
+	// under another draw would mix two estimators' verdicts.
+	Draw string `json:"draw"`
 	// Leaf is the tree role the journal was written under: a leaf's
 	// snapshots carry its unacked report outbox keyed by this name, so
 	// resuming under a different name (or as a non-leaf) would corrupt
@@ -163,6 +167,7 @@ func identity(cfg Config) manifest {
 		LossThresh:   cfg.Opts.LossThreshold,
 		Normalize:    cfg.Opts.Normalize,
 		Smoothing:    cfg.Opts.Smoothing,
+		Draw:         measure.DrawScheme,
 		Leaf:         cfg.Leaf,
 	}
 }
@@ -242,10 +247,10 @@ func openJournal(cfg Config) (*journal, *recovered, error) {
 			m.EpochRecords != ident.EpochRecords || m.Shards != ident.Shards ||
 			m.Seed != ident.Seed || m.LossThresh != ident.LossThresh ||
 			m.Normalize != ident.Normalize || m.Smoothing != ident.Smoothing ||
-			m.Leaf != ident.Leaf {
-			return nil, nil, errValidationf("serve: journal identity mismatch: journal is (net=%q paths=%d epoch=%d shards=%d seed=%d leaf=%q), config is (net=%q paths=%d epoch=%d shards=%d seed=%d leaf=%q)",
-				m.Net, m.Paths, m.EpochRecords, m.Shards, m.Seed, m.Leaf,
-				ident.Net, ident.Paths, ident.EpochRecords, ident.Shards, ident.Seed, ident.Leaf)
+			m.Leaf != ident.Leaf || m.Draw != ident.Draw {
+			return nil, nil, errValidationf("serve: journal identity mismatch: journal is (net=%q paths=%d epoch=%d shards=%d seed=%d leaf=%q draw=%q), config is (net=%q paths=%d epoch=%d shards=%d seed=%d leaf=%q draw=%q)",
+				m.Net, m.Paths, m.EpochRecords, m.Shards, m.Seed, m.Leaf, m.Draw,
+				ident.Net, ident.Paths, ident.EpochRecords, ident.Shards, ident.Seed, ident.Leaf, ident.Draw)
 		}
 		if len(m.ShardLines) != shards {
 			return nil, nil, errCorruptf("serve: manifest claims %d shard counts for %d shards", len(m.ShardLines), shards)

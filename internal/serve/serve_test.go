@@ -232,6 +232,46 @@ func TestJournalResume(t *testing.T) {
 	}
 }
 
+// TestJournalRefusesOtherDraw: a journal written by a build whose
+// Algorithm 2 draw differs — the sequential sampler's manifests carry
+// no draw at all — is refused on resume as a validation error, since
+// its snapshots hold verdict bytes of the other estimator.
+func TestJournalRefusesOtherDraw(t *testing.T) {
+	n, recs := testStream(40, 3, 5)
+	dir := t.TempDir()
+	cfg := Config{Net: n, NetName: "figure4", EpochRecords: 64, Dir: dir}
+	s := mustNew(t, cfg)
+	if _, err := s.Ingest(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, manifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m["draw"] != measure.DrawScheme {
+		t.Fatalf("manifest draw = %v, want %q", m["draw"], measure.DrawScheme)
+	}
+	delete(m, "draw")
+	if data, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Resume = true
+	if _, err := New(cfg); !errors.Is(err, sweep.ErrValidation) {
+		t.Fatalf("resume of a journal without a draw = %v, want ErrValidation", err)
+	}
+}
+
 // TestInvalidUTF8SourceRefused: a source name that is not valid UTF-8
 // would be journaled as U+FFFD and fail the replay's canonical check,
 // leaving the service unable to restart. Ingest refuses it as a

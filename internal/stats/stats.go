@@ -1,8 +1,9 @@
 // Package stats provides the statistical utilities shared across the
 // repository: seeded deterministic RNG, the Pareto and exponential
 // distributions that drive the paper's traffic model (Section 6.1),
-// hypergeometric sampling for Algorithm 2's packet discounting (on
-// Sampler, a checkpointable copy of math/rand's stream), and
+// the counter-based hypergeometric draws behind Algorithm 2's packet
+// discounting (draw.go: each draw a pure, integer-only function of its
+// key, with an early-exit form that settles a threshold decision), and
 // five-number summaries for the boxplot-style figures.
 package stats
 
@@ -61,43 +62,6 @@ func (r *Rand) Pareto(mean, alpha float64) float64 {
 		u = r.Float64()
 	}
 	return xm / math.Pow(u, 1/alpha)
-}
-
-// Hypergeometric draws the number of "successes" when sampling n items
-// without replacement from a population of size total containing k
-// successes. This is exactly Algorithm 2's step of keeping the losses among
-// m randomly chosen packets.
-//
-// It draws the n items one by one, one Intn each, and stops early once
-// all k successes are drawn. Algorithm 2 calls it with n = the interval's
-// minimum per-path packet count, once per path sending more than that,
-// so it dominates normalization; an incremental measure.Processor pays
-// it only for the rows it re-derives. The draw sequence is part of the
-// seeded output, so it must not change.
-func (s *Sampler) Hypergeometric(total, k, n int) int {
-	switch {
-	case n < 0 || k < 0 || total < 0:
-		panic("stats: negative hypergeometric parameter")
-	case k > total:
-		panic("stats: successes exceed population")
-	case n >= total:
-		return k
-	case k == 0 || n == 0:
-		return 0
-	case k == total:
-		return n
-	}
-	succ := 0
-	for i := 0; i < n; i++ {
-		// Remaining population: total-i items, k-succ successes.
-		if s.Intn(total-i) < k-succ {
-			succ++
-			if succ == k {
-				break
-			}
-		}
-	}
-	return succ
 }
 
 // Summary is a five-number summary plus mean — the data behind one boxplot.

@@ -83,12 +83,12 @@ func TestParetoInvalidShapePanics(t *testing.T) {
 }
 
 func TestHypergeometricBounds(t *testing.T) {
-	r := NewSampler(3)
+	r := NewRand(3)
 	for i := 0; i < 2000; i++ {
 		total := 1 + r.Intn(50)
 		k := r.Intn(total + 1)
 		n := r.Intn(total + 1)
-		got := r.Hypergeometric(total, k, n)
+		got := Hypergeometric(DrawKey(3, i, 0), total, k, n)
 		lo := k + n - total
 		if lo < 0 {
 			lo = 0
@@ -104,11 +104,10 @@ func TestHypergeometricBounds(t *testing.T) {
 }
 
 func TestHypergeometricMean(t *testing.T) {
-	r := NewSampler(5)
 	const total, k, n, trials = 100, 30, 50, 50000
 	sum := 0
 	for i := 0; i < trials; i++ {
-		sum += r.Hypergeometric(total, k, n)
+		sum += Hypergeometric(DrawKey(5, i, 0), total, k, n)
 	}
 	got := float64(sum) / trials
 	want := float64(n) * float64(k) / float64(total) // 15
@@ -118,17 +117,17 @@ func TestHypergeometricMean(t *testing.T) {
 }
 
 func TestHypergeometricEdges(t *testing.T) {
-	r := NewSampler(1)
-	if r.Hypergeometric(10, 0, 5) != 0 {
+	key := DrawKey(1, 0, 0)
+	if Hypergeometric(key, 10, 0, 5) != 0 {
 		t.Error("k=0 should give 0")
 	}
-	if r.Hypergeometric(10, 10, 5) != 5 {
+	if Hypergeometric(key, 10, 10, 5) != 5 {
 		t.Error("all successes should give n")
 	}
-	if r.Hypergeometric(10, 4, 10) != 4 {
+	if Hypergeometric(key, 10, 4, 10) != 4 {
 		t.Error("sampling everything should give k")
 	}
-	if r.Hypergeometric(10, 4, 0) != 0 {
+	if Hypergeometric(key, 10, 4, 0) != 0 {
 		t.Error("n=0 should give 0")
 	}
 }

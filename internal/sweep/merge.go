@@ -61,6 +61,9 @@ func Merge(g *grid.Grid, dirs []string, out string) (*Result, error) {
 		if m.Cells != cells {
 			return nil, errKind(ErrValidation, "sweep: merge: %s records %d cells, spec has %d", dir, m.Cells, cells)
 		}
+		if err := m.checkDraw("sweep: merge", dir); err != nil {
+			return nil, err
+		}
 		parts = append(parts, partDir{dir: dir, m: m, rng: m.rng()})
 	}
 	shards, baseSeed := parts[0].m.Shards, parts[0].m.BaseSeed

@@ -81,6 +81,7 @@ import (
 	"time"
 
 	"neutrality/internal/grid"
+	"neutrality/internal/measure"
 	"neutrality/internal/runner"
 )
 
@@ -344,6 +345,12 @@ type manifest struct {
 	Cells    int   `json:"cells"`
 	Shards   int   `json:"shards"`
 	BaseSeed int64 `json:"base_seed"`
+	// Draw is the Algorithm 2 discount draw the records' verdicts come
+	// from (measure.DrawScheme), stamped by writeManifest. Resume,
+	// merge and repair refuse a directory written under another draw
+	// (checkDraw) rather than mix two estimators' records; verify,
+	// which only reads, does not.
+	Draw string `json:"draw"`
 	// Completed is the contiguous prefix of the directory's cell
 	// range whose records are persisted: every cell in
 	// [range.lo, range.lo+Completed) is in its shard file. For a
@@ -456,9 +463,24 @@ func isSHA256Hex(s string) bool {
 	return true
 }
 
+// checkDraw refuses a directory whose records were computed under
+// another Algorithm 2 draw than this build's: adding records to it
+// would mix two estimators' verdicts in one artifact. Directories
+// written before the draw was recorded carry none and are refused too.
+// op prefixes the error ("sweep", "sweep: merge", ...).
+func (m *manifest) checkDraw(op, dir string) error {
+	if m.Draw != measure.DrawScheme {
+		return errKind(ErrValidation, "%s: %s was recorded under Algorithm 2 draw %q, this build draws %q; re-run the sweep in a fresh directory",
+			op, dir, m.Draw, measure.DrawScheme)
+	}
+	return nil
+}
+
 // writeManifest atomically writes m as dir's manifest
-// (write-then-rename, so a kill never leaves a torn manifest).
+// (write-then-rename, so a kill never leaves a torn manifest), stamped
+// with this build's Algorithm 2 draw.
 func writeManifest(dir string, m *manifest) error {
+	m.Draw = measure.DrawScheme
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("sweep: %w", err)
@@ -555,6 +577,9 @@ func openStore(g *grid.Grid, opt Options, shards int, rng grid.Range) (*store, e
 		if m.Fingerprint != g.Fingerprint() {
 			return nil, errKind(ErrValidation, "sweep: %s was recorded for spec %s (fingerprint %.12s…), not this spec (%.12s…)",
 				opt.Dir, m.Name, m.Fingerprint, g.Fingerprint())
+		}
+		if err := m.checkDraw("sweep", opt.Dir); err != nil {
+			return nil, err
 		}
 		if m.Shards != shards || m.BaseSeed != opt.BaseSeed {
 			return nil, errKind(ErrValidation, "sweep: %s was recorded with shards=%d seed=%d; resume must reuse them (got shards=%d seed=%d)",

@@ -234,6 +234,11 @@ func Repair(ctx context.Context, g *grid.Grid, dir string, opt RepairOptions) (*
 		return nil, errKind(ErrValidation, "sweep: repair: %s was recorded for spec %s (fingerprint %.12s…), not this spec (%.12s…)",
 			dir, m.Name, m.Fingerprint, g.Fingerprint())
 	}
+	if !rep.ManifestRebuilt {
+		if err := m.checkDraw("sweep: repair", dir); err != nil {
+			return nil, err
+		}
+	}
 	st := &store{dir: dir, g: g, shards: m.Shards, rng: m.rng(), baseSeed: m.BaseSeed}
 	if m.Range != nil {
 		st.part = Partition{K: m.Range.K, N: m.Range.N}

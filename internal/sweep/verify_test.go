@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"neutrality/internal/grid"
+	"neutrality/internal/measure"
 )
 
 // runMicro runs a complete 12-cell sweep into a fresh directory and
@@ -47,6 +48,46 @@ func TestManifestVersionGate(t *testing.T) {
 	if _, err := parseManifest([]byte(legacy)); err == nil ||
 		!errors.Is(err, ErrValidation) || !strings.Contains(err.Error(), "predates") {
 		t.Fatalf("legacy-version manifest err = %v", err)
+	}
+}
+
+// TestOtherDrawRefused: a directory whose manifest names no Algorithm 2
+// draw — what the sequential sampler's builds wrote — or another draw
+// is refused with ErrValidation by resume, merge and repair, so no
+// artifact mixes records of two estimators. Verify, which only reads,
+// still checks it.
+func TestOtherDrawRefused(t *testing.T) {
+	g := microGrid()
+	for _, draw := range []string{"", "some-other-draw"} {
+		dir, _ := runMicro(t, 2)
+		mdata, err := os.ReadFile(manifestPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stamp := fmt.Sprintf("%q: %q", "draw", measure.DrawScheme)
+		old := strings.Replace(string(mdata), stamp, fmt.Sprintf("%q: %q", "draw", draw), 1)
+		if old == string(mdata) {
+			t.Fatalf("manifest carries no %s", stamp)
+		}
+		if err := os.WriteFile(manifestPath(dir), []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(context.Background(), g, Options{Workers: 2, Shards: 2, BaseSeed: 7, Dir: dir, Resume: true}); !errors.Is(err, ErrValidation) || !strings.Contains(err.Error(), "draw") {
+			t.Fatalf("draw %q: resume = %v, want an ErrValidation naming the draw", draw, err)
+		}
+		if _, err := Merge(g, []string{dir}, t.TempDir()); !errors.Is(err, ErrValidation) {
+			t.Fatalf("draw %q: merge = %v, want ErrValidation", draw, err)
+		}
+		if _, err := Repair(context.Background(), g, dir, RepairOptions{}); !errors.Is(err, ErrValidation) {
+			t.Fatalf("draw %q: repair = %v, want ErrValidation", draw, err)
+		}
+		rep, err := Verify(g, dir)
+		if err != nil {
+			t.Fatalf("draw %q: verify = %v, want a clean read", draw, err)
+		}
+		if err := rep.Err(); err != nil {
+			t.Fatalf("draw %q: verify report = %v, want clean", draw, err)
+		}
 	}
 }
 

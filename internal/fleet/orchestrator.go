@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"neutrality/internal/durable"
 	"neutrality/internal/grid"
 	"neutrality/internal/sweep"
 )
@@ -468,16 +469,13 @@ func (o *Orchestrator) Upload(leaseID int64, name, sum string, data []byte) erro
 	}
 	// The disk write happens outside the lock: uploads are the bulk of
 	// the fleet's data plane and must not serialize the state machine.
+	// durable.At, not Open: uploads from concurrent leases share the
+	// directory, so no writer may sweep up another's temp file.
 	dir := o.stagingDir(part)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("fleet: upload staging: %w", err)
 	}
-	tmp := filepath.Join(dir, fmt.Sprintf("%s.up-%d.tmp", name, leaseID))
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("fleet: upload staging: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp)
+	if err := durable.At(dir).WriteAtomic(name, data); err != nil {
 		return fmt.Errorf("fleet: upload staging: %w", err)
 	}
 	return nil

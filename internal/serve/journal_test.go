@@ -7,10 +7,14 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"os"
+	"path/filepath"
 	"testing"
 
-	"neutrality/internal/sweep"
+	"neutrality/internal/durable"
 )
+
+// journalShardName is the path of journal shard s in dir.
+func journalShardName(dir string, s int) string { return filepath.Join(dir, shardFile(s)) }
 
 // refJournalLine is the reference journal writer: json.Marshal of the
 // entry, framed with fmt as the v2 frame spec reads (FORMAT.md) —
@@ -23,8 +27,8 @@ func refJournalLine(t *testing.T, e journalEntry) []byte {
 		t.Fatal(err)
 	}
 	line := fmt.Appendf(nil, "%08x %s\n", crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)), payload)
-	if got := sweep.FramePayload(payload); !bytes.Equal(got, line) {
-		t.Fatalf("sweep.FramePayload(%s) = %q, want %q", payload, got, line)
+	if got := durable.FramePayload(payload); !bytes.Equal(got, line) {
+		t.Fatalf("durable.FramePayload(%s) = %q, want %q", payload, got, line)
 	}
 	return line
 }

@@ -96,10 +96,19 @@ func chunkStream(rng *rand.Rand, recs []measure.StreamRecord, maxChunk int) [][]
 func kill(t *testing.T, s *Service) {
 	t.Helper()
 	if s.jr != nil {
-		if err := s.jr.closeFile(); err != nil {
+		if err := s.jr.close(); err != nil {
 			t.Fatal(err)
 		}
 		s.jr = nil
+	}
+}
+
+// offCadence sets a journaled service's checkpoint cadence to 37 lines,
+// off the epoch grid, so manifest claims land mid-epoch. The cadence is
+// not configuration, so it is set again after every New.
+func offCadence(s *Service) {
+	if s.jr != nil {
+		s.jr.every = 37
 	}
 }
 
@@ -111,6 +120,7 @@ func runTrial(t *testing.T, rng *rand.Rand, cfg Config, recs []measure.StreamRec
 	chunks := chunkStream(rng, shuffled, 2*cfg.EpochRecords/3+1)
 
 	s := mustNew(t, cfg)
+	offCadence(s)
 	killAt := -1
 	if restart && len(chunks) > 1 {
 		killAt = 1 + rng.Intn(len(chunks)-1)
@@ -140,6 +150,7 @@ func runTrial(t *testing.T, rng *rand.Rand, cfg Config, recs []measure.StreamRec
 			rcfg := cfg
 			rcfg.Resume = true
 			s = mustNew(t, rcfg)
+			offCadence(s)
 			// The sender saw no ack for its in-flight batch and
 			// re-sends it; the high-water marks drop what survived.
 			if _, err := s.Ingest(chunks[i-1]); err != nil {
@@ -196,8 +207,7 @@ func runDeterminismTrials(t *testing.T, trials int, seed int64) {
 		if trial >= 2 || restart {
 			// Journaled trials randomize the journal geometry: shard
 			// count and compaction cadence must not change a byte.
-			cfg.Dir = t.TempDir()
-			cfg.CheckpointEvery = 37 // off-cadence: claims land mid-epoch
+			cfg.Dir = t.TempDir() // runTrial moves claims off-cadence
 			cfg.JournalShards = shardCounts[rng.Intn(len(shardCounts))]
 			cfg.CompactEvery = compactCadences[rng.Intn(len(compactCadences))]
 		}

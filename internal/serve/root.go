@@ -211,25 +211,34 @@ func NewRoot(cfg RootConfig) (*Root, error) {
 // extend the fold cleanly stops adoption — it was never acked, and the
 // leaf re-sends it.
 func (r *Root) replayLog() error {
-	lg, rec, err := openRootLog(r.cfg)
+	lg, reports, ends, err := openRootLog(r.cfg)
 	if err != nil {
 		return err
 	}
 	adopted := 0
-	for i, rep := range rec.reports {
+	for i, rep := range reports {
 		if err := r.replayReport(rep); err != nil {
-			if i < rec.claimed {
-				lg.closeFile()
-				return errCorruptf("serve: root log line %d (within the claimed %d): %v", i+1, rec.claimed, err)
+			if i < lg.lines {
+				lg.log.Close()
+				return errCorruptf("serve: root log line %d (within the claimed %d): %v", i+1, lg.lines, err)
 			}
 			break
 		}
 		adopted++
 	}
-	// Adoption claims the replayed lines: their state is folded in, so
-	// from here they answer duplicate acks and must be durable.
-	if err := lg.adopt(rec, adopted, r.records, r.epoch); err != nil {
-		lg.closeFile()
+	// Adoption drops the torn tail and claims the replayed lines: their
+	// state is folded in, so from here they answer duplicate acks and
+	// must be durable.
+	keep := int64(0)
+	if adopted > 0 {
+		keep = ends[adopted-1]
+	}
+	lg.lines = adopted
+	if err = lg.log.Truncate(keep); err == nil {
+		err = lg.writeManifest(r.records, r.epoch)
+	}
+	if err != nil {
+		lg.log.Close()
 		return err
 	}
 	r.log = lg
@@ -364,7 +373,7 @@ func (r *Root) Close() error {
 		return nil
 	}
 	err := r.log.writeManifest(r.records, r.epoch)
-	if cerr := r.log.closeFile(); err == nil {
+	if cerr := r.log.log.Close(); err == nil {
 		err = cerr
 	}
 	r.log = nil

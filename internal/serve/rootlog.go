@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 
-	"neutrality/internal/sweep"
+	"neutrality/internal/durable"
 )
 
 // The root's durable side: an append-only log of every accepted leaf
@@ -19,15 +17,13 @@ import (
 // restart, no permanent 409 wedge against leaves that already acked
 // and dropped their reports.
 //
-// The framing and damage taxonomy mirror the ingest journal: one
-// framed line per accepted report (crc32c header + canonical JSON,
-// sweep.FramePayload), and a manifest (root.json) whose line claim
-// advances BEFORE a delivery is acknowledged — the moment a leaf sees
-// 200 it may drop its only other copy, so every acked report must sit
-// inside the claim. Damage inside the claim is therefore ErrCorrupt
-// (the data exists nowhere else); lines past the claim were never
-// acked, so replay adopts them only while they extend the fold
-// cleanly and truncates the rest as torn tail (the leaf re-sends).
+// Like the ingest journal it is an internal/durable log: one framed
+// line per accepted report, and a manifest (root.json) whose claim
+// advances BEFORE a delivery is acked — a leaf that sees 200 may drop
+// its only other copy. Damage inside the claim is therefore ErrCorrupt;
+// lines past it were never acked, so replay adopts them only while
+// they extend the fold cleanly and truncates the rest (the leaf
+// re-sends).
 //
 // Unlike the ingest journal the log has no compaction: it grows one
 // small aggregate line per leaf-epoch, orders of magnitude slower
@@ -59,6 +55,12 @@ type rootManifest struct {
 	Epochs  int   `json:"epochs"`
 }
 
+// withClaim returns m carrying the given claim.
+func (m rootManifest) withClaim(lines int, records int64, epochs int) rootManifest {
+	m.Lines, m.Records, m.Epochs = lines, records, epochs
+	return m
+}
+
 // rootIdentity derives the manifest identity block from the config.
 func rootIdentity(cfg RootConfig) rootManifest {
 	return rootManifest{
@@ -73,109 +75,83 @@ func rootIdentity(cfg RootConfig) rootManifest {
 	}
 }
 
-// rootLog is the append side of the report log.
+// rootLog is the append side of the report log. Any write failure
+// breaks dir: once disk may disagree with memory, no further delivery
+// may be acked.
 type rootLog struct {
-	dir   string
-	f     *os.File
-	lines int
+	dir   *durable.Dir
+	log   *durable.Log
+	lines int // the claim: the manifest's until replay adopts
 	ident rootManifest
-	// broken latches the first write failure: once disk may disagree
-	// with memory, no further delivery may be acked.
-	broken error
-}
-
-// rootLogRecovery is one recovered report line: the decoded report and
-// the byte offset its line ends at (the truncation point if adoption
-// stops before it).
-type rootLogRecovery struct {
-	reports []EpochReport
-	ends    []int64
-	claimed int
 }
 
 // openRootLog opens (or creates) the report log in cfg.Dir and returns
-// the append handle plus the frame-validated lines. Lines within the
-// manifest claim must verify — anything else is ErrCorrupt; past the
-// claim, lines are recovered until the first invalid one. The semantic
-// replay (and the final adoption/truncation decision) belongs to
-// NewRoot, which calls (*rootLog).adopt with the outcome.
-func openRootLog(cfg RootConfig) (*rootLog, *rootLogRecovery, error) {
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("serve: root log dir: %w", err)
+// the append handle plus the frame-validated reports and the byte
+// offset each line ends at. Lines within the manifest claim must
+// verify — anything else is ErrCorrupt; past the claim, lines are
+// recovered until the first invalid one. The semantic replay (and the
+// final adoption/truncation decision) belongs to NewRoot.
+func openRootLog(cfg RootConfig) (*rootLog, []EpochReport, []int64, error) {
+	dir, err := durable.Open(cfg.Dir)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("serve: root log dir: %w", err)
 	}
 	ident := rootIdentity(cfg)
 
 	var m rootManifest
 	mExists := false
-	mdata, err := os.ReadFile(filepath.Join(cfg.Dir, rootManifestName))
+	mdata, err := os.ReadFile(dir.Path(rootManifestName))
 	switch {
 	case errors.Is(err, os.ErrNotExist):
 	case err != nil:
-		return nil, nil, fmt.Errorf("serve: reading root manifest: %w", err)
+		return nil, nil, nil, fmt.Errorf("serve: reading root manifest: %w", err)
 	default:
 		mExists = true
 		if err := json.Unmarshal(mdata, &m); err != nil {
-			return nil, nil, errCorruptf("serve: root manifest does not parse: %v", err)
+			return nil, nil, nil, errCorruptf("serve: root manifest does not parse: %v", err)
 		}
 		if m.Version != rootLogVersion {
-			return nil, nil, errValidationf("serve: root log format version %d, this build writes %d; the log cannot be adopted", m.Version, rootLogVersion)
+			return nil, nil, nil, errValidationf("serve: root log format version %d, this build writes %d; the log cannot be adopted", m.Version, rootLogVersion)
 		}
-		if m.Net != ident.Net || m.Paths != ident.Paths || m.Leaves != ident.Leaves ||
-			m.Seed != ident.Seed || m.LossThresh != ident.LossThresh ||
-			m.Normalize != ident.Normalize || m.Smoothing != ident.Smoothing {
-			return nil, nil, errValidationf("serve: root log identity mismatch: log is (net=%q paths=%d leaves=%d seed=%d), config is (net=%q paths=%d leaves=%d seed=%d)",
+		if m.withClaim(0, 0, 0) != ident {
+			return nil, nil, nil, errValidationf("serve: root log identity mismatch: log is (net=%q paths=%d leaves=%d seed=%d), config is (net=%q paths=%d leaves=%d seed=%d)",
 				m.Net, m.Paths, m.Leaves, m.Seed, ident.Net, ident.Paths, ident.Leaves, ident.Seed)
 		}
 		if m.Lines < 0 {
-			return nil, nil, errCorruptf("serve: root manifest claims %d lines", m.Lines)
+			return nil, nil, nil, errCorruptf("serve: root manifest claims %d lines", m.Lines)
 		}
 	}
 
-	data, err := os.ReadFile(filepath.Join(cfg.Dir, rootLogName))
+	data, err := os.ReadFile(dir.Path(rootLogName))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, fmt.Errorf("serve: reading root log: %w", err)
+		return nil, nil, nil, fmt.Errorf("serve: reading root log: %w", err)
 	}
 	if (mExists || len(data) > 0) && !cfg.Resume {
-		return nil, nil, errValidationf("serve: %s already holds a root log; pass resume to adopt it", cfg.Dir)
+		return nil, nil, nil, errValidationf("serve: %s already holds a root log; pass resume to adopt it", cfg.Dir)
 	}
 
-	rec := &rootLogRecovery{claimed: m.Lines}
-	off := int64(0)
-	for len(rec.reports) < m.Lines || off < int64(len(data)) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			if len(rec.reports) < m.Lines {
-				return nil, nil, errCorruptf("serve: root log truncated inside the claimed %d lines (%d survive)", m.Lines, len(rec.reports))
-			}
-			break
+	var reports []EpochReport
+	ends, err := durable.Recover(data, m.Lines, func(payload []byte) error {
+		rep, err := parseReport(payload)
+		if err == nil {
+			reports = append(reports, rep)
 		}
-		rep, perr := parseReportLine(data[off : off+int64(nl)])
-		if perr != nil {
-			if len(rec.reports) < m.Lines {
-				return nil, nil, errCorruptf("serve: root log line %d (within the claimed %d): %v", len(rec.reports)+1, m.Lines, perr)
-			}
-			break // torn tail: the adopt step truncates here
-		}
-		off += int64(nl) + 1
-		rec.reports = append(rec.reports, rep)
-		rec.ends = append(rec.ends, off)
-	}
-
-	f, err := os.OpenFile(filepath.Join(cfg.Dir, rootLogName), os.O_CREATE|os.O_RDWR, 0o644)
+		return err
+	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("serve: opening root log: %w", err)
+		return nil, nil, nil, errCorruptf("serve: root log %v", err)
 	}
-	return &rootLog{dir: cfg.Dir, f: f, ident: ident}, rec, nil
+
+	log, err := dir.OpenLog(rootLogName)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("serve: opening root log: %w", err)
+	}
+	return &rootLog{dir: dir, log: log, lines: m.Lines, ident: ident}, reports, ends, nil
 }
 
-// parseReportLine validates one framed report line: frame CRC,
-// decodable JSON, a verifying content seal, and byte-for-byte
-// canonical form.
-func parseReportLine(line []byte) (EpochReport, error) {
-	payload, err := sweep.UnframePayload(line)
-	if err != nil {
-		return EpochReport{}, err
-	}
+// parseReport validates one report line's payload: decodable JSON, a
+// verifying content seal, and byte-for-byte canonical form.
+func parseReport(payload []byte) (EpochReport, error) {
 	var rep EpochReport
 	if err := json.Unmarshal(payload, &rep); err != nil {
 		return EpochReport{}, fmt.Errorf("report does not parse: %v", err)
@@ -190,78 +166,27 @@ func parseReportLine(line []byte) (EpochReport, error) {
 	return rep, nil
 }
 
-// adopt finalizes recovery: the log is truncated to the byte offset of
-// the last semantically adopted line (dropping the torn tail), the
-// append side picks up from there, and the manifest claims everything
-// adopted — replayed state has mutated the fold, so from here the
-// adopted lines may be duplicate-acked and must be inside the claim.
-func (l *rootLog) adopt(rec *rootLogRecovery, adopted int, records int64, epochs int) error {
-	keep := int64(0)
-	if adopted > 0 {
-		keep = rec.ends[adopted-1]
-	}
-	if err := l.f.Truncate(keep); err != nil {
-		return fmt.Errorf("serve: dropping root log torn tail: %w", err)
-	}
-	if _, err := l.f.Seek(keep, io.SeekStart); err != nil {
-		return fmt.Errorf("serve: seeking root log: %w", err)
-	}
-	l.lines = adopted
-	return l.writeManifest(records, epochs)
-}
-
 // append writes one accepted report durably: the framed line, then the
 // manifest claiming it — both before the delivery is acknowledged.
 // Reports are rare (one per leaf-epoch), so the per-delivery manifest
-// rename is cheap. Any failure latches the log broken.
+// replacement is cheap.
 func (l *rootLog) append(rep EpochReport, records int64, epochs int) error {
-	if l.broken != nil {
-		return l.broken
-	}
 	payload, err := json.Marshal(rep)
 	if err != nil {
 		return fmt.Errorf("serve: root log marshal: %w", err)
 	}
-	if _, err := l.f.Write(sweep.FramePayload(payload)); err != nil {
-		l.broken = fmt.Errorf("serve: root log write: %w", err)
-		return l.broken
-	}
-	l.lines++
-	if err := l.writeManifest(records, epochs); err != nil {
-		l.broken = err
+	if _, err := l.log.Append(func(b []byte) []byte { return append(b, payload...) }); err != nil {
 		return err
 	}
-	return nil
+	if err := l.log.Flush(); err != nil {
+		return err
+	}
+	l.lines++
+	return l.writeManifest(records, epochs)
 }
 
-// writeManifest claims the current line count (temp file + rename, so
-// a kill leaves either the previous claim or the new one).
+// writeManifest claims the current line count, replacing the manifest
+// atomically so a kill leaves either the previous claim or the new one.
 func (l *rootLog) writeManifest(records int64, epochs int) error {
-	m := l.ident
-	m.Lines = l.lines
-	m.Records = records
-	m.Epochs = epochs
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("serve: root manifest marshal: %w", err)
-	}
-	data = append(data, '\n')
-	tmp := filepath.Join(l.dir, rootManifestName+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("serve: root manifest write: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, rootManifestName)); err != nil {
-		return fmt.Errorf("serve: root manifest rename: %w", err)
-	}
-	return nil
-}
-
-// closeFile closes the log file handle.
-func (l *rootLog) closeFile() error {
-	if l.f == nil {
-		return nil
-	}
-	err := l.f.Close()
-	l.f = nil
-	return err
+	return l.dir.WriteJSON(rootManifestName, l.ident.withClaim(l.lines, records, epochs))
 }

@@ -113,9 +113,6 @@ type Config struct {
 	// Resume adopts an existing journal in Dir instead of requiring an
 	// empty directory.
 	Resume bool
-	// CheckpointEvery is the journal checkpoint cadence in lines
-	// (default 256); epoch closes always checkpoint.
-	CheckpointEvery int
 	// JournalShards partitions the journal by source hash into this
 	// many journal-NNNN.jsonl files (default 1). Part of the journal
 	// identity: a resume must use the shard count the journal was
@@ -146,9 +143,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxIntervals <= 0 {
 		c.MaxIntervals = 1 << 20
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 256
 	}
 	if c.JournalShards <= 0 {
 		c.JournalShards = 1
@@ -326,29 +320,23 @@ func New(cfg Config) (*Service, error) {
 		s.verdict = v
 	}
 	if cfg.Dir != "" {
-		jr, rec, err := openJournal(cfg)
+		jr, snap, shards, err := openJournal(cfg)
 		if err != nil {
 			return nil, err
 		}
 		s.jr = jr
 		s.replaying = true
-		if rec.snap != nil {
-			if err := s.restoreSnapshot(rec.snap); err != nil {
-				jr.closeFile()
-				return nil, err
-			}
+		if snap != nil {
+			err = s.restoreSnapshot(snap)
 		}
-		keeps, counts, err := s.replayShards(rec.shards)
+		if err == nil {
+			err = s.replayShards(shards)
+		}
+		if err == nil {
+			err = jr.checkpoint(s.records, s.epoch)
+		}
 		if err != nil {
-			jr.closeFile()
-			return nil, err
-		}
-		if err := jr.adopt(keeps, counts); err != nil {
-			jr.closeFile()
-			return nil, err
-		}
-		if err := jr.checkpoint(s.records, s.epoch); err != nil {
-			jr.closeFile()
+			jr.close()
 			return nil, err
 		}
 		s.replaying = false
@@ -365,9 +353,8 @@ func (s *Service) Paths() int { return s.net.NumPaths() }
 // apply every shard's leading records (the fold commutes, and each
 // source's order is preserved because a source lives in one shard),
 // then close the epoch once *every* shard's cursor sits on the next
-// close marker. Returns, per shard, the byte offset and line count of
-// the adopted prefix — everything past it is torn tail or
-// pre-snapshot residue and is truncated by (*journal).adopt.
+// close marker. Each shard's log is then truncated to its adopted
+// prefix — everything past it is torn tail or pre-snapshot residue.
 //
 // Violations inside a shard's manifest claim are ErrCorrupt
 // (acknowledged data is damaged); violations in the unclaimed tail
@@ -375,7 +362,7 @@ func (s *Service) Paths() int { return s.net.NumPaths() }
 // from some shard's tail discards the marker from the shards that do
 // hold it: an incomplete close was never acknowledged, so dropping it
 // re-opens the epoch exactly as the sender observed it.
-func (s *Service) replayShards(shards []shardRecovery) (keeps []int64, counts []int, err error) {
+func (s *Service) replayShards(shards []shardRecovery) error {
 	type cursor struct {
 		i       int
 		stopped bool
@@ -395,21 +382,21 @@ func (s *Service) replayShards(shards []shardRecovery) (keeps []int64, counts []
 				inClaim := c.i < sh.claimed
 				if verr := r.Validate(paths, s.cfg.MaxIntervals); verr != nil {
 					if inClaim {
-						return nil, nil, errCorruptf("serve: journal shard %d record invalid: %v", si, verr)
+						return errCorruptf("serve: journal shard %d record invalid: %v", si, verr)
 					}
 					stop(si)
 					break
 				}
 				if want := shardOf(r.Source, len(shards)); want != si {
 					if inClaim {
-						return nil, nil, errCorruptf("serve: journal shard %d holds source %q belonging to shard %d", si, r.Source, want)
+						return errCorruptf("serve: journal shard %d holds source %q belonging to shard %d", si, r.Source, want)
 					}
 					stop(si)
 					break
 				}
 				if r.Seq <= s.seqs[r.Source] {
 					if inClaim {
-						return nil, nil, errCorruptf("serve: journal replays duplicate %s/%d", r.Source, r.Seq)
+						return errCorruptf("serve: journal replays duplicate %s/%d", r.Source, r.Seq)
 					}
 					// Tail residue (pre-snapshot bytes after an interrupted
 					// truncation) or a torn re-send: never acknowledged
@@ -435,7 +422,7 @@ func (s *Service) replayShards(shards []shardRecovery) (keeps []int64, counts []
 			any = true
 			if e.Close != next {
 				if c.i < shards[si].claimed {
-					return nil, nil, errCorruptf("serve: journal shard %d closes epoch %d after epoch %d", si, e.Close, s.epoch)
+					return errCorruptf("serve: journal shard %d closes epoch %d after epoch %d", si, e.Close, s.epoch)
 				}
 				stop(si) // stale or future marker in the tail: residue
 				all = false
@@ -453,7 +440,7 @@ func (s *Service) replayShards(shards []shardRecovery) (keeps []int64, counts []
 				c := &curs[si]
 				if !c.stopped && c.i < len(shards[si].entries) && shards[si].entries[c.i].Close == next {
 					if c.i < shards[si].claimed {
-						return nil, nil, errCorruptf("serve: journal shard %d claims a close of epoch %d missing from other shards", si, next)
+						return errCorruptf("serve: journal shard %d claims a close of epoch %d missing from other shards", si, next)
 					}
 					stop(si)
 				}
@@ -466,20 +453,24 @@ func (s *Service) replayShards(shards []shardRecovery) (keeps []int64, counts []
 		}
 		job := s.foldEpochLocked()
 		if err := s.finishClose(job); err != nil {
-			return nil, nil, err
+			return err
 		}
 	}
 
-	keeps = make([]int64, len(shards))
-	counts = make([]int, len(shards))
+	// Adopt each shard's replayed prefix: truncate the log to the end of
+	// its last adopted line, and count those lines toward the claim.
 	for si := range shards {
 		n := curs[si].i
-		counts[si] = n
+		keep := int64(0)
 		if n > 0 {
-			keeps[si] = shards[si].ends[n-1]
+			keep = shards[si].ends[n-1]
 		}
+		if err := s.jr.logs[si].Truncate(keep); err != nil {
+			return err
+		}
+		s.jr.lines[si] = n
 	}
-	return keeps, counts, nil
+	return nil
 }
 
 // maxHoleRanges bounds the per-source hole set: a pathologically gappy
@@ -1047,7 +1038,7 @@ func (s *Service) Close() error {
 		return nil
 	}
 	err := s.jr.checkpoint(s.records, s.epoch)
-	if cerr := s.jr.closeFile(); err == nil {
+	if cerr := s.jr.close(); err == nil {
 		err = cerr
 	}
 	s.jr = nil

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"neutrality/internal/durable"
 	"neutrality/internal/graph"
 	"neutrality/internal/measure"
 	"neutrality/internal/sweep"
@@ -519,10 +520,13 @@ func TestJournalFaultMidBatch(t *testing.T) {
 	boom := errors.New("journal writer failed")
 	arm := func(s *Service, failAt int) {
 		writes := 0
-		s.jr.fault = func() error {
+		s.jr.dir.Failpoint = func(op, _ string) error {
+			if op != "append" {
+				return nil
+			}
 			writes++
 			if writes == failAt {
-				s.jr.fault = nil // transient: the retry writes clean
+				s.jr.dir.Failpoint = nil // transient: the retry writes clean
 				return boom
 			}
 			return nil
@@ -613,6 +617,64 @@ func TestManifestOverClaim(t *testing.T) {
 	}
 }
 
+// TestResumeRemovesLeftoverTemps: a temp file a kill left between a
+// write and its rename — a compaction's snapshot, a manifest — does not
+// outlive the next open of the journal or root log directory.
+func TestResumeRemovesLeftoverTemps(t *testing.T) {
+	n, recs := testStream(10, 2, 1)
+	leftovers := []string{"snapshot-00000099.json.tmp", "serve.json.tmp", "root.json.tmp", "root.json.1234.tmp"}
+	plant := func(dir string) {
+		for _, name := range leftovers {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("{"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	assertSwept := func(dir string) {
+		t.Helper()
+		temps, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(temps) > 0 {
+			t.Fatalf("resume left temp files behind: %v", temps)
+		}
+	}
+
+	cfg := Config{Net: n, EpochRecords: 8, Dir: t.TempDir(), CompactEvery: 1}
+	s := mustNew(t, cfg)
+	if _, err := s.Ingest(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	plant(cfg.Dir)
+	cfg.Resume = true
+	if err := mustNew(t, cfg).Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertSwept(cfg.Dir)
+
+	rcfg := RootConfig{Net: n, NetName: "figure4", Leaves: 1, Dir: t.TempDir()}
+	r, err := NewRoot(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	plant(rcfg.Dir)
+	rcfg.Resume = true
+	if r, err = NewRoot(rcfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertSwept(rcfg.Dir)
+}
+
 // TestLegacyJournalRejected: a format-v1 journal directory (single
 // journal.jsonl) is refused with a validation error, not misread.
 func TestLegacyJournalRejected(t *testing.T) {
@@ -642,24 +704,23 @@ func TestShardedJournalLayout(t *testing.T) {
 	}
 	populated := 0
 	for sh := 0; sh < 4; sh++ {
-		sr, err := func() (shardRecovery, error) {
-			data, err := os.ReadFile(journalShardName(dir, sh))
-			if err != nil {
-				return shardRecovery{}, err
-			}
-			return recoverShard(data, nil, sh)
-		}()
+		data, err := os.ReadFile(journalShardName(dir, sh))
 		if err != nil {
 			t.Fatal(err)
 		}
 		hasRec := false
-		for _, e := range sr.entries {
-			if e.Rec != nil {
+		_, err = durable.Recover(data, 0, func(payload []byte) error {
+			e, err := parseEntry(payload)
+			if err == nil && e.Rec != nil {
 				hasRec = true
 				if got := shardOf(e.Rec.Source, 4); got != sh {
 					t.Fatalf("shard %d holds source %q (belongs to %d)", sh, e.Rec.Source, got)
 				}
 			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 		if hasRec {
 			populated++

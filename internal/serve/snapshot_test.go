@@ -7,17 +7,21 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"neutrality/internal/measure"
 )
 
-// TestCompactionKillMatrix kills the service at every step of the
-// snapshot/truncate sequence — after the snapshot rename, after the
-// manifest commit, after each shard truncation, before the old-snapshot
-// cleanup — on both the first compaction (no prior snapshot) and the
-// second (a prior snapshot exists to clean up). Resume plus a full
-// sender retry must converge to byte-identical verdicts in every cell.
+// TestCompactionKillMatrix kills the service at every failpoint a
+// compaction reaches — the snapshot write, the manifest commit, each
+// shard truncation, the old-snapshot removal — on both the first
+// compaction (no prior snapshot) and the second (a prior snapshot
+// exists to clean up). The kill points are not listed by hand: a clean
+// run records every durable.Dir failpoint, and a compaction's points
+// are the ones from its snapshot write up to the next journal append.
+// Resume plus a full sender retry must converge to byte-identical
+// verdicts in every cell.
 func TestCompactionKillMatrix(t *testing.T) {
 	n, recs := testStream(60, 4, 7)
 	const epoch = 48
@@ -31,74 +35,135 @@ func TestCompactionKillMatrix(t *testing.T) {
 	}
 	wantVerdict, wantSummary := ref.VerdictJSON(), ref.SummaryText()
 
-	steps := []string{"snapshot", "manifest", "truncate-0000", "truncate-0001", "cleanup"}
-	for _, step := range steps {
-		for _, failOn := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/compaction-%d", step, failOn), func(t *testing.T) {
-				dir := t.TempDir()
-				cfg := Config{
-					Net: n, EpochRecords: epoch, Dir: dir,
-					JournalShards: 2, CompactEvery: 2, CheckpointEvery: 37,
-				}
-				s := mustNew(t, cfg)
-				compactions := 0
-				boom := errors.New("killed at " + step)
-				s.jr.compactHook = func(st string) error {
-					if st == "snapshot" {
-						compactions++
-					}
-					if compactions == failOn && st == step {
-						return boom
-					}
-					return nil
-				}
-				var ingestErr error
-				for lo := 0; lo < len(recs); lo += 64 {
-					hi := lo + 64
-					if hi > len(recs) {
-						hi = len(recs)
-					}
-					if _, err := s.Ingest(recs[lo:hi]); err != nil {
-						ingestErr = err
-						break
-					}
-				}
-				if !errors.Is(ingestErr, boom) {
-					t.Fatalf("compaction hook never fired: %v", ingestErr)
-				}
-				kill(t, s)
+	cfg := Config{Net: n, EpochRecords: epoch, JournalShards: 2, CompactEvery: 2}
+	// ingest feeds the stream in 64-record batches through a fresh
+	// journaled service whose failpoint is fp, stopping at the first
+	// error; it returns the service and that error.
+	ingest := func(dir string, fp func(op, name string) error) (*Service, error) {
+		c := cfg
+		c.Dir = dir
+		s := mustNew(t, c)
+		offCadence(s)
+		s.jr.dir.Failpoint = fp
+		for lo := 0; lo < len(recs); lo += 64 {
+			if _, err := s.Ingest(recs[lo:min(lo+64, len(recs))]); err != nil {
+				return s, err
+			}
+		}
+		return s, nil
+	}
 
-				rcfg := cfg
-				rcfg.Resume = true
-				s2 := mustNew(t, rcfg)
-				if _, err := s2.Ingest(recs); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := s2.CloseEpoch(); err != nil {
-					t.Fatal(err)
-				}
-				if got := s2.VerdictJSON(); !bytes.Equal(got, wantVerdict) {
-					t.Fatalf("verdict diverged after kill at %s:\ngot  %s\nwant %s", step, got, wantVerdict)
-				}
-				if got := s2.SummaryText(); got != wantSummary {
-					t.Fatalf("summary diverged after kill at %s:\ngot:\n%s\nwant:\n%s", step, got, wantSummary)
-				}
-				if err := s2.Close(); err != nil {
-					t.Fatal(err)
-				}
-				// Recovery must not leave snapshot litter behind: the
-				// manifest names at most one trusted snapshot and open
-				// removes the orphans.
-				snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*.json"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(snaps) > 1 {
-					t.Fatalf("recovery left %d snapshots on disk: %v", len(snaps), snaps)
-				}
-			})
+	// Record the failpoint trace of a clean run and cut it into
+	// compactions.
+	type point struct{ op, name string }
+	var trace []point
+	s, err := ingest(t.TempDir(), func(op, name string) error {
+		trace = append(trace, point{op, name})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kill(t, s)
+	type killPoint struct {
+		step       string
+		compaction int
+		at         int // index into trace
+	}
+	var matrix []killPoint
+	compaction := 0
+	for i := 0; i < len(trace); i++ {
+		if trace[i].op != "write" || !strings.HasPrefix(trace[i].name, "snapshot-") {
+			continue
+		}
+		compaction++
+		for ; i < len(trace) && trace[i].op != "append"; i++ {
+			matrix = append(matrix, killPoint{stepName(trace[i].op, trace[i].name), compaction, i})
 		}
 	}
+	steps := map[string]bool{}
+	for _, kp := range matrix {
+		steps[fmt.Sprintf("%s/compaction-%d", kp.step, kp.compaction)] = true
+	}
+	for _, want := range []string{
+		"snapshot/compaction-1", "manifest/compaction-1", "truncate-0000/compaction-1", "truncate-0001/compaction-1",
+		"snapshot/compaction-2", "manifest/compaction-2", "truncate-0000/compaction-2", "truncate-0001/compaction-2",
+		"cleanup/compaction-2",
+	} {
+		if !steps[want] {
+			t.Fatalf("compaction failpoints %v miss kill point %s", matrix, want)
+		}
+	}
+
+	for _, kp := range matrix {
+		if kp.compaction > 2 {
+			continue
+		}
+		t.Run(fmt.Sprintf("%s/compaction-%d", kp.step, kp.compaction), func(t *testing.T) {
+			dir := t.TempDir()
+			boom := errors.New("killed at " + kp.step)
+			calls := 0
+			s, ingestErr := ingest(dir, func(op, name string) error {
+				calls++
+				if calls-1 != kp.at {
+					return nil
+				}
+				if (point{op, name}) != trace[kp.at] {
+					t.Errorf("failpoint %d is %s %s, the clean run had %s %s", kp.at, op, name, trace[kp.at].op, trace[kp.at].name)
+				}
+				return boom
+			})
+			if !errors.Is(ingestErr, boom) {
+				t.Fatalf("failpoint never fired: %v", ingestErr)
+			}
+			kill(t, s)
+
+			rcfg := cfg
+			rcfg.Dir, rcfg.Resume = dir, true
+			s2 := mustNew(t, rcfg)
+			offCadence(s2)
+			if _, err := s2.Ingest(recs); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s2.CloseEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			if got := s2.VerdictJSON(); !bytes.Equal(got, wantVerdict) {
+				t.Fatalf("verdict diverged after kill at %s:\ngot  %s\nwant %s", kp.step, got, wantVerdict)
+			}
+			if got := s2.SummaryText(); got != wantSummary {
+				t.Fatalf("summary diverged after kill at %s:\ngot:\n%s\nwant:\n%s", kp.step, got, wantSummary)
+			}
+			if err := s2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Recovery must not leave snapshot litter behind: the
+			// manifest names at most one trusted snapshot and open
+			// removes the orphans.
+			snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(snaps) > 1 {
+				t.Fatalf("recovery left %d snapshots on disk: %v", len(snaps), snaps)
+			}
+		})
+	}
+}
+
+// stepName names a compaction failpoint after the step it interrupts.
+func stepName(op, name string) string {
+	switch {
+	case op == "write" && strings.HasPrefix(name, "snapshot-"):
+		return "snapshot"
+	case op == "write" && name == manifestName:
+		return "manifest"
+	case op == "truncate":
+		return "truncate-" + strings.TrimSuffix(strings.TrimPrefix(name, "journal-"), ".jsonl")
+	case op == "remove":
+		return "cleanup"
+	}
+	return op + "-" + name
 }
 
 func dirSize(t *testing.T, dir string) int64 {

@@ -5,102 +5,17 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"hash/crc32"
 
+	"neutrality/internal/durable"
 	"neutrality/internal/grid"
 )
 
-// Shard framing (artifact format v2). Every shard line is
-//
-//	crc32c(payload) as 8 lowercase hex digits, one space, payload, '\n'
-//
-// where payload is the canonical json.Marshal of the Record. The CRC
-// localizes corruption to the record it occurs in: a damaged line
-// fails its own checksum without poisoning its neighbours, so recovery
-// can quarantine exactly the damaged cells and re-derive them from
-// (fingerprint, seed) — the same replay-from-identity property that
-// makes any cell reproducible in isolation. The manifest additionally
-// records a SHA-256 per shard over the claimed prefix, so an intact
-// shard verifies with one hash pass instead of a record-by-record
-// parse. See FORMAT.md for the byte-level specification.
-
-// frameHeader is the fixed per-line overhead: 8 hex digits plus the
-// separating space.
-const frameHeader = 9
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// frameRecord renders r as one framed shard line, trailing newline
-// included.
-func frameRecord(r Record) ([]byte, error) {
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: %w", err)
-	}
-	return FramePayload(payload), nil
-}
-
-// FramePayload wraps an already-canonical JSON payload in the v2
-// frame — shared with the other durable-log writers (the streaming
-// ingest journal and the root report log), so every checksummed
-// artifact in the tree has one byte format.
-func FramePayload(payload []byte) []byte {
-	line := make([]byte, 0, frameHeader+len(payload)+1)
-	return AppendFrame(line, func(b []byte) []byte { return append(b, payload...) })
-}
-
-// UnframePayload validates one framed line (without its newline) and
-// returns the JSON payload; see unframe. Record-level validation stays
-// with the caller.
-func UnframePayload(line []byte) ([]byte, error) { return unframe(line) }
-
-// AppendFrame appends one v2-framed line to b and returns the extended
-// slice: it reserves the header, lets payload append the canonical
-// JSON payload after it, then patches in the crc32c of exactly those
-// bytes and appends the newline. Writers that encode straight into an
-// output buffer (bufio.Writer.AvailableBuffer) frame without copying
-// the payload; every framed log in the tree goes through here.
-func AppendFrame(b []byte, payload func([]byte) []byte) []byte {
-	start := len(b)
-	b = append(b, "00000000 "...)
-	b = payload(b)
-	const digits = "0123456789abcdef"
-	crc := crc32.Checksum(b[start+frameHeader:], crcTable)
-	for i := frameHeader - 2; i >= 0; i-- {
-		b[start+i] = digits[crc&0xf]
-		crc >>= 4
-	}
-	return append(b, '\n')
-}
-
-// unframe validates one shard line (without its newline) and returns
-// the JSON payload. It checks the frame shape (header length,
-// lowercase hex, separator) and the CRC; record-level validation —
-// cell, seed, canonical form — stays with the caller.
-func unframe(line []byte) ([]byte, error) {
-	if len(line) < frameHeader || line[frameHeader-1] != ' ' {
-		return nil, fmt.Errorf("framing: line is not 'crc32c payload'")
-	}
-	var crc uint32
-	for _, c := range line[:frameHeader-1] {
-		var d uint32
-		switch {
-		case c >= '0' && c <= '9':
-			d = uint32(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint32(c-'a') + 10
-		default:
-			return nil, fmt.Errorf("framing: header is not lowercase hex")
-		}
-		crc = crc<<4 | d
-	}
-	payload := line[frameHeader:]
-	if got := crc32.Checksum(payload, crcTable); got != crc {
-		return nil, fmt.Errorf("framing: payload crc32c %08x, line claims %08x", got, crc)
-	}
-	return payload, nil
-}
+// Shard framing (artifact format v2): every shard line is a durable
+// line frame around the canonical json.Marshal of the Record, so
+// recovery can quarantine exactly the damaged cells and re-derive them
+// from (fingerprint, seed). The manifest also records a SHA-256 per
+// shard over the claimed prefix, so an intact shard verifies with one
+// hash pass instead of a record-by-record parse. See FORMAT.md.
 
 // shaHex is the manifest's shard content hash: SHA-256, lowercase hex.
 func shaHex(data []byte) string {
@@ -132,7 +47,7 @@ func (spec scanSpec) cellOf(s, j int) int {
 // canonical form (so every accepted record round-trips exactly —
 // which is what lets a repaired cell splice back byte-identically).
 func (spec scanSpec) parseSlot(s int, line []byte) (int, bool) {
-	payload, err := unframe(line)
+	payload, err := durable.Unframe(line)
 	if err != nil {
 		return 0, false
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"testing"
 
+	"neutrality/internal/durable"
 	"neutrality/internal/grid"
 )
 
@@ -116,7 +117,7 @@ func FuzzShardRecovery(f *testing.F) {
 			Shards: 1, BaseSeed: 7, Completed: 0, PerShard: []int{0},
 			ShardSums: []string{emptySum},
 		}
-		if err := writeManifest(dir, m); err != nil {
+		if err := writeManifest(durable.At(dir), m); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(shardPath(dir, 0), data, 0o644); err != nil {
@@ -214,7 +215,7 @@ func FuzzShardVerify(f *testing.F) {
 				t.Fatalf("slot %d: span %+v outside %d-byte image", j, span, len(data))
 			}
 			line := data[span.off : span.end-1]
-			payload, err := unframe(line)
+			payload, err := durable.Unframe(line)
 			if err != nil {
 				t.Fatalf("slot %d: kept line fails its own frame: %v", j, err)
 			}
@@ -248,7 +249,7 @@ func FuzzShardVerify(f *testing.F) {
 			Shards: 1, BaseSeed: 7, Completed: claimed, PerShard: []int{claimed},
 			ShardSums: []string{shaHex(pristine)},
 		}
-		if err := writeManifest(dir, m); err != nil {
+		if err := writeManifest(durable.At(dir), m); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(shardPath(dir, 0), data, 0o644); err != nil {

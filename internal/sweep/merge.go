@@ -8,6 +8,7 @@ import (
 	"os"
 	"sort"
 
+	"neutrality/internal/durable"
 	"neutrality/internal/grid"
 )
 
@@ -106,7 +107,8 @@ func Merge(g *grid.Grid, dirs []string, out string) (*Result, error) {
 	// a corrupt partition must surface as ErrCorrupt (so the caller
 	// can repair or re-speculate it) before anything is hard-linked,
 	// not as a mystery in the replay below.
-	if err := os.MkdirAll(out, 0o755); err != nil {
+	dir, err := durable.Open(out)
+	if err != nil {
 		return nil, fmt.Errorf("sweep: merge: %w", err)
 	}
 	if _, err := os.Stat(manifestPath(out)); err == nil {
@@ -126,7 +128,7 @@ func Merge(g *grid.Grid, dirs []string, out string) (*Result, error) {
 	// fold a single-process run performs, so the Summary is
 	// bit-identical to it (not merely up to merge rounding).
 	agg := NewAgg(g)
-	st := &store{dir: out, g: g, shards: shards, rng: g.FullRange(), baseSeed: baseSeed, completed: cells}
+	st := &store{dir: dir, g: g, shards: shards, rng: g.FullRange(), baseSeed: baseSeed, completed: cells}
 	if err := st.replay(agg.Add); err != nil {
 		return nil, err
 	}
@@ -150,7 +152,7 @@ func Merge(g *grid.Grid, dirs []string, out string) (*Result, error) {
 	for s := 0; s < shards; s++ {
 		m.PerShard[s] = linesOf(cells, s, shards)
 	}
-	if err := writeManifest(out, m); err != nil {
+	if err := writeManifest(dir, m); err != nil {
 		return nil, err
 	}
 	return &Result{Agg: agg, Total: cells, Resumed: cells, Range: g.FullRange()}, nil

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"neutrality/internal/durable"
 	"neutrality/internal/grid"
 )
 
@@ -76,7 +77,7 @@ func cutClaim(t *testing.T, dir string, completed int) {
 		m.PerShard[s] = keep
 		m.ShardSums[s] = shaHex(lines[:end])
 	}
-	if err := writeManifest(dir, m); err != nil {
+	if err := writeManifest(durable.At(dir), m); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -164,7 +165,7 @@ func TestPartitionManifest(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
-			payload, err := unframe([]byte(line))
+			payload, err := durable.Unframe([]byte(line))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -362,7 +363,7 @@ func TestMergeCorruptRecordLeavesNoManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.SplitAfter(string(data), "\n")
-	lines[0] = string(FramePayload([]byte(`{"cell":0,"seed":1}`)))
+	lines[0] = string(durable.FramePayload([]byte(`{"cell":0,"seed":1}`)))
 	corrupted := strings.Join(lines, "")
 	if err := os.WriteFile(path, []byte(corrupted), 0o644); err != nil {
 		t.Fatal(err)
@@ -388,7 +389,7 @@ func TestMergeCorruptRecordLeavesNoManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.ShardSums[0] = shaHex([]byte(corrupted))
-	if err := writeManifest(dirs[1], m); err != nil {
+	if err := writeManifest(durable.At(dirs[1]), m); err != nil {
 		t.Fatal(err)
 	}
 	out2 := filepath.Join(t.TempDir(), "merged2")

@@ -80,6 +80,7 @@ import (
 	"sort"
 	"time"
 
+	"neutrality/internal/durable"
 	"neutrality/internal/grid"
 	"neutrality/internal/measure"
 	"neutrality/internal/runner"
@@ -476,20 +477,12 @@ func (m *manifest) checkDraw(op, dir string) error {
 	return nil
 }
 
-// writeManifest atomically writes m as dir's manifest
-// (write-then-rename, so a kill never leaves a torn manifest), stamped
-// with this build's Algorithm 2 draw.
-func writeManifest(dir string, m *manifest) error {
+// writeManifest atomically replaces d's manifest with m (so a kill
+// never leaves a torn manifest), stamped with this build's Algorithm 2
+// draw.
+func writeManifest(d *durable.Dir, m *manifest) error {
 	m.Draw = measure.DrawScheme
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("sweep: %w", err)
-	}
-	tmp := manifestPath(dir) + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("sweep: %w", err)
-	}
-	if err := os.Rename(tmp, manifestPath(dir)); err != nil {
+	if err := d.WriteJSON(manifestFile, m); err != nil {
 		return fmt.Errorf("sweep: %w", err)
 	}
 	return nil
@@ -502,14 +495,13 @@ func writeManifest(dir string, m *manifest) error {
 // i-rng.Lo; shard i%shards == local%shards because rng.Lo is
 // shard-aligned).
 type store struct {
-	dir      string
+	dir      *durable.Dir
 	g        *grid.Grid
 	shards   int
 	rng      grid.Range
 	part     Partition
 	baseSeed int64
-	files    []*os.File
-	ws       []*bufio.Writer
+	logs     []*durable.Log
 	// sums are the running per-shard SHA-256 states over every byte
 	// appended (and, after recovery, every byte kept); checkpoint
 	// snapshots them into the manifest. Appends and flushes keep them
@@ -535,19 +527,18 @@ type recoveryPlan struct {
 // shardPlan is one shard's piece of a recoveryPlan.
 type shardPlan struct {
 	scan shardScan
-	// size is the shard image's current byte length (for the clean
-	// truncate path).
-	size int64
 	// data retains the shard image only when a rebuild (splice) is
 	// required.
 	data []byte
 }
 
-func manifestPath(dir string) string { return filepath.Join(dir, "manifest.json") }
+const manifestFile = "manifest.json"
 
-func shardPath(dir string, s int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%04d.jsonl", s))
-}
+func manifestPath(dir string) string { return filepath.Join(dir, manifestFile) }
+
+func shardFile(s int) string { return fmt.Sprintf("shard-%04d.jsonl", s) }
+
+func shardPath(dir string, s int) string { return filepath.Join(dir, shardFile(s)) }
 
 // openStore prepares the sweep directory: fresh directories are
 // initialized, existing ones are validated against the spec and — with
@@ -560,10 +551,11 @@ func shardPath(dir string, s int) string {
 // only plans that work (st.plan); heal executes it and opens the
 // writers, so no shard file is mutated until the repair records exist.
 func openStore(g *grid.Grid, opt Options, shards int, rng grid.Range) (*store, error) {
-	st := &store{dir: opt.Dir, g: g, shards: shards, rng: rng, part: opt.Partition, baseSeed: opt.BaseSeed}
-	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
+	dir, err := durable.Open(opt.Dir)
+	if err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)
 	}
+	st := &store{dir: dir, g: g, shards: shards, rng: rng, part: opt.Partition, baseSeed: opt.BaseSeed}
 	mdata, err := os.ReadFile(manifestPath(opt.Dir))
 	switch {
 	case err == nil:
@@ -632,7 +624,7 @@ func (st *store) recover(m *manifest) error {
 	plan := &recoveryPlan{shards: make([]shardPlan, st.shards)}
 	covered := make([]int, st.shards)
 	for s := 0; s < st.shards; s++ {
-		data, err := os.ReadFile(shardPath(st.dir, s))
+		data, err := os.ReadFile(st.dir.Path(shardFile(s)))
 		if err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("sweep: resume: %w", err)
 		}
@@ -642,7 +634,7 @@ func (st *store) recover(m *manifest) error {
 		}
 		sc := scanShard(spec, s, data, linesOf(m.Completed, s, st.shards), want)
 		covered[s] = len(sc.slots)
-		plan.shards[s] = shardPlan{scan: sc, size: int64(len(data))}
+		plan.shards[s] = shardPlan{scan: sc}
 		if sc.dirty {
 			plan.shards[s].data = data
 		}
@@ -703,7 +695,8 @@ func (st *store) heal(ctx context.Context, workers int) error {
 				if err != nil {
 					return nil, err
 				}
-				return frameRecord(r)
+				payload, err := json.Marshal(r)
+				return durable.FramePayload(payload), err
 			},
 			func(i int, line []byte, err error) error {
 				if err != nil {
@@ -717,53 +710,51 @@ func (st *store) heal(ctx context.Context, workers int) error {
 		}
 	}
 
-	st.files = make([]*os.File, st.shards)
-	st.ws = make([]*bufio.Writer, st.shards)
+	st.logs = make([]*durable.Log, st.shards)
 	st.sums = make([]hash.Hash, st.shards)
 	for s := 0; s < st.shards; s++ {
-		path := shardPath(st.dir, s)
+		name := shardFile(s)
+		var sp *shardPlan
 		if plan != nil {
-			sp := &plan.shards[s]
-			if sp.scan.dirty {
-				var buf bytes.Buffer
-				for j, span := range sp.scan.slots {
-					if span == (frameSpan{}) {
-						buf.Write(repaired[st.rng.Lo+j*st.shards+s])
-					} else {
-						buf.Write(sp.data[span.off:span.end])
-					}
-				}
-				tmp := path + ".tmp"
-				if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-					return fmt.Errorf("sweep: repair: %w", err)
-				}
-				if err := os.Rename(tmp, path); err != nil {
-					return fmt.Errorf("sweep: repair: %w", err)
-				}
-			} else if sp.scan.keep < sp.size {
-				if err := os.Truncate(path, sp.scan.keep); err != nil {
-					return fmt.Errorf("sweep: resume: %w", err)
+			sp = &plan.shards[s]
+		}
+		if sp != nil && sp.scan.dirty {
+			var buf bytes.Buffer
+			for j, span := range sp.scan.slots {
+				if span == (frameSpan{}) {
+					buf.Write(repaired[st.rng.Lo+j*st.shards+s])
+				} else {
+					buf.Write(sp.data[span.off:span.end])
 				}
 			}
+			if err := st.dir.WriteAtomic(name, buf.Bytes()); err != nil {
+				st.closeFiles()
+				return fmt.Errorf("sweep: repair: %w", err)
+			}
 		}
-		// Re-read what the file now holds to seed the running content
-		// hash, then open the append writer on top of it. O_CREATE
-		// covers the one clean case with no file behind it: a deleted
-		// shard whose claimed prefix was empty.
-		data, err := os.ReadFile(path)
-		if err != nil && !os.IsNotExist(err) {
-			st.closeFiles()
-			return fmt.Errorf("sweep: %w", err)
-		}
-		st.sums[s] = sha256.New()
-		st.sums[s].Write(data)
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+		// O_CREATE covers the one clean case with no file behind it: a
+		// deleted shard whose claimed prefix was empty.
+		l, err := st.dir.OpenLog(name)
 		if err != nil {
 			st.closeFiles()
 			return fmt.Errorf("sweep: %w", err)
 		}
-		st.files[s] = f
-		st.ws[s] = bufio.NewWriter(f)
+		st.logs[s] = l
+		if sp != nil && !sp.scan.dirty {
+			err = l.Truncate(sp.scan.keep) // drop the torn tail
+		}
+		// Re-read what the file now holds to seed the running content
+		// hash.
+		var data []byte
+		if err == nil {
+			data, err = os.ReadFile(st.dir.Path(name))
+		}
+		if err != nil {
+			st.closeFiles()
+			return fmt.Errorf("sweep: resume: %w", err)
+		}
+		st.sums[s] = sha256.New()
+		st.sums[s].Write(data)
 	}
 	if err := st.checkpoint(); err != nil {
 		st.closeFiles()
@@ -782,7 +773,7 @@ func (st *store) replay(fn func(Record)) error {
 	}
 	scanners := make([]*bufio.Scanner, st.shards)
 	for s := 0; s < st.shards; s++ {
-		f, err := os.Open(shardPath(st.dir, s))
+		f, err := os.Open(st.dir.Path(shardFile(s)))
 		if err != nil {
 			return fmt.Errorf("sweep: resume: %w", err)
 		}
@@ -797,7 +788,7 @@ func (st *store) replay(fn func(Record)) error {
 		if !sc.Scan() {
 			return fmt.Errorf("sweep: resume: shard %d ends before cell %d", j%st.shards, i)
 		}
-		payload, err := unframe(sc.Bytes())
+		payload, err := durable.Unframe(sc.Bytes())
 		if err != nil {
 			return errKind(ErrCorrupt, "sweep: resume: shard %d cell %d: %w", j%st.shards, i, err)
 		}
@@ -818,12 +809,13 @@ func (st *store) replay(fn func(Record)) error {
 // cell order (the stream emitter guarantees it), so each shard file is
 // written in increasing cell order too.
 func (st *store) append(r Record) error {
-	line, err := frameRecord(r)
+	payload, err := json.Marshal(r)
 	if err != nil {
-		return err
+		return fmt.Errorf("sweep: %w", err)
 	}
 	s := r.Cell % st.shards
-	if _, err := st.ws[s].Write(line); err != nil {
+	line, err := st.logs[s].Append(func(b []byte) []byte { return append(b, payload...) })
+	if err != nil {
 		return fmt.Errorf("sweep: %w", err)
 	}
 	st.sums[s].Write(line)
@@ -831,16 +823,13 @@ func (st *store) append(r Record) error {
 	return nil
 }
 
-// checkpoint flushes every shard writer, then rewrites the manifest to
-// the new frontier (write-then-rename, so a kill never leaves a torn
-// manifest). Flushing before the manifest keeps the invariant that the
-// manifest never claims records the files do not hold.
+// checkpoint flushes every shard log, then atomically rewrites the
+// manifest to the new frontier. Flushing before the manifest keeps the
+// invariant that the manifest never claims records the files do not
+// hold.
 func (st *store) checkpoint() error {
-	for _, w := range st.ws {
-		if w == nil {
-			continue
-		}
-		if err := w.Flush(); err != nil {
+	for _, l := range st.logs {
+		if err := l.Flush(); err != nil {
 			return fmt.Errorf("sweep: %w", err)
 		}
 	}
@@ -868,9 +857,9 @@ func (st *store) checkpoint() error {
 }
 
 func (st *store) closeFiles() {
-	for _, f := range st.files {
-		if f != nil {
-			f.Close()
+	for _, l := range st.logs {
+		if l != nil {
+			l.Close()
 		}
 	}
 }

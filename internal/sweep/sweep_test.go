@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"neutrality/internal/durable"
 	"neutrality/internal/grid"
 )
 
@@ -21,6 +22,13 @@ func microGrid() *grid.Grid {
 		Add("rate", grid.Num(0.2).WithLabel("20%"), grid.Num(0.4).WithLabel("40%")).
 		Add("dfrac", grid.Nums(0.3, 0.7)...).
 		Add("rep", grid.Nums(0, 1, 2)...)
+}
+
+// frameRecord renders r as one framed shard line, as the shard writer
+// and a repair splice write it.
+func frameRecord(r Record) ([]byte, error) {
+	payload, err := json.Marshal(r)
+	return durable.FramePayload(payload), err
 }
 
 // recordLines renders records exactly as the shard writer does: one
@@ -122,7 +130,7 @@ func TestPersistedShardsByteIdentical(t *testing.T) {
 	// CRC verifies.
 	var cells []int
 	for _, line := range strings.Split(strings.TrimSpace(files1["shard-0001.jsonl"]), "\n") {
-		payload, err := unframe([]byte(line))
+		payload, err := durable.Unframe([]byte(line))
 		if err != nil {
 			t.Fatalf("shard line %q: %v", line, err)
 		}
@@ -250,6 +258,32 @@ func TestResumeRecoversPartialLine(t *testing.T) {
 		if got[name] != data {
 			t.Fatalf("%s differs after mid-claim repair", name)
 		}
+	}
+}
+
+// TestResumeRemovesLeftoverTemps: temp files a kill left between a
+// write and its rename — a manifest, a repair splice — do not outlive
+// the next resume of the sweep directory.
+func TestResumeRemovesLeftoverTemps(t *testing.T) {
+	g := microGrid()
+	dir := t.TempDir()
+	if _, err := Run(context.Background(), g, Options{Shards: 2, BaseSeed: 7, Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"manifest.json.tmp", "shard-0001.jsonl.tmp", "manifest.json.5678.tmp"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Run(context.Background(), g, Options{Shards: 2, BaseSeed: 7, Dir: dir, Resume: true}); err != nil {
+		t.Fatal(err)
+	}
+	temps, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(temps) > 0 {
+		t.Fatalf("resume left temp files behind: %v", temps)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"sort"
 
+	"neutrality/internal/durable"
 	"neutrality/internal/grid"
 )
 
@@ -239,7 +240,9 @@ func Repair(ctx context.Context, g *grid.Grid, dir string, opt RepairOptions) (*
 			return nil, err
 		}
 	}
-	st := &store{dir: dir, g: g, shards: m.Shards, rng: m.rng(), baseSeed: m.BaseSeed}
+	// At, not Open: Repair may run on a fleet staging copy, where a
+	// concurrent upload's temp file is not a leftover.
+	st := &store{dir: durable.At(dir), g: g, shards: m.Shards, rng: m.rng(), baseSeed: m.BaseSeed}
 	if m.Range != nil {
 		st.part = Partition{K: m.Range.K, N: m.Range.N}
 	}

@@ -14,6 +14,10 @@ import (
 	"neutrality/internal/measure"
 )
 
+// frameHeader is the durable line frame's header length: 8 hex digits
+// and a space precede every payload.
+const frameHeader = 9
+
 // runMicro runs a complete 12-cell sweep into a fresh directory and
 // returns it together with its byte image.
 func runMicro(t *testing.T, shards int) (string, map[string]string) {

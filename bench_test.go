@@ -733,10 +733,10 @@ func BenchmarkIngestDecode(b *testing.B) {
 // BenchmarkJournalAppend is the journal stage: one 256-record batch
 // per op into a durable service with 4 journal shards and no epoch
 // closes — per record the encode, frame and buffered write into its
-// shard, per batch the flush that precedes the ack and, at the default
-// 256-line cadence, the manifest checkpoint. The in-memory fold rides
-// along (BenchmarkIngestDecode measures it without a journal). The
-// allocs_op gate catches an encoder that falls back to reflection.
+// shard, per batch the flush that precedes the ack and the one framed
+// claim line that claims it. The in-memory fold rides along
+// (BenchmarkIngestDecode measures it without a journal). The allocs_op
+// gate catches an encoder that falls back to reflection.
 func BenchmarkJournalAppend(b *testing.B) {
 	n, batches := stageBatches()
 	root := b.TempDir()

@@ -1,11 +1,14 @@
 // Package durable is the one implementation of the framed line logs
 // in this repository — the sweep's shard files, the streaming
-// service's ingest journal and the root's report log. It owns the line
-// frame, recovery of a log image against the line count a manifest
-// claims, buffered appends, and whole-file replacement. Callers keep
-// what differs: what a line means and what a manifest holds.
+// service's ingest journal and claim log, and the root's report log.
+// It owns the line frame, recovery of a log image against the line
+// count a claim covers, buffered appends, and whole-file replacement.
+// Callers keep what differs: what a line means and where a claim
+// lives — a manifest replaced by WriteAtomic (the root log, the sweep
+// store) or, for the ingest journal, the last line of an append-only
+// claim log read with Recover(image, 0, parse).
 //
-// Every caller keeps one contract: a manifest claims lines only after
+// Every caller keeps one contract: a claim covers lines only after
 // they are written, and every acknowledgement sits inside a claim. So
 // damage inside the claim is corruption (acknowledged data is gone)
 // and damage past it is a torn tail nobody was promised.

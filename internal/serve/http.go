@@ -34,7 +34,7 @@ import (
 //	                  batch kept; full retry is idempotent)
 //	GET  /v1/verdict  latest EpochVerdict (canonical JSON)
 //	GET  /v1/summary  per-epoch summary window (text/plain)
-//	GET  /v1/status   operational counters
+//	GET  /v1/status   operational counters (+ journal health when durable)
 const maxIngestBytes = 16 << 20
 
 // maxIngestLine caps one ingest line.

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 
 	"neutrality/internal/durable"
 	"neutrality/internal/measure"
@@ -18,7 +20,7 @@ import (
 // The ingest journal makes the streaming service checkpointable: every
 // accepted record and every epoch-close marker is one framed line
 // (the durable line frame — crc32c header, canonical JSON payload; see
-// FORMAT.md and internal/durable), and a manifest claims the durable
+// FORMAT.md and internal/durable), and a claim covers the durable
 // prefix. A restarted service replays the journal through the same
 // fold and close logic as live ingest, so it reaches byte-identical
 // verdicts.
@@ -37,8 +39,18 @@ import (
 // cadence the service writes a hash-verified snapshot of its entire
 // folded state (snapshot-NNNNNNNN.json, see snapshot.go), points the
 // manifest at it with all shard claims reset to zero, and truncates
-// the shard files. The manifest's shard_lines therefore always count
-// lines *since the current snapshot*.
+// the shard files. Claims therefore always count lines *since the
+// current snapshot*.
+//
+// Since journal format v3 the claim is append-only: every flush that
+// follows an append — so every ack, and every epoch close — appends
+// one framed claim line to claims.jsonl naming the snapshot epoch and
+// each shard's line count. The manifest, serve.json, holds the
+// identity, the snapshot pointer and a base claim, and is rewritten
+// only when the journal is created (or a v2 journal is first resumed)
+// and at the compaction commit point. The effective claim is the last
+// claim line naming the manifest's snapshot epoch, else the base
+// claim.
 //
 // Unlike sweep shards, journal records are NOT re-derivable from a
 // seed — they are external observations — so recovery is
@@ -47,12 +59,16 @@ import (
 // including a claim over a short or deleted shard file, is
 // sweep.ErrCorrupt rather than silently repaired.
 const (
-	legacyJournalName = "journal.jsonl" // journal format v1 (PR 9), rejected
+	legacyJournalName = "journal.jsonl" // journal format v1, rejected
 	manifestName      = "serve.json"
+	claimLogName      = "claims.jsonl"
 	// manifestVersion is the journal format version; bumping it
 	// invalidates older journals explicitly instead of misreading them.
-	// Version 2 introduced sharded journal files and snapshots.
-	manifestVersion = 2
+	// Version 2 introduced sharded journal files and snapshots, version 3
+	// the claim log. A v2 journal is a v3 journal without a claim log,
+	// so it is still adopted.
+	manifestVersion = 3
+	manifestV2      = 2
 )
 
 // shardFile is the file name of journal shard s.
@@ -69,8 +85,8 @@ type journalEntry struct {
 	Close int                   `json:"close,omitempty"`
 }
 
-// manifest is the journal's durability claim plus the configuration
-// identity a resume must match (a journal replayed under a different
+// manifest is the journal's base claim and snapshot pointer plus the
+// configuration identity a resume must match (a journal replayed under a different
 // topology, shard layout, or fold parameters would produce a silently
 // different service).
 type manifest struct {
@@ -92,8 +108,9 @@ type manifest struct {
 	// resuming under a different name (or as a non-leaf) would corrupt
 	// the tree's per-leaf epoch sequence.
 	Leaf string `json:"leaf,omitempty"`
-	// ShardLines is the claimed durable line count of each journal
-	// shard since the current snapshot; Records and Epochs echo the
+	// ShardLines is the base claim: the durable line count of each
+	// journal shard since the current snapshot, which claim-log lines
+	// naming the same snapshot supersede. Records and Epochs echo the
 	// folded state at the claim for fast inspection.
 	ShardLines []int `json:"shard_lines"`
 	Records    int64 `json:"records"`
@@ -105,26 +122,30 @@ type manifest struct {
 	SnapshotSHA256 string `json:"snapshot_sha256,omitempty"`
 }
 
-// checkpointEvery is the journal checkpoint cadence in lines; epoch
-// closes always checkpoint.
-const checkpointEvery = 256
+// claim is one claim-log line: the mutable part of the manifest. Its
+// JSON is written by appendClaim, byte-equal to json.Marshal(claim).
+type claim struct {
+	SnapshotEpoch int   `json:"snapshot_epoch"`
+	ShardLines    []int `json:"shard_lines"`
+	Records       int64 `json:"records"`
+	Epochs        int   `json:"epochs"`
+}
 
 // journal is the append side: one durable log per journal shard plus
-// the checkpoint bookkeeping. A write failure breaks dir, so every
-// later operation refuses instead of acking into a damaged journal.
+// the claim log. A write failure breaks dir, so every later operation
+// refuses instead of acking into a damaged journal.
 type journal struct {
-	dir  *durable.Dir
-	logs []*durable.Log
+	dir    *durable.Dir
+	logs   []*durable.Log
+	claims *durable.Log
 	// lines counts durable+buffered lines per shard since the current
-	// snapshot (the manifest claim at the next checkpoint).
-	lines []int
-	// sinceCheckpoint counts lines since the manifest was last
-	// rewritten; the cadence is every (checkpointEvery outside tests).
-	sinceCheckpoint int
-	every           int
-	ident           manifest // identity fields, reused for every claim
-	snapEpoch       int      // current snapshot (0 = none)
-	snapSum         string
+	// snapshot (the claim the next flush appends); claimed is their sum
+	// at the last claim, so a flush with nothing new appends none.
+	lines     []int
+	claimed   int
+	ident     manifest // identity fields, reused for every manifest write
+	snapEpoch int      // current snapshot (0 = none)
+	snapSum   string
 }
 
 // errValidationf builds a sweep.ErrValidation-tagged error (config or
@@ -178,7 +199,7 @@ func shaSum(data []byte) string {
 // shardRecovery is one journal shard's recovered image: the framed
 // entries that survived frame-level validation, with the byte offset
 // each one ends at (so the semantic replay can pick a truncation
-// point), and how many of them sit inside the manifest claim.
+// point), and how many of them sit inside the effective claim.
 type shardRecovery struct {
 	entries []journalEntry
 	ends    []int64
@@ -188,8 +209,9 @@ type shardRecovery struct {
 // openJournal opens (or creates) the sharded journal in cfg.Dir and
 // returns the append handle, the decoded snapshot (nil when the
 // manifest names none) and each shard's entries, frame-validated by
-// durable.Recover. The semantic epoch-merge replay, and truncating each
-// shard to what it adopts, belong to the service.
+// durable.Recover against the effective claim. The semantic
+// epoch-merge replay, and truncating each shard to what it adopts,
+// belong to the service.
 func openJournal(cfg Config) (*journal, *snapWire, []shardRecovery, error) {
 	dir, err := durable.Open(cfg.Dir)
 	if err != nil {
@@ -201,7 +223,7 @@ func openJournal(cfg Config) (*journal, *snapWire, []shardRecovery, error) {
 	ident := identity(cfg)
 	shards := cfg.JournalShards
 
-	// Manifest: identity + claims. Read before the shard files so a
+	// Manifest: identity + base claim. Read before the shard files so a
 	// claim over a missing file classifies as the corruption it is.
 	var m manifest
 	mExists := false
@@ -215,8 +237,8 @@ func openJournal(cfg Config) (*journal, *snapWire, []shardRecovery, error) {
 		if err := json.Unmarshal(mdata, &m); err != nil {
 			return nil, nil, nil, errCorruptf("serve: manifest does not parse: %v", err)
 		}
-		if m.Version != manifestVersion {
-			return nil, nil, nil, errValidationf("serve: journal format version %d, this build writes %d; the journal cannot be adopted", m.Version, manifestVersion)
+		if m.Version != manifestVersion && m.Version != manifestV2 {
+			return nil, nil, nil, errValidationf("serve: journal format version %d, this build reads %d and %d; the journal cannot be adopted", m.Version, manifestV2, manifestVersion)
 		}
 		if m.Net != ident.Net || m.Paths != ident.Paths ||
 			m.EpochRecords != ident.EpochRecords || m.Shards != ident.Shards ||
@@ -227,24 +249,20 @@ func openJournal(cfg Config) (*journal, *snapWire, []shardRecovery, error) {
 				m.Net, m.Paths, m.EpochRecords, m.Shards, m.Seed, m.Leaf, m.Draw,
 				ident.Net, ident.Paths, ident.EpochRecords, ident.Shards, ident.Seed, ident.Leaf, ident.Draw)
 		}
-		if len(m.ShardLines) != shards {
-			return nil, nil, nil, errCorruptf("serve: manifest claims %d shard counts for %d shards", len(m.ShardLines), shards)
-		}
-		for s, n := range m.ShardLines {
-			if n < 0 {
-				return nil, nil, nil, errCorruptf("serve: manifest claims %d lines for shard %d", n, s)
-			}
-		}
 	}
 
-	images := make([][]byte, shards)
+	images := make([][]byte, shards+1) // the shards, then the claim log
 	dataExists := false
-	for s := 0; s < shards; s++ {
-		data, err := os.ReadFile(dir.Path(shardFile(s)))
+	for s := range images {
+		name := claimLogName
+		if s < shards {
+			name = shardFile(s)
+		}
+		data, err := os.ReadFile(dir.Path(name))
 		switch {
 		case errors.Is(err, os.ErrNotExist):
 		case err != nil:
-			return nil, nil, nil, fmt.Errorf("serve: reading journal shard %d: %w", s, err)
+			return nil, nil, nil, fmt.Errorf("serve: reading %s: %w", name, err)
 		default:
 			images[s] = data
 			if len(data) > 0 {
@@ -258,6 +276,46 @@ func openJournal(cfg Config) (*journal, *snapWire, []shardRecovery, error) {
 	}
 	if (mExists || dataExists || len(snapFiles) > 0) && !cfg.Resume {
 		return nil, nil, nil, errValidationf("serve: %s already holds a journal; pass resume to adopt it", cfg.Dir)
+	}
+	if !mExists && len(images[shards]) > 0 {
+		return nil, nil, nil, errCorruptf("serve: %s holds claims but no manifest", claimLogName)
+	}
+
+	// The effective claim: the last intact claim line if it extends the
+	// manifest's snapshot, else the manifest's base claim. Lines naming
+	// an older snapshot are left over from a compaction killed before it
+	// truncated the claim log.
+	c := claim{SnapshotEpoch: m.SnapshotEpoch, ShardLines: m.ShardLines, Records: m.Records, Epochs: m.Epochs}
+	if !mExists {
+		c.ShardLines = make([]int, shards)
+	}
+	var last *claim
+	claimEnds, err := durable.Recover(images[shards], 0, func(payload []byte) error {
+		lc, err := parseClaim(payload)
+		if err == nil {
+			last = &lc
+		}
+		return err
+	})
+	if err != nil {
+		return nil, nil, nil, errCorruptf("serve: %s %v", claimLogName, err)
+	}
+	claimKeep := int64(0)
+	if last != nil {
+		if last.SnapshotEpoch > m.SnapshotEpoch {
+			return nil, nil, nil, errCorruptf("serve: %s claims snapshot epoch %d past the manifest's %d", claimLogName, last.SnapshotEpoch, m.SnapshotEpoch)
+		}
+		if last.SnapshotEpoch == m.SnapshotEpoch {
+			c, claimKeep = *last, claimEnds[len(claimEnds)-1]
+		}
+	}
+	if len(c.ShardLines) != shards {
+		return nil, nil, nil, errCorruptf("serve: journal claims %d shard counts for %d shards", len(c.ShardLines), shards)
+	}
+	for s, n := range c.ShardLines {
+		if n < 0 {
+			return nil, nil, nil, errCorruptf("serve: journal claims %d lines for shard %d", n, s)
+		}
 	}
 
 	recs := make([]shardRecovery, shards)
@@ -290,11 +348,11 @@ func openJournal(cfg Config) (*journal, *snapWire, []shardRecovery, error) {
 		}
 	}
 
+	claimed := 0
 	for s := 0; s < shards; s++ {
 		sh := &recs[s]
-		if m.ShardLines != nil {
-			sh.claimed = m.ShardLines[s]
-		}
+		sh.claimed = c.ShardLines[s]
+		claimed += sh.claimed
 		sh.ends, err = durable.Recover(images[s], sh.claimed, func(payload []byte) error {
 			e, err := parseEntry(payload)
 			if err == nil {
@@ -311,10 +369,17 @@ func openJournal(cfg Config) (*journal, *snapWire, []shardRecovery, error) {
 		dir:       dir,
 		logs:      make([]*durable.Log, shards),
 		lines:     make([]int, shards),
-		every:     checkpointEvery,
+		claimed:   claimed,
 		ident:     ident,
 		snapEpoch: m.SnapshotEpoch,
 		snapSum:   m.SnapshotSHA256,
+	}
+	// A new journal, or a v2 one, gets a v3 manifest before its first
+	// claim line, so an older build refuses the directory.
+	if !mExists || m.Version == manifestV2 {
+		if err := jr.writeManifest(c); err != nil {
+			return nil, nil, nil, err
+		}
 	}
 	for s := range jr.logs {
 		if jr.logs[s], err = dir.OpenLog(shardFile(s)); err != nil {
@@ -322,7 +387,46 @@ func openJournal(cfg Config) (*journal, *snapWire, []shardRecovery, error) {
 			return nil, nil, nil, fmt.Errorf("serve: opening journal shard %d: %w", s, err)
 		}
 	}
+	if jr.claims, err = dir.OpenLog(claimLogName); err == nil && claimKeep < int64(len(images[shards])) {
+		err = jr.claims.Truncate(claimKeep)
+	}
+	if err != nil {
+		jr.close()
+		return nil, nil, nil, fmt.Errorf("serve: opening claim log: %w", err)
+	}
 	return jr, snap, recs, nil
+}
+
+// appendClaim appends c's canonical JSON to b: exactly
+// json.Marshal(c), without reflection.
+func appendClaim(b []byte, c *claim) []byte {
+	b = append(b, `{"snapshot_epoch":`...)
+	b = strconv.AppendInt(b, int64(c.SnapshotEpoch), 10)
+	b = append(b, `,"shard_lines":[`...)
+	for i, n := range c.ShardLines {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(n), 10)
+	}
+	b = append(b, `],"records":`...)
+	b = strconv.AppendInt(b, c.Records, 10)
+	b = append(b, `,"epochs":`...)
+	b = strconv.AppendInt(b, int64(c.Epochs), 10)
+	return append(b, '}')
+}
+
+// parseClaim decodes one claim-log payload and requires the canonical
+// form appendClaim writes.
+func parseClaim(payload []byte) (claim, error) {
+	var c claim
+	if err := json.Unmarshal(payload, &c); err != nil {
+		return claim{}, fmt.Errorf("claim does not parse: %v", err)
+	}
+	if !bytes.Equal(appendClaim(nil, &c), payload) {
+		return claim{}, fmt.Errorf("claim is not in canonical form")
+	}
+	return c, nil
 }
 
 // recordPrefix and recordSuffix bracket a record entry's payload:
@@ -380,7 +484,6 @@ func (j *journal) appendRecord(r *measure.StreamRecord) error {
 		return err
 	}
 	j.lines[s]++
-	j.sinceCheckpoint++
 	return nil
 }
 
@@ -396,43 +499,45 @@ func (j *journal) appendClose(epoch int) error {
 			return err
 		}
 		j.lines[s]++
-		j.sinceCheckpoint++
 	}
 	return nil
 }
 
-// flush pushes buffered lines to the files and, on the checkpoint
-// cadence, claims them: the manifest is replaced atomically, so a kill
-// leaves either the previous claim or the new one.
+// flush pushes buffered lines to the shard files and then, if any
+// line was appended since the last claim, claims them by appending one
+// line to the claim log: every ack the caller sends after flush
+// returns sits inside a claim. The claim follows every shard's flush,
+// so it never splits a close marker across shards.
 func (j *journal) flush(records int64, epochs int) error {
-	for _, l := range j.logs {
+	lines := 0
+	for s, l := range j.logs {
 		if err := l.Flush(); err != nil {
 			return err
 		}
+		lines += j.lines[s]
 	}
-	if j.sinceCheckpoint < j.every {
+	if lines == j.claimed {
 		return nil
 	}
-	if err := j.writeManifest(records, epochs); err != nil {
+	c := claim{SnapshotEpoch: j.snapEpoch, ShardLines: j.lines, Records: records, Epochs: epochs}
+	if _, err := j.claims.Append(func(b []byte) []byte { return appendClaim(b, &c) }); err != nil {
 		return err
 	}
-	j.sinceCheckpoint = 0
+	if err := j.claims.Flush(); err != nil {
+		return err
+	}
+	j.claimed = lines
 	return nil
 }
 
-// checkpoint flushes and claims everything appended so far, off the
-// cadence.
-func (j *journal) checkpoint(records int64, epochs int) error {
-	j.sinceCheckpoint = j.every
-	return j.flush(records, epochs)
-}
-
-func (j *journal) writeManifest(records int64, epochs int) error {
+// writeManifest atomically replaces serve.json: the identity, the
+// snapshot pointer and c as the base claim.
+func (j *journal) writeManifest(c claim) error {
 	m := j.ident
-	m.ShardLines = append([]int(nil), j.lines...)
-	m.Records = records
-	m.Epochs = epochs
-	m.SnapshotEpoch = j.snapEpoch
+	m.ShardLines = c.ShardLines
+	m.Records = c.Records
+	m.Epochs = c.Epochs
+	m.SnapshotEpoch = c.SnapshotEpoch
 	m.SnapshotSHA256 = j.snapSum
 	return j.dir.WriteJSON(manifestName, m)
 }
@@ -450,8 +555,10 @@ func (j *journal) writeManifest(records int64, epochs int) error {
 //     (stale sequence numbers / stale close markers behind a zero
 //     claim) and truncates.
 //  3. truncate: per shard, drop the buffered (now residue) lines and
-//     truncate the file to zero. A kill between shards leaves a mix of
-//     empty and residue shards — each recovers independently.
+//     truncate the file to zero, then the claim log. A kill between
+//     shards leaves a mix of empty and residue shards — each recovers
+//     independently; claim lines left behind name the old snapshot and
+//     are ignored.
 //  4. cleanup: remove the previous snapshot file. A kill before this
 //     leaves an orphan the next open removes.
 //
@@ -463,10 +570,9 @@ func (j *journal) compact(epoch int, snapData []byte, records int64, epochs int)
 	}
 	oldEpoch := j.snapEpoch
 	j.snapEpoch, j.snapSum = epoch, shaSum(snapData)
-	for s := range j.lines {
-		j.lines[s] = 0
-	}
-	if err := j.writeManifest(records, epochs); err != nil {
+	clear(j.lines)
+	j.claimed = 0
+	if err := j.writeManifest(claim{SnapshotEpoch: epoch, ShardLines: j.lines, Records: records, Epochs: epochs}); err != nil {
 		return err
 	}
 	for _, l := range j.logs {
@@ -474,19 +580,21 @@ func (j *journal) compact(epoch int, snapData []byte, records int64, epochs int)
 			return err
 		}
 	}
+	if err := j.claims.Truncate(0); err != nil {
+		return err
+	}
 	if oldEpoch > 0 {
 		if err := j.dir.Remove(snapshotFile(oldEpoch)); err != nil {
 			return err
 		}
 	}
-	j.sinceCheckpoint = 0
 	return nil
 }
 
-// close flushes and closes the journal shard logs.
+// close flushes and closes the journal shard logs and the claim log.
 func (j *journal) close() error {
 	var err error
-	for _, l := range j.logs {
+	for _, l := range append(slices.Clip(j.logs), j.claims) {
 		if l == nil {
 			continue
 		}

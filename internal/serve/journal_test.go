@@ -3,14 +3,19 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"neutrality/internal/durable"
+	"neutrality/internal/measure"
+	"neutrality/internal/sweep"
 )
 
 // journalShardName is the path of journal shard s in dir.
@@ -119,5 +124,363 @@ func TestJournalByteIdentity(t *testing.T) {
 	}
 	if st := s2.Status(); st.Records != int64(accepted) || st.Epochs != epochs {
 		t.Fatalf("resumed status %+v, want %d records over %d epochs", st, accepted, epochs)
+	}
+}
+
+// ingestBy feeds recs to s in batches of size, acking each.
+func ingestBy(t *testing.T, s *Service, recs []measure.StreamRecord, size int) {
+	t.Helper()
+	for lo := 0; lo < len(recs); lo += size {
+		if _, err := s.Ingest(recs[lo:min(lo+size, len(recs))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// lineAt returns the bounds [start, end) of line i of data, newline
+// included.
+func lineAt(t *testing.T, data []byte, i int) (int, int) {
+	t.Helper()
+	start := 0
+	for ; i > 0; i-- {
+		nl := bytes.IndexByte(data[start:], '\n')
+		if nl < 0 {
+			t.Fatalf("image has no line %d", i)
+		}
+		start += nl + 1
+	}
+	nl := bytes.IndexByte(data[start:], '\n')
+	if nl < 0 {
+		t.Fatalf("image line starting at byte %d is unterminated", start)
+	}
+	return start, start + nl + 1
+}
+
+// flipLine returns a copy of data with one payload byte of line i
+// flipped, so the line fails its CRC.
+func flipLine(t *testing.T, data []byte, i int) []byte {
+	t.Helper()
+	start, end := lineAt(t, data, i)
+	out := bytes.Clone(data)
+	out[(start+end)/2] ^= 0x40
+	return out
+}
+
+// claimAt decodes line i of a claim-log image.
+func claimAt(t *testing.T, data []byte, i int) claim {
+	t.Helper()
+	start, end := lineAt(t, data, i)
+	payload, err := durable.Unframe(data[start : end-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := parseClaim(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// writeFile replaces path with data.
+func writeFile(t *testing.T, path string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readFile returns the contents of path.
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestAckedRecordsAreClaimed: every acknowledged journal line sits
+// inside the claim. 32-record acks never reach a line cadence, so a
+// claim taken only every N lines would leave them unclaimed; here a
+// flipped byte in the last acked record — or in the close marker of a
+// closed epoch — after a kill is ErrCorrupt on resume, never a torn
+// tail silently truncated away.
+func TestAckedRecordsAreClaimed(t *testing.T) {
+	n, recs := testStream(40, 2, 5)
+	recs = recs[:96]
+	for _, tc := range []struct {
+		name         string
+		epochRecords int
+		line         int // journal line to damage
+		close        int // the close marker that line holds (0 = a record)
+	}{
+		{"last-acked-record", 1000, 95, 0},
+		{"closed-epoch-marker", 64, 64, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Net: n, EpochRecords: tc.epochRecords, Dir: t.TempDir()}
+			s := mustNew(t, cfg)
+			ingestBy(t, s, recs, 32)
+			kill(t, s)
+
+			jpath := journalShardName(cfg.Dir, 0)
+			good := readFile(t, jpath)
+			start, end := lineAt(t, good, tc.line)
+			payload, err := durable.Unframe(good[start : end-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e, err := parseEntry(payload); err != nil || e.Close != tc.close {
+				t.Fatalf("journal line %d is %s, want close marker %d", tc.line, payload, tc.close)
+			}
+
+			cfg.Resume = true
+			writeFile(t, jpath, flipLine(t, good, tc.line))
+			if s2, err := New(cfg); !errors.Is(err, sweep.ErrCorrupt) {
+				if err == nil {
+					t.Fatalf("damaged acked line resumed with %d records, want ErrCorrupt", s2.Status().Records)
+				}
+				t.Fatalf("damaged acked line = %v, want ErrCorrupt", err)
+			}
+			writeFile(t, jpath, good)
+			s3 := mustNew(t, cfg)
+			defer s3.Close()
+			if got := s3.Status().Records; got != int64(len(recs)) {
+				t.Fatalf("intact resume folded %d records, want %d", got, len(recs))
+			}
+		})
+	}
+}
+
+// TestClaimLogFallback: a torn or CRC-bad final claim line is a torn
+// tail of the claim log — recovery falls back to the previous claim,
+// which still protects what it covers, and valid shard lines past it
+// are adopted as an unclaimed tail. Resume re-claims them with the very
+// line that was damaged.
+func TestClaimLogFallback(t *testing.T) {
+	n, recs := testStream(40, 2, 5)
+	recs = recs[:96]
+	cfg := Config{Net: n, EpochRecords: 1000, Dir: t.TempDir()}
+	s := mustNew(t, cfg)
+	ingestBy(t, s, recs, 32)
+	kill(t, s)
+
+	cpath, jpath := filepath.Join(cfg.Dir, claimLogName), journalShardName(cfg.Dir, 0)
+	claims, shard := readFile(t, cpath), readFile(t, jpath)
+	if got := bytes.Count(claims, []byte("\n")); got != 3 {
+		t.Fatalf("three acks wrote %d claim lines, want 3", got)
+	}
+	badLast := flipLine(t, claims, 2)
+
+	cfg.Resume = true
+	for _, tc := range []struct {
+		name          string
+		claims, shard []byte
+		records       int64 // -1: ErrCorrupt
+	}{
+		{"torn-final-claim", append(bytes.Clone(claims), "0badc0de {\"snapshot_ep"...), shard, 96},
+		{"crc-bad-final-claim", badLast, shard, 96},
+		{"damage-inside-previous-claim", badLast, flipLine(t, shard, 40), -1},
+		{"damage-past-previous-claim", badLast, flipLine(t, shard, 80), 80},
+		{"claim-past-manifest-snapshot", append(bytes.Clone(claims), durable.FramePayload([]byte(`{"snapshot_epoch":5,"shard_lines":[96],"records":96,"epochs":0}`))...), shard, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			writeFile(t, cpath, tc.claims)
+			writeFile(t, jpath, tc.shard)
+			s, err := New(cfg)
+			if tc.records < 0 {
+				if !errors.Is(err, sweep.ErrCorrupt) {
+					t.Fatalf("resume = %v, want ErrCorrupt", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := s.Status().Records
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.records {
+				t.Fatalf("resume folded %d records, want %d", got, tc.records)
+			}
+			if tc.records == 96 && !bytes.Equal(readFile(t, cpath), claims) {
+				t.Fatalf("claim log after resume:\n%s\nwant:\n%s", readFile(t, cpath), claims)
+			}
+		})
+	}
+}
+
+// TestClaimCodec: the hand-written claim encoder writes exactly
+// json.Marshal's bytes, and the parser accepts only that form.
+func TestClaimCodec(t *testing.T) {
+	for _, c := range []claim{
+		{ShardLines: []int{0}},
+		{SnapshotEpoch: 24, ShardLines: []int{7, 0, 1 << 40, 3}, Records: 1<<62 + 5, Epochs: 31},
+	} {
+		want, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := appendClaim([]byte("prefix"), &c)
+		if !bytes.Equal(got[len("prefix"):], want) {
+			t.Fatalf("appendClaim = %s, json.Marshal = %s", got[len("prefix"):], want)
+		}
+		back, err := parseClaim(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt, _ := json.Marshal(back); !bytes.Equal(rt, want) {
+			t.Fatalf("parseClaim(%s) round-trips to %s", want, rt)
+		}
+	}
+	for _, bad := range []string{
+		`{"snapshot_epoch":0,"shard_lines":[1],"records":1,"epochs":0,"extra":1}`,
+		`{"shard_lines":[1],"snapshot_epoch":0,"records":1,"epochs":0}`,
+		`{"snapshot_epoch":0, "shard_lines":[1],"records":1,"epochs":0}`,
+		`{"snapshot_epoch":0,"shard_lines":null,"records":1,"epochs":0}`,
+		`{"snapshot_epoch":0,"shard_lines":[1]}`,
+		`[]`,
+	} {
+		if _, err := parseClaim([]byte(bad)); err == nil {
+			t.Fatalf("parseClaim accepted %s", bad)
+		}
+	}
+}
+
+// TestJournalV2Resume: a directory written by a v2 build — serve.json
+// at version 2 holding the (lagging) claim, no claim log — resumes to
+// byte-identical verdict and summary bytes, adopting the lines past
+// that claim as before, and is upgraded to a v3 manifest with the same
+// claim before anything is appended.
+func TestJournalV2Resume(t *testing.T) {
+	n, recs := testStream(50, 2, 3)
+	recs = recs[:100]
+	cfg := Config{Net: n, NetName: "figure4", EpochRecords: 24, CompactEvery: 3, JournalShards: 2, Dir: t.TempDir()}
+	s := mustNew(t, cfg)
+	ingestBy(t, s, recs, 10)
+	wantVerdict, wantSummary := s.VerdictJSON(), s.SummaryText()
+	kill(t, s)
+
+	// Rewrite the directory as the v2 build left it: the base claim is
+	// the first claim since the snapshot, and there is no claim log.
+	cpath, mpath := filepath.Join(cfg.Dir, claimLogName), filepath.Join(cfg.Dir, manifestName)
+	c := claimAt(t, readFile(t, cpath), 0)
+	var m manifest
+	if err := json.Unmarshal(readFile(t, mpath), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.SnapshotEpoch == 0 || c.SnapshotEpoch != m.SnapshotEpoch || bytes.Count(readFile(t, cpath), []byte("\n")) < 2 {
+		t.Fatalf("want a snapshot and a lagging first claim; manifest %+v, first claim %+v", m, c)
+	}
+	m.Version = manifestV2
+	m.ShardLines, m.Records, m.Epochs = c.ShardLines, c.Records, c.Epochs
+	v2, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, mpath, append(v2, '\n'))
+	if err := os.Remove(cpath); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Resume = true
+	s2 := mustNew(t, cfg)
+	defer s2.Close()
+	if !bytes.Equal(s2.VerdictJSON(), wantVerdict) || s2.SummaryText() != wantSummary {
+		t.Fatalf("v2 resume changed the served bytes:\n%s\nvs\n%s", s2.VerdictJSON(), wantVerdict)
+	}
+	if st := s2.Status(); st.Records != int64(len(recs)) {
+		t.Fatalf("v2 resume folded %d records, want %d", st.Records, len(recs))
+	}
+	var up manifest
+	if err := json.Unmarshal(readFile(t, mpath), &up); err != nil {
+		t.Fatal(err)
+	}
+	want := m
+	want.Version = manifestVersion
+	if fmt.Sprint(up) != fmt.Sprint(want) {
+		t.Fatalf("upgraded manifest %+v, want %+v", up, want)
+	}
+	if r, err := s2.Ingest(recs); err != nil || r.Accepted != 0 {
+		t.Fatalf("resend after v2 resume: %+v, %v", r, err)
+	}
+}
+
+// TestStatusJournalHealth: a durable service reports its snapshot
+// epoch and the line count of its current claim in Status and
+// /v1/status; an in-memory one reports neither. Reading them changes
+// no verdict, summary or snapshot byte.
+func TestStatusJournalHealth(t *testing.T) {
+	n, recs := testStream(50, 2, 3)
+	recs = recs[:100]
+	run := func(dir string, poll bool) (*Service, []*JournalStatus) {
+		s := mustNew(t, Config{Net: n, EpochRecords: 24, CompactEvery: 2, JournalShards: 2, Dir: dir})
+		var seen []*JournalStatus
+		for lo := 0; lo < len(recs); lo += 10 {
+			if _, err := s.Ingest(recs[lo : lo+10]); err != nil {
+				t.Fatal(err)
+			}
+			if poll {
+				seen = append(seen, s.Status().JournalStatus)
+				rec := httptest.NewRecorder()
+				NewServer(s).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/status", nil))
+				var st map[string]any
+				if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+					t.Fatal(err)
+				}
+				if st["snapshot_epoch"] == nil || st["journal_lines_since_snapshot"] == nil {
+					t.Fatalf("/v1/status of a durable service lacks journal health: %s", rec.Body)
+				}
+			}
+		}
+		return s, seen
+	}
+	quiet, _ := run(t.TempDir(), false)
+	polledDir := t.TempDir()
+	polled, seen := run(polledDir, true)
+
+	// 10 records per ack, a close (2 markers) every 24, a compaction
+	// every second close: the health gauges trace exactly that.
+	lines, snap := 0, 0
+	for i, h := range seen {
+		for r := i*10 + 1; r <= i*10+10; r++ {
+			lines++
+			if r%24 == 0 {
+				lines += 2
+				if r%48 == 0 {
+					lines, snap = 0, r/24
+				}
+			}
+		}
+		if h == nil || h.SnapshotEpoch != snap || h.LinesSinceSnapshot != lines {
+			t.Fatalf("after ack %d: journal health %+v, want snapshot %d with %d lines", i, h, snap, lines)
+		}
+	}
+	if snap == 0 {
+		t.Fatal("no compaction ran; the test exercises nothing")
+	}
+	if !bytes.Equal(polled.VerdictJSON(), quiet.VerdictJSON()) || polled.SummaryText() != quiet.SummaryText() {
+		t.Fatal("polling journal health changed the served bytes")
+	}
+	snapName := snapshotFile(snap)
+	if !bytes.Equal(readFile(t, filepath.Join(polledDir, snapName)), readFile(t, filepath.Join(quiet.cfg.Dir, snapName))) {
+		t.Fatal("polling journal health changed the snapshot bytes")
+	}
+	for _, s := range []*Service{quiet, polled} {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	mem := mustNew(t, Config{Net: n, EpochRecords: 24})
+	if _, err := mem.Ingest(recs); err != nil {
+		t.Fatal(err)
+	}
+	if st := mem.Status(); st.JournalStatus != nil {
+		t.Fatalf("in-memory service reports journal health %+v", st.JournalStatus)
+	}
+	if data, _ := json.Marshal(mem.Status()); bytes.Contains(data, []byte("snapshot_epoch")) {
+		t.Fatalf("in-memory /v1/status carries journal fields: %s", data)
 	}
 }

@@ -92,7 +92,7 @@ func chunkStream(rng *rand.Rand, recs []measure.StreamRecord, maxChunk int) [][]
 }
 
 // kill simulates a process death: the journal file handle is closed
-// without the shutdown checkpoint, and the service is abandoned.
+// without the shutdown flush, and the service is abandoned.
 func kill(t *testing.T, s *Service) {
 	t.Helper()
 	if s.jr != nil {
@@ -100,15 +100,6 @@ func kill(t *testing.T, s *Service) {
 			t.Fatal(err)
 		}
 		s.jr = nil
-	}
-}
-
-// offCadence sets a journaled service's checkpoint cadence to 37 lines,
-// off the epoch grid, so manifest claims land mid-epoch. The cadence is
-// not configuration, so it is set again after every New.
-func offCadence(s *Service) {
-	if s.jr != nil {
-		s.jr.every = 37
 	}
 }
 
@@ -120,7 +111,6 @@ func runTrial(t *testing.T, rng *rand.Rand, cfg Config, recs []measure.StreamRec
 	chunks := chunkStream(rng, shuffled, 2*cfg.EpochRecords/3+1)
 
 	s := mustNew(t, cfg)
-	offCadence(s)
 	killAt := -1
 	if restart && len(chunks) > 1 {
 		killAt = 1 + rng.Intn(len(chunks)-1)
@@ -150,7 +140,6 @@ func runTrial(t *testing.T, rng *rand.Rand, cfg Config, recs []measure.StreamRec
 			rcfg := cfg
 			rcfg.Resume = true
 			s = mustNew(t, rcfg)
-			offCadence(s)
 			// The sender saw no ack for its in-flight batch and
 			// re-sends it; the high-water marks drop what survived.
 			if _, err := s.Ingest(chunks[i-1]); err != nil {

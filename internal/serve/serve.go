@@ -218,6 +218,19 @@ type Status struct {
 	Intervals         int     `json:"intervals"`
 	LastInferMillis   float64 `json:"last_infer_ms"`
 	TotalInferMillis  float64 `json:"total_infer_ms"`
+	// JournalStatus is set for a durable service only; its fields then
+	// appear at the top level of the JSON.
+	*JournalStatus
+}
+
+// JournalStatus is a durable service's journal health: how far the
+// journal is from its last compaction.
+type JournalStatus struct {
+	// SnapshotEpoch is the epoch of the current snapshot (0 = none).
+	SnapshotEpoch int `json:"snapshot_epoch"`
+	// LinesSinceSnapshot is the current claim's line count summed over
+	// the journal shards.
+	LinesSinceSnapshot int `json:"journal_lines_since_snapshot"`
 }
 
 // seqRange is one never-seen gap [Lo, Hi] below a source's sequence
@@ -333,7 +346,7 @@ func New(cfg Config) (*Service, error) {
 			err = s.replayShards(shards)
 		}
 		if err == nil {
-			err = jr.checkpoint(s.records, s.epoch)
+			err = jr.flush(s.records, s.epoch)
 		}
 		if err != nil {
 			jr.close()
@@ -356,7 +369,7 @@ func (s *Service) Paths() int { return s.net.NumPaths() }
 // close marker. Each shard's log is then truncated to its adopted
 // prefix — everything past it is torn tail or pre-snapshot residue.
 //
-// Violations inside a shard's manifest claim are ErrCorrupt
+// Violations inside a shard's claim are ErrCorrupt
 // (acknowledged data is damaged); violations in the unclaimed tail
 // stop adoption of that shard at that point. A close marker missing
 // from some shard's tail discards the marker from the shards that do
@@ -400,7 +413,7 @@ func (s *Service) replayShards(shards []shardRecovery) error {
 					}
 					// Tail residue (pre-snapshot bytes after an interrupted
 					// truncation) or a torn re-send: never acknowledged
-					// under this manifest, safe to drop.
+					// under this claim, safe to drop.
 					stop(si)
 					break
 				}
@@ -434,7 +447,7 @@ func (s *Service) replayShards(shards []shardRecovery) error {
 			}
 			// Some shards hold the next marker, others do not: the close
 			// never completed. Inside a claim that is impossible for a
-			// consistent checkpoint (claims are taken after all markers
+			// consistent claim (claims are taken after all markers
 			// flush); in the tail it is an unacked partial close.
 			for si := range shards {
 				c := &curs[si]
@@ -606,8 +619,9 @@ func (s *Service) resultLocked(accepted, dups, ooo int) IngestResult {
 	return IngestResult{Accepted: accepted, Duplicates: dups, OutOfOrder: ooo, Epochs: s.epoch, Records: s.records}
 }
 
-// flushLocked pushes buffered journal writes to the file before an
-// Ingest acknowledges: an acked record must survive a process kill.
+// flushLocked pushes buffered journal writes to the files and claims
+// them before an Ingest acknowledges: an acked record must survive a
+// process kill, inside the claim.
 func (s *Service) flushLocked() error {
 	if s.jr == nil {
 		return nil
@@ -662,11 +676,9 @@ func (s *Service) closeBeginLocked() (*closeJob, error) {
 		if err := s.jr.appendClose(s.epoch + 1); err != nil {
 			return nil, err
 		}
-		// Epoch closes always checkpoint: the claim then proves the
-		// boundary, so a restart replays the same epochs. The claim is
-		// taken after every shard's marker is flushed, so a claim never
-		// splits a close across shards.
-		if err := s.jr.checkpoint(s.records, s.epoch+1); err != nil {
+		// The close is claimed before it folds: the claim then proves
+		// the boundary, so a restart replays the same epochs.
+		if err := s.jr.flush(s.records, s.epoch+1); err != nil {
 			return nil, err
 		}
 	}
@@ -991,6 +1003,9 @@ func (s *Service) Status() Status {
 	st.Pending = len(s.pending)
 	st.Sources = len(s.seqs)
 	st.Intervals = s.meas.Intervals()
+	if s.jr != nil {
+		st.JournalStatus = &JournalStatus{SnapshotEpoch: s.jr.snapEpoch, LinesSinceSnapshot: s.jr.claimed}
+	}
 	return st
 }
 
@@ -1026,7 +1041,7 @@ func (s *Service) Measurements() (*measure.Measurements, error) {
 	return s.copyMeasLocked(), nil
 }
 
-// Close flushes and checkpoints the journal, waiting for in-flight
+// Close flushes and claims the journal, waiting for in-flight
 // epoch publishes first. The service must not be used afterwards.
 func (s *Service) Close() error {
 	s.mu.Lock()
@@ -1037,7 +1052,7 @@ func (s *Service) Close() error {
 	if s.jr == nil {
 		return nil
 	}
-	err := s.jr.checkpoint(s.records, s.epoch)
+	err := s.jr.flush(s.records, s.epoch)
 	if cerr := s.jr.close(); err == nil {
 		err = cerr
 	}

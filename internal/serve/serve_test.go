@@ -580,40 +580,74 @@ func TestJournalFaultMidBatch(t *testing.T) {
 	s3.Close()
 }
 
-// TestManifestOverClaim: a manifest claiming more lines than the shard
-// holds — a truncated or deleted shard file — is destroyed
-// acknowledged data: ErrCorrupt, never a silent fresh start or a
-// torn-tail truncate.
+// TestManifestOverClaim: a claim over more lines than the shard holds
+// — a truncated or deleted shard file — is destroyed acknowledged
+// data: ErrCorrupt, never a silent fresh start or a torn-tail
+// truncate. The claim is held either in claims.jsonl only (the
+// manifest's base claim is zero) or in serve.json only (no claim log,
+// as a v2 journal upgraded in place has).
 func TestManifestOverClaim(t *testing.T) {
 	n, recs := testStream(20, 2, 5)
-	dir := t.TempDir()
-	cfg := Config{Net: n, EpochRecords: 32, Dir: dir}
-	s := mustNew(t, cfg)
-	if _, err := s.Ingest(recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Resume = true
-	jpath := journalShardName(dir, 0)
-	good, err := os.ReadFile(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, held := range []string{claimLogName, manifestName} {
+		t.Run(held, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{Net: n, EpochRecords: 32, Dir: dir}
+			s := mustNew(t, cfg)
+			if _, err := s.Ingest(recs); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			cfg.Resume = true
+			mpath, cpath := filepath.Join(dir, manifestName), filepath.Join(dir, claimLogName)
+			var m manifest
+			if err := json.Unmarshal(readFile(t, mpath), &m); err != nil {
+				t.Fatal(err)
+			}
+			if m.ShardLines[0] != 0 {
+				t.Fatalf("manifest base claim %v, want 0 (claims live in %s)", m.ShardLines, claimLogName)
+			}
+			if held == manifestName {
+				// Move the last claim into the manifest.
+				claims := readFile(t, cpath)
+				c := claimAt(t, claims, bytes.Count(claims, []byte("\n"))-1)
+				m.ShardLines, m.Records, m.Epochs = c.ShardLines, c.Records, c.Epochs
+				data, err := json.MarshalIndent(m, "", "  ")
+				if err != nil {
+					t.Fatal(err)
+				}
+				writeFile(t, mpath, append(data, '\n'))
+				if err := os.Remove(cpath); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if held == claimLogName {
+				// A claim log without its manifest is no less acknowledged.
+				mdata := readFile(t, mpath)
+				if err := os.Remove(mpath); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := New(cfg); !errors.Is(err, sweep.ErrCorrupt) {
+					t.Fatalf("claim log without a manifest = %v, want ErrCorrupt", err)
+				}
+				writeFile(t, mpath, mdata)
+			}
+			jpath := journalShardName(dir, 0)
+			good := readFile(t, jpath)
 
-	if err := os.WriteFile(jpath, good[:len(good)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(cfg); !errors.Is(err, sweep.ErrCorrupt) {
-		t.Fatalf("over-claimed short shard = %v, want ErrCorrupt", err)
-	}
+			writeFile(t, jpath, good[:len(good)/2])
+			if _, err := New(cfg); !errors.Is(err, sweep.ErrCorrupt) {
+				t.Fatalf("over-claimed short shard = %v, want ErrCorrupt", err)
+			}
 
-	if err := os.Remove(jpath); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(cfg); !errors.Is(err, sweep.ErrCorrupt) {
-		t.Fatalf("missing claimed shard = %v, want ErrCorrupt", err)
+			if err := os.Remove(jpath); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := New(cfg); !errors.Is(err, sweep.ErrCorrupt) {
+				t.Fatalf("missing claimed shard = %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 
 // TestCompactionKillMatrix kills the service at every failpoint a
 // compaction reaches — the snapshot write, the manifest commit, each
-// shard truncation, the old-snapshot removal — on both the first
+// shard truncation, the claim-log truncation (after which stale claim
+// lines must be ignored), the old-snapshot removal — on both the first
 // compaction (no prior snapshot) and the second (a prior snapshot
 // exists to clean up). The kill points are not listed by hand: a clean
 // run records every durable.Dir failpoint, and a compaction's points
@@ -43,7 +44,6 @@ func TestCompactionKillMatrix(t *testing.T) {
 		c := cfg
 		c.Dir = dir
 		s := mustNew(t, c)
-		offCadence(s)
 		s.jr.dir.Failpoint = fp
 		for lo := 0; lo < len(recs); lo += 64 {
 			if _, err := s.Ingest(recs[lo:min(lo+64, len(recs))]); err != nil {
@@ -86,8 +86,8 @@ func TestCompactionKillMatrix(t *testing.T) {
 		steps[fmt.Sprintf("%s/compaction-%d", kp.step, kp.compaction)] = true
 	}
 	for _, want := range []string{
-		"snapshot/compaction-1", "manifest/compaction-1", "truncate-0000/compaction-1", "truncate-0001/compaction-1",
-		"snapshot/compaction-2", "manifest/compaction-2", "truncate-0000/compaction-2", "truncate-0001/compaction-2",
+		"snapshot/compaction-1", "manifest/compaction-1", "truncate-0000/compaction-1", "truncate-0001/compaction-1", "truncate-claims/compaction-1",
+		"snapshot/compaction-2", "manifest/compaction-2", "truncate-0000/compaction-2", "truncate-0001/compaction-2", "truncate-claims/compaction-2",
 		"cleanup/compaction-2",
 	} {
 		if !steps[want] {
@@ -121,7 +121,6 @@ func TestCompactionKillMatrix(t *testing.T) {
 			rcfg := cfg
 			rcfg.Dir, rcfg.Resume = dir, true
 			s2 := mustNew(t, rcfg)
-			offCadence(s2)
 			if _, err := s2.Ingest(recs); err != nil {
 				t.Fatal(err)
 			}
@@ -185,9 +184,10 @@ func dirSize(t *testing.T, dir string) int64 {
 }
 
 // TestCompactionBoundsDisk runs many epochs through a compacting
-// journal and asserts the directory footprint stays bounded — the
-// whole point of snapshot+truncate. Without compaction the journal
-// would grow linearly with the record count.
+// journal and asserts the directory footprint — shards, claim log and
+// snapshot — stays bounded: the whole point of snapshot+truncate.
+// Without compaction the journal would grow linearly with the record
+// count.
 func TestCompactionBoundsDisk(t *testing.T) {
 	n, _ := testStream(2, 1, 1)
 	dir := t.TempDir()
@@ -211,6 +211,9 @@ func TestCompactionBoundsDisk(t *testing.T) {
 		if size := dirSize(t, dir); size > peak {
 			peak = size
 		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, claimLogName)); err != nil {
+		t.Fatalf("the footprint must include the claim log: %v", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

@@ -515,8 +515,8 @@ func BenchmarkNormalize(b *testing.B) {
 }
 
 // BenchmarkEpochClose measures one in-memory leaf epoch close — the
-// loss-stat fold, shipping the epoch's rows to the inference side,
-// incremental Algorithm 2 and Algorithm 1 — after 1, 100 and 1000
+// loss-stat fold, incremental Algorithm 2 over the rows the epoch
+// changed, and Algorithm 1, all under the service lock — after 1, 100 and 1000
 // earlier epochs of 256 new intervals each (1,024 records, one per
 // interval and path). Only the close is timed. Close cost is
 // O(rows changed + pathsets × intervals/64), so depth=1000 (256k

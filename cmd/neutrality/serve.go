@@ -144,8 +144,10 @@ func cmdServe(ctx context.Context, args []string) {
 			fatal(err)
 		}
 	}
-	// Graceful shutdown: flush the open epoch into a verdict, then
-	// checkpoint the journal so a -resume restart replays everything.
+	// Graceful shutdown: stop taking requests, flush the open epoch into
+	// a verdict, then checkpoint the journal so a -resume restart
+	// replays everything.
+	shutdown(srv)
 	if _, err := svc.CloseEpoch(); err != nil {
 		fatal(err)
 	}
@@ -184,10 +186,25 @@ func cmdServeRoot(ctx context.Context, n *neutrality.Network, netName string, le
 		netName, n.NumPaths(), leaves, ln.Addr(), st.Records, st.Epochs)
 
 	<-ctx.Done()
+	shutdown(srv)
 	if err := r.Close(); err != nil {
 		fatal(err)
 	}
 	st = r.Status()
 	fmt.Fprintf(os.Stderr, "\nroot stopped: %d records over %d epochs from %d leaves (%d duplicate deliveries)\n",
 		st.Records, st.Epochs, st.Leaves, st.Duplicates)
+}
+
+// shutdownGrace bounds how long shutdown waits for in-flight requests.
+const shutdownGrace = 5 * time.Second
+
+// shutdown stops the listener and waits, up to shutdownGrace, for
+// in-flight requests to finish, so the final close and checkpoint see
+// every request that was acknowledged.
+func shutdown(srv *http.Server) {
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		log.Printf("http shutdown: %v", err)
+	}
 }

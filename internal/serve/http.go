@@ -31,7 +31,8 @@ import (
 //	POST /v1/ingest   JSON lines of StreamRecord → 200 IngestResult
 //	                  400 on validation failure (nothing applied),
 //	                  429 + Retry-After on backpressure (partial
-//	                  batch kept; full retry is idempotent)
+//	                  batch kept; full retry is idempotent),
+//	                  503 after Close (retry)
 //	GET  /v1/verdict  latest EpochVerdict (canonical JSON)
 //	GET  /v1/summary  per-epoch summary window (text/plain)
 //	GET  /v1/status   operational counters (+ journal health when durable)
@@ -78,10 +79,27 @@ type Server struct {
 func NewServer(s *Service) *Server {
 	srv := &Server{S: s, mux: http.NewServeMux()}
 	srv.mux.HandleFunc("POST /v1/ingest", srv.ingest)
-	srv.mux.HandleFunc("GET /v1/verdict", srv.verdict)
-	srv.mux.HandleFunc("GET /v1/summary", srv.summary)
-	srv.mux.HandleFunc("GET /v1/status", srv.status)
+	handleReads(srv.mux, &s.tally, func() any { return s.Status() })
 	return srv
+}
+
+// handleReads registers the read endpoints a Server and a RootServer
+// share: the verdict, the summary window, and the status counters.
+func handleReads(mux *http.ServeMux, t *tally, status func() any) {
+	mux.HandleFunc("GET /v1/verdict", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.Write(t.VerdictJSON())
+		w.Write([]byte("\n"))
+	})
+	mux.HandleFunc("GET /v1/summary", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.WriteHeader(http.StatusOK)
+		io.WriteString(w, t.SummaryText())
+	})
+	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, status())
+	})
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -176,26 +194,11 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) {
 			Pending        int `json:"pending"`
 			RetryAfterSecs int `json:"retry_after_seconds"`
 		}{httpError{Err: "busy", Msg: err.Error()}, res, pending, retry})
+	case errors.Is(err, ErrClosed):
+		writeJSON(w, http.StatusServiceUnavailable, httpError{Err: "closed", Msg: err.Error()})
 	case errors.Is(err, measure.ErrValidation):
 		writeJSON(w, http.StatusBadRequest, httpError{Err: "validation", Msg: err.Error()})
 	default:
 		writeJSON(w, http.StatusInternalServerError, httpError{Err: "internal", Msg: err.Error()})
 	}
-}
-
-func (s *Server) verdict(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(s.S.VerdictJSON())
-	w.Write([]byte("\n"))
-}
-
-func (s *Server) summary(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	io.WriteString(w, s.S.SummaryText())
-}
-
-func (s *Server) status(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.S.Status())
 }

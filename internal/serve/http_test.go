@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -339,5 +341,51 @@ func TestHTTPIngestLimits(t *testing.T) {
 	}
 	if got, exp := s.VerdictJSON(), want.VerdictJSON(); !bytes.Equal(got, exp) {
 		t.Fatalf("verdict over mixed-form lines differs from direct ingest:\n%s\n%s", got, exp)
+	}
+}
+
+// TestHTTPClosedAnswers503: after Close, a leaf's ingest and a root's
+// epoch delivery answer 503 — retryable, unlike 400, which a Shipper
+// treats as permanent — and the reads keep answering.
+func TestHTTPClosedAnswers503(t *testing.T) {
+	leafSvcs, union, _ := driveTree(t, 1, 2)
+	s := leafSvcs[0]
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(s))
+	defer ts.Close()
+	_, recs := testStream(2, 1, 1)
+	resp := postIngest(t, ts, strings.NewReader(recordLines(recs)), false)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("ingest into a closed service: %d, want 503", resp.StatusCode)
+	}
+	if st := s.Status(); st.Records != union.Status().Records {
+		t.Fatalf("closed service applied records: %+v", st)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/v1/verdict")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("verdict read after Close: %d", resp.StatusCode)
+	}
+
+	root, err := NewRoot(RootConfig{Net: union.net, Leaves: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(NewRootServer(root))
+	defer rts.Close()
+	sh := &Shipper{S: s, URL: rts.URL}
+	err = sh.post(context.Background(), s.Reports()[0])
+	var perm *permanentShipError
+	if err == nil || errors.As(err, &perm) || !strings.Contains(err.Error(), "503") {
+		t.Fatalf("shipping to a closed root = %v, want a retryable 503", err)
 	}
 }

@@ -119,9 +119,10 @@ func TestIncrementalCloseMatchesBatch(t *testing.T) {
 }
 
 // TestConcurrentClosesMatchBatch: sources ingesting concurrently close
-// epochs inline while other callers close epochs explicitly; closes
-// take their inference turns in epoch order, so the final verdict is
-// still byte-identical to batch inference over the final table.
+// epochs inline while other callers close epochs explicitly; each close
+// folds and infers under the service lock, one epoch at a time, so the
+// final verdict is still byte-identical to batch inference over the
+// final table.
 func TestConcurrentClosesMatchBatch(t *testing.T) {
 	n, recs := lateStream(700, 8)
 	s := mustNew(t, Config{Net: n, EpochRecords: 97})

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"neutrality/internal/core"
@@ -102,7 +101,8 @@ type RootConfig struct {
 	// Leaves is the expected leaf count: epoch e folds once every one
 	// of the first Leaves distinct leaf names has delivered e.
 	Leaves int
-	// Opts / Infer mirror Config (zero values: defaults).
+	// Opts / Infer configure Algorithms 2 and 1, as in Config (zero
+	// values: defaults).
 	Opts  measure.Options
 	Infer core.Config
 	// MaxIntervals caps the interval index a report may address
@@ -141,30 +141,18 @@ type RootStatus struct {
 // requires restarting every leaf from empty state too: a running
 // leaf's outbox holds only epochs past its last ack, which a fresh
 // root (expecting epoch 1) would refuse forever as a gap. All methods
-// are safe for concurrent use; the epoch fold runs the inference under
-// the root lock (root folds are rare — one per tree epoch — so the
-// narrow-lock machinery of Service is not replicated here).
+// are safe for concurrent use; a tree epoch folds and publishes under
+// the root lock, through the same tally step a leaf Service closes
+// with.
 type Root struct {
-	mu  sync.Mutex
-	cfg RootConfig
-	net *graph.Network
-	log *rootLog // nil when running in-memory
+	tally // the lock, the merged table, the counts and the served verdict
+	cfg   RootConfig
+	log   *rootLog // nil when running in-memory
 
-	meas      *measure.Measurements
-	obs       *core.IncrementalObserver       // Algorithm 2 cache over meas
 	leafEpoch map[string]int                  // per-leaf delivered high-water mark
 	staged    map[string]map[int]*EpochReport // undigested reports by leaf, epoch
-	records   int64
-	epoch     int
-	sources   int // tree-wide source count at the last fold (sum over leaves)
-
-	cumLoss   sweep.Welford
-	cumSketch *sweep.Sketch
-
-	verdict  []byte
-	listing  []string
-	dropped  int
-	counters RootStatus
+	counters  RootStatus
+	closed    bool // Close ran: every delivery is ErrClosed
 }
 
 // NewRoot builds a Root.
@@ -183,18 +171,12 @@ func NewRoot(cfg RootConfig) (*Root, error) {
 	}
 	r := &Root{
 		cfg:       cfg,
-		net:       cfg.Net,
-		meas:      measure.NewMeasurements(0, cfg.Net.NumPaths()),
-		obs:       &core.IncrementalObserver{Opts: cfg.Opts},
 		leafEpoch: make(map[string]int),
 		staged:    make(map[string]map[int]*EpochReport),
-		cumSketch: sweep.NewUnitSketch(),
 	}
-	v, err := json.Marshal(EpochVerdict{})
-	if err != nil {
+	if err := r.init(cfg.Net, cfg.Opts, cfg.Infer); err != nil {
 		return nil, err
 	}
-	r.verdict = v
 	if cfg.Dir != "" {
 		if err := r.replayLog(); err != nil {
 			return nil, err
@@ -310,10 +292,14 @@ func (r *Root) validateReport(rep EpochReport) error {
 // per-leaf in-order idempotent delivery, then as many tree-epoch folds
 // as the staged reports complete. Duplicates are acked (not errors);
 // a per-leaf gap is ErrReportGap; validation failures carry
-// measure.ErrValidation and apply nothing.
+// measure.ErrValidation and apply nothing; after Close every delivery
+// is ErrClosed.
 func (r *Root) Deliver(rep EpochReport) (RootDeliverResult, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.closed {
+		return RootDeliverResult{Epoch: rep.Epoch, Folded: r.epoch}, ErrClosed
+	}
 	if err := r.validateReport(rep); err != nil {
 		r.counters.RejectsValidation++
 		return RootDeliverResult{Epoch: rep.Epoch, Folded: r.epoch}, err
@@ -364,11 +350,12 @@ func (r *Root) acceptLocked(rep EpochReport) error {
 	return nil
 }
 
-// Close checkpoints and closes the report log (a no-op for an
-// in-memory root). The root must not be used afterwards.
+// Close checkpoints and closes the report log. Afterwards every
+// Deliver returns ErrClosed; reads keep working.
 func (r *Root) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.closed = true
 	if r.log == nil {
 		return nil
 	}
@@ -397,8 +384,8 @@ func (r *Root) foldReadyLocked() bool {
 
 // foldEpochLocked folds one complete tree epoch in leaf-name order —
 // the canonical fold order that makes the cumulative accumulators
-// deterministic — and runs the inference over the merged table,
-// re-normalizing only the rows from the lowest interval folded.
+// deterministic — and publishes it, re-normalizing only the rows from
+// the lowest interval folded.
 func (r *Root) foldEpochLocked() error {
 	next := r.epoch + 1
 	leaves := make([]string, 0, len(r.leafEpoch))
@@ -435,51 +422,8 @@ func (r *Root) foldEpochLocked() error {
 		epochSketch.Merge(sk)
 		delete(r.staged[leaf], next)
 	}
-	r.cumLoss.Merge(epochLoss)
-	r.cumSketch.Merge(epochSketch)
-	r.epoch = next
-	r.sources = sources
-
-	cfg := r.cfg.Infer
-	if cfg == (core.Config{}) {
-		cfg = core.DefaultConfig()
-	}
-	r.obs.Update(r.meas, from)
-	res := core.Infer(r.net, r.obs, cfg)
-	ev := buildVerdict(res, r.epoch, r.records, r.meas.Intervals(), sources, resolveMinGap(cfg))
-	vb, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	r.verdict = vb
-	cumSk := *r.cumSketch
-	r.listing = append(r.listing, renderEpochSummary(ev, epochLoss, epochSketch, r.cumLoss, &cumSk))
-	if len(r.listing) > maxSummaryBlocks {
-		r.dropped += len(r.listing) - maxSummaryBlocks
-		r.listing = r.listing[len(r.listing)-maxSummaryBlocks:]
-	}
-	return nil
-}
-
-// VerdictJSON returns the latest tree-wide verdict (canonical JSON).
-func (r *Root) VerdictJSON() []byte {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]byte(nil), r.verdict...)
-}
-
-// SummaryText returns the per-epoch summary window, oldest first.
-func (r *Root) SummaryText() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var sb strings.Builder
-	if r.dropped > 0 {
-		fmt.Fprintf(&sb, "(%d earlier epochs aged out of the summary window)\n", r.dropped)
-	}
-	for _, b := range r.listing {
-		sb.WriteString(b)
-	}
-	return sb.String()
+	_, err := r.publishLocked(from, sources, epochLoss, epochSketch)
+	return err
 }
 
 // Status snapshots the root's operational counters.
@@ -504,7 +448,8 @@ func (r *Root) Status() RootStatus {
 //
 //	POST /v1/epoch    one EpochReport (JSON body) → 200 RootDeliverResult
 //	                  (duplicates also 200), 400 on validation failure,
-//	                  409 on a per-leaf epoch gap (re-send earlier first)
+//	                  409 on a per-leaf epoch gap (re-send earlier first),
+//	                  503 after Close (retry)
 //	GET  /v1/verdict  latest tree-wide EpochVerdict
 //	GET  /v1/summary  per-epoch summary window (text/plain)
 //	GET  /v1/status   operational counters
@@ -517,9 +462,7 @@ type RootServer struct {
 func NewRootServer(r *Root) *RootServer {
 	srv := &RootServer{R: r, mux: http.NewServeMux()}
 	srv.mux.HandleFunc("POST /v1/epoch", srv.epoch)
-	srv.mux.HandleFunc("GET /v1/verdict", srv.verdict)
-	srv.mux.HandleFunc("GET /v1/summary", srv.summary)
-	srv.mux.HandleFunc("GET /v1/status", srv.status)
+	handleReads(srv.mux, &r.tally, func() any { return r.Status() })
 	return srv
 }
 
@@ -542,28 +485,13 @@ func (s *RootServer) epoch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, res)
 	case errors.Is(err, ErrReportGap):
 		writeJSON(w, http.StatusConflict, httpError{Err: "gap", Msg: err.Error()})
+	case errors.Is(err, ErrClosed):
+		writeJSON(w, http.StatusServiceUnavailable, httpError{Err: "closed", Msg: err.Error()})
 	case errors.Is(err, measure.ErrValidation):
 		writeJSON(w, http.StatusBadRequest, httpError{Err: "validation", Msg: err.Error()})
 	default:
 		writeJSON(w, http.StatusInternalServerError, httpError{Err: "internal", Msg: err.Error()})
 	}
-}
-
-func (s *RootServer) verdict(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(s.R.VerdictJSON())
-	w.Write([]byte("\n"))
-}
-
-func (s *RootServer) summary(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	io.WriteString(w, s.R.SummaryText())
-}
-
-func (s *RootServer) status(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.R.Status())
 }
 
 // Shipper drains one leaf service's report outbox to a root over HTTP,

@@ -3,11 +3,15 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -394,5 +398,103 @@ func TestRootLogDamageTaxonomy(t *testing.T) {
 	}
 	if _, err := NewRoot(rcfg); !errors.Is(err, sweep.ErrCorrupt) {
 		t.Fatalf("resume over in-claim damage = %v, want corruption error", err)
+	}
+}
+
+// TestRootDeliverAfterClose: a closed root logs and acks nothing —
+// Deliver returns ErrClosed — so a resume never misses a report a leaf
+// saw acked (and dropped). Reads keep answering after Close.
+func TestRootDeliverAfterClose(t *testing.T) {
+	leafSvcs, union, _ := driveTree(t, 1, 3)
+	reports := leafSvcs[0].Reports()
+	cfg := RootConfig{Net: union.net, NetName: "figure4", Leaves: 1, Dir: t.TempDir()}
+	root, err := NewRoot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := root.Deliver(reports[0]); err != nil {
+		t.Fatal(err)
+	}
+	want := root.VerdictJSON()
+	if err := root.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := root.Deliver(reports[1]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("deliver after Close = %v, want ErrClosed", err)
+	}
+	if st := root.Status(); st.Epochs != 1 || !bytes.Equal(root.VerdictJSON(), want) {
+		t.Fatalf("closed root changed: %+v", st)
+	}
+	if err := root.Close(); err != nil {
+		t.Fatalf("second Close = %v", err)
+	}
+
+	cfg.Resume = true
+	root2, err := NewRoot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer root2.Close()
+	if st := root2.Status(); st.Epochs != 1 {
+		t.Fatalf("resumed root at %+v, want the 1 acked epoch", st)
+	}
+	for _, rep := range reports[1:] {
+		if _, err := root2.Deliver(rep); err != nil {
+			t.Fatalf("deliver epoch %d after resume: %v", rep.Epoch, err)
+		}
+	}
+	if got, want := root2.VerdictJSON(), union.VerdictJSON(); !bytes.Equal(got, want) {
+		t.Fatalf("verdict after resume diverged:\ngot  %s\nwant %s", got, want)
+	}
+}
+
+// TestRootHTTPReads: the root's read endpoints serve exactly what its
+// accessors return.
+func TestRootHTTPReads(t *testing.T) {
+	leafSvcs, union, _ := driveTree(t, 2, 3)
+	root, err := NewRoot(RootConfig{Net: union.net, Leaves: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, leaf := range leafSvcs {
+		for _, rep := range leaf.Reports() {
+			if _, err := root.Deliver(rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ts := httptest.NewServer(NewRootServer(root))
+	defer ts.Close()
+	get := func(path, wantType string) []byte {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !strings.HasPrefix(resp.Header.Get("Content-Type"), wantType) {
+			t.Fatalf("GET %s: %d %s", path, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		return body
+	}
+	if got, want := get("/v1/verdict", "application/json"), append(root.VerdictJSON(), '\n'); !bytes.Equal(got, want) {
+		t.Fatalf("GET /v1/verdict:\ngot  %s\nwant %s", got, want)
+	}
+	if ev := decodeVerdict(t, root.VerdictJSON()); ev.Epoch != 3 {
+		t.Fatalf("root verdict at epoch %d, want 3", ev.Epoch)
+	}
+	if got, want := string(get("/v1/summary", "text/plain")), root.SummaryText(); got != want || !strings.Contains(got, "epoch 3:") {
+		t.Fatalf("GET /v1/summary:\ngot  %s\nwant %s", got, want)
+	}
+	var st RootStatus
+	if err := json.Unmarshal(get("/v1/status", "application/json"), &st); err != nil {
+		t.Fatal(err)
+	}
+	if want := root.Status(); st != want {
+		t.Fatalf("GET /v1/status = %+v, want %+v", st, want)
 	}
 }

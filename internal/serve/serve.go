@@ -28,7 +28,7 @@
 // below the mark is rejected — as a duplicate if that sequence was
 // seen, or (counted separately) as out-of-order if it falls in a gap
 // the source skipped over, so a gapped sender can detect its own loss.
-// Backpressure mirrors the fleet's ErrNoWork convention: when the
+// Backpressure follows the fleet's ErrNoWork convention: when the
 // open-epoch buffer is full the service rejects with ErrBusy ("wait,
 // then retry"), which the HTTP layer maps to 429 + Retry-After.
 //
@@ -38,25 +38,21 @@
 // compacted on a snapshot cadence — and a restarted service replays it
 // to byte-identical verdicts; see journal.go and snapshot.go.
 //
-// Epoch closes do not stall ingest on inference: the close folds the
-// epoch under the lock and hands the table rows the epoch changed to
-// the inference side, which — outside the lock, taking turns in epoch
-// order — installs them in its mirror of the table, runs core.Infer
-// through a core.IncrementalObserver that re-normalizes only those
-// rows, and publishes the verdict atomically, so concurrent Ingest
-// calls proceed while inference runs. Rows are handed over by
-// reference and copied only when a late record lands on one (copy on
-// write), so a close copies nothing, and its cost is O(rows changed +
-// pathsets × intervals/64), not O(service lifetime). A service can
-// also be one *leaf* of a multi-instance tree, shipping every closed
-// epoch's aggregate to a Root; see root.go.
+// An epoch close runs entirely under the service lock, the same way a
+// Root folds: it journals and claims the close marker, folds the epoch
+// in canonical order, then publishes — core.Infer over the live table
+// through a core.IncrementalObserver that re-normalizes only the rows
+// the epoch changed, the verdict, and the summary block (see tally).
+// Its cost is O(rows changed + pathsets × intervals/64), not O(service
+// lifetime), so concurrent Ingest calls wait out a short close rather
+// than racing it. A service can also be one *leaf* of a multi-instance
+// tree, shipping every closed epoch's aggregate to a Root; see root.go.
 package serve
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -75,6 +71,11 @@ import (
 // before the buffer filled stay accepted — re-sending the whole batch
 // is safe because the sequence high-water marks drop the duplicates.
 var ErrBusy = errors.New("serve: epoch buffer full, retry later")
+
+// ErrClosed reports a call that would change a closed Service or Root:
+// nothing is applied, journaled or acknowledged (the HTTP layers answer
+// 503, which a sender retries). Reads keep working after Close.
+var ErrClosed = errors.New("serve: closed")
 
 // BusyError is the concrete ErrBusy rejection: it carries the pending
 // count at rejection time so transports can tell the sender how much
@@ -246,38 +247,18 @@ type seqRange struct {
 // Service is the streaming inference state machine. All methods are
 // safe for concurrent use.
 type Service struct {
-	mu  sync.Mutex
-	pub *sync.Cond // signals verdict publication / epoch settle (on mu)
-	cfg Config
-	net *graph.Network
+	tally // the lock, the table, the counts and the served verdict
+	cfg   Config
 
-	meas    *measure.Measurements // accumulated fold of every accepted record
 	seqs    map[string]int64      // per-source delivery high-water marks
 	holes   map[string][]seqRange // never-seen gaps below the marks
 	pending []measure.StreamRecord
-	records int64 // cumulative accepted records
 
-	// Rows of meas below shared are shared with the inference side's
-	// mirror: a record landing on one copies the row first, and owned
-	// marks the rows copied since the last close.
-	shared int
-	owned  map[int]bool
+	// closedRows is the table's row count at the last close: every row
+	// from it on is new since then. It starts at 0 — also after a
+	// snapshot restore, whose first close re-derives every row.
+	closedRows int
 
-	// epoch counts folded (closed) epochs; published counts epochs
-	// whose verdict has been installed. They differ only while an
-	// inference runs outside the lock (published < epoch).
-	epoch     int
-	published int
-
-	// Cumulative loss-fraction aggregates: per-epoch folds (canonical
-	// order) merged in epoch order — the PR 5 merge laws make this
-	// deterministic under any within-epoch arrival order.
-	cumLoss   sweep.Welford
-	cumSketch *sweep.Sketch
-
-	verdict  []byte   // latest EpochVerdict, canonical JSON
-	listing  []string // per-epoch summary blocks (bounded window)
-	dropped  int      // summary blocks aged out of the window
 	counters Status
 
 	// Leaf mode: closed-epoch reports awaiting shipment to the root,
@@ -285,23 +266,11 @@ type Service struct {
 	outbox   []EpochReport
 	reportCh chan struct{}
 
-	compactDue bool // a compaction cadence boundary passed; run when settled
+	compactDue bool // a compaction cadence boundary passed; run after the next successful publish
 	replaying  bool // journal replay in progress: no compaction, no re-journal
-
-	// verdictMarshal is a test seam: when non-nil it replaces
-	// json.Marshal for the epoch verdict (simulating a marshal failure
-	// at publish time).
-	verdictMarshal func(EpochVerdict) ([]byte, error)
+	closed     bool // Close ran: every write is ErrClosed
 
 	jr *journal // nil when running in-memory
-
-	// The inference side: the table as of the last inferred epoch and
-	// the per-slice Algorithm 2 cache over it. Only the close whose
-	// epoch is next to publish touches them (see finishClose), so they
-	// need no lock of their own. Both start empty — also after a
-	// snapshot restore, whose first close then hands over every row.
-	mirror measure.Measurements
-	obs    *core.IncrementalObserver
 }
 
 // maxSummaryBlocks bounds the per-epoch summary window; older blocks
@@ -317,20 +286,13 @@ func New(cfg Config) (*Service, error) {
 	}
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:       cfg,
-		net:       cfg.Net,
-		meas:      measure.NewMeasurements(0, cfg.Net.NumPaths()),
-		seqs:      make(map[string]int64),
-		holes:     make(map[string][]seqRange),
-		cumSketch: sweep.NewUnitSketch(),
-		reportCh:  make(chan struct{}, 1),
-		obs:       &core.IncrementalObserver{Opts: cfg.Opts},
+		cfg:      cfg,
+		seqs:     make(map[string]int64),
+		holes:    make(map[string][]seqRange),
+		reportCh: make(chan struct{}, 1),
 	}
-	s.pub = sync.NewCond(&s.mu)
-	if v, err := json.Marshal(EpochVerdict{}); err != nil {
+	if err := s.init(cfg.Net, cfg.Opts, cfg.Infer); err != nil {
 		return nil, err
-	} else {
-		s.verdict = v
 	}
 	if cfg.Dir != "" {
 		jr, snap, shards, err := openJournal(cfg)
@@ -356,9 +318,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	return s, nil
 }
-
-// Paths returns the serving topology's path count.
-func (s *Service) Paths() int { return s.net.NumPaths() }
 
 // replayShards merge-replays the recovered journal shards into the
 // service state. Each shard holds one source-partition of the record
@@ -464,8 +423,7 @@ func (s *Service) replayShards(shards []shardRecovery) error {
 		for si := range curs {
 			curs[si].i++
 		}
-		job := s.foldEpochLocked()
-		if err := s.finishClose(job); err != nil {
+		if err := s.foldEpochLocked(); err != nil {
 			return err
 		}
 	}
@@ -515,14 +473,6 @@ func (s *Service) applyLocked(r measure.StreamRecord) {
 	}
 	s.seqs[r.Source] = r.Seq
 	s.meas.EnsureIntervals(r.Interval+1, s.net.NumPaths())
-	if t := r.Interval; t < s.shared && !s.owned[t] {
-		if s.owned == nil {
-			s.owned = make(map[int]bool)
-		}
-		s.meas.Sent[t] = slices.Clone(s.meas.Sent[t])
-		s.meas.Lost[t] = slices.Clone(s.meas.Lost[t])
-		s.owned[t] = true
-	}
 	s.meas.Add(r.Interval, graph.PathID(r.Path), r.Sent, r.Lost)
 	s.pending = append(s.pending, r)
 	s.records++
@@ -543,19 +493,22 @@ func (s *Service) inHoleLocked(source string, seq int64) bool {
 // proceeds record by record — records at or below their source's
 // high-water mark are rejected (duplicates, or out-of-order when they
 // land in a never-seen gap), epochs close inline when the accepted
-// count reaches the boundary (inference runs outside the lock; the
-// verdict is published before Ingest returns), and a full buffer stops
-// the batch with ErrBusy, keeping the records already applied (the
-// result reports how many; a full retry is idempotent). Ingest copies
-// the records it applies and does not retain recs.
+// count reaches the boundary (the verdict is served before Ingest
+// returns), and a full buffer stops the batch with ErrBusy, keeping
+// the records already applied (the result reports how many; a full
+// retry is idempotent). After Close it applies nothing and returns
+// ErrClosed. Ingest copies the records it applies and does not retain
+// recs.
 func (s *Service) Ingest(recs []measure.StreamRecord) (IngestResult, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return s.resultLocked(0, 0, 0), ErrClosed
+	}
 	for i, r := range recs {
 		if err := r.Validate(s.net.NumPaths(), s.cfg.MaxIntervals); err != nil {
 			s.counters.RejectsValidation++
-			res := s.resultLocked(0, 0, 0)
-			s.mu.Unlock()
-			return res, fmt.Errorf("serve: batch record %d: %w", i, err)
+			return s.resultLocked(0, 0, 0), fmt.Errorf("serve: batch record %d: %w", i, err)
 		}
 	}
 	accepted, dups, ooo := 0, 0, 0
@@ -570,47 +523,26 @@ func (s *Service) Ingest(recs []measure.StreamRecord) (IngestResult, error) {
 		}
 		if len(s.pending) >= s.cfg.MaxPending {
 			s.counters.RejectsBusy++
-			ferr := s.flushLocked()
-			res := s.resultLocked(accepted, dups, ooo)
-			pending := len(s.pending)
-			s.mu.Unlock()
-			if ferr != nil {
-				return res, ferr
+			if err := s.flushLocked(); err != nil {
+				return s.resultLocked(accepted, dups, ooo), err
 			}
-			return res, &BusyError{Pending: pending}
+			return s.resultLocked(accepted, dups, ooo), &BusyError{Pending: len(s.pending)}
 		}
 		if s.jr != nil {
 			if err := s.jr.appendRecord(&r); err != nil {
-				res := s.resultLocked(accepted, dups, ooo)
-				s.mu.Unlock()
-				return res, err
+				return s.resultLocked(accepted, dups, ooo), err
 			}
 		}
 		s.applyLocked(r)
 		accepted++
 		if s.cfg.EpochRecords > 0 && len(s.pending) >= s.cfg.EpochRecords {
-			job, err := s.closeBeginLocked()
-			if err != nil {
-				res := s.resultLocked(accepted, dups, ooo)
-				s.mu.Unlock()
-				return res, err
+			if err := s.closeLocked(); err != nil {
+				return s.resultLocked(accepted, dups, ooo), err
 			}
-			// Inference runs without the lock: concurrent Ingest calls
-			// proceed into the next epoch meanwhile.
-			s.mu.Unlock()
-			if err := s.finishClose(job); err != nil {
-				s.mu.Lock()
-				res := s.resultLocked(accepted, dups, ooo)
-				s.mu.Unlock()
-				return res, err
-			}
-			s.mu.Lock()
 		}
 	}
 	res := s.resultLocked(accepted, dups, ooo)
-	err := s.flushLocked()
-	s.mu.Unlock()
-	return res, err
+	return res, s.flushLocked()
 }
 
 func (s *Service) resultLocked(accepted, dups, ooo int) IngestResult {
@@ -631,71 +563,48 @@ func (s *Service) flushLocked() error {
 
 // CloseEpoch closes the open epoch explicitly (the wall-clock path and
 // end-of-stream flush). A service with no pending records is left
-// untouched, so idle ticks do not mint empty epochs.
+// untouched, so idle ticks do not mint empty epochs. After Close it
+// returns ErrClosed.
 func (s *Service) CloseEpoch() (bool, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false, ErrClosed
+	}
 	if len(s.pending) == 0 {
-		s.mu.Unlock()
 		return false, nil
 	}
-	job, err := s.closeBeginLocked()
-	if err != nil {
-		s.mu.Unlock()
-		return true, err
-	}
-	s.mu.Unlock()
-	return true, s.finishClose(job)
+	return true, s.closeLocked()
 }
 
-// closeJob is one folded epoch in flight between closeBeginLocked and
-// finishClose: everything the out-of-lock inference and the ordered
-// publish need, snapshotted at the close point so later folds cannot
-// race it.
-type closeJob struct {
-	epoch     int
-	records   int64
-	intervals int
-	sources   int
-	// sent and lost are the table's rows [from, intervals) at the
-	// close — every row added or changed since the previous close —
-	// now shared with the inference side.
-	from       int
-	sent, lost [][]int
-	epochLoss  sweep.Welford
-	epochSk    *sweep.Sketch
-	cumLoss    sweep.Welford // cumulative accumulators *at this epoch*
-	cumSk      *sweep.Sketch
-	report     *EpochReport // leaf mode: sealed aggregate for the root
-}
-
-// closeBeginLocked records the epoch boundary durably, then folds it.
-// The marker is journaled first so a replayed journal closes at
-// exactly the same record counts this process did.
-func (s *Service) closeBeginLocked() (*closeJob, error) {
+// closeLocked records the epoch boundary durably, then folds and
+// publishes it. The marker is journaled first so a replayed journal
+// closes at exactly the same record counts this process did, and it is
+// claimed before the fold: the claim then proves the boundary, so a
+// restart replays the same epochs.
+func (s *Service) closeLocked() error {
 	if s.jr != nil {
 		if err := s.jr.appendClose(s.epoch + 1); err != nil {
-			return nil, err
+			return err
 		}
-		// The close is claimed before it folds: the claim then proves
-		// the boundary, so a restart replays the same epochs.
 		if err := s.jr.flush(s.records, s.epoch+1); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return s.foldEpochLocked(), nil
+	return s.foldEpochLocked()
 }
 
-// foldEpochLocked folds the open epoch under the lock: the canonical-
-// order floating-point folds, the cumulative merges, the epoch count —
-// everything order-sensitive — plus the table rows the epoch changed,
-// for the inference to run on outside the lock. Everything here is a
-// pure function of the accepted-record multiset and the epoch
-// partitioning.
-func (s *Service) foldEpochLocked() *closeJob {
+// foldEpochLocked folds the open epoch — the canonical-order
+// floating-point folds, the leaf report — and publishes it, then runs
+// any due compaction. Journal replay enters here directly: its close
+// markers are already on disk. Everything the fold produces is a pure
+// function of the accepted-record multiset and the epoch partitioning.
+func (s *Service) foldEpochLocked() error {
 	// Canonical order for the floating-point folds: FP addition does
-	// not commute, so the epoch's loss aggregate is built over a sorted
-	// copy, never in arrival order.
-	epochRecs := append([]measure.StreamRecord(nil), s.pending...)
+	// not commute, so the epoch's loss aggregate is built over the
+	// sorted records, never in arrival order. The buffer is emptied
+	// below, so it is sorted in place.
+	epochRecs := s.pending
 	sort.Slice(epochRecs, func(i, j int) bool {
 		a, b := epochRecs[i], epochRecs[j]
 		if a.Interval != b.Interval {
@@ -719,37 +628,22 @@ func (s *Service) foldEpochLocked() *closeJob {
 		epochLoss.Add(frac)
 		epochSketch.Add(frac)
 	}
-	s.cumLoss.Merge(epochLoss)
-	s.cumSketch.Merge(epochSketch) // same unit transform by construction
-
-	s.epoch++
-	s.pending = s.pending[:0]
 
 	// The sort puts the epoch's lowest interval first: no earlier row
-	// changed since the previous close, and every row from s.shared on
-	// is new since then.
-	from := s.shared
+	// changed since the previous close, and every row from closedRows
+	// on is new since then.
+	from := s.closedRows
 	if len(epochRecs) > 0 {
 		from = min(from, epochRecs[0].Interval)
 	}
-	T := s.meas.Intervals()
-	s.shared = T
-	clear(s.owned)
-	cumSk := *s.cumSketch // value copy: fixed-size bin array
-	job := &closeJob{
-		epoch:     s.epoch,
-		records:   s.records,
-		intervals: T,
-		sources:   len(s.seqs),
-		from:      from,
-		sent:      slices.Clone(s.meas.Sent[from:]),
-		lost:      slices.Clone(s.meas.Lost[from:]),
-		epochLoss: epochLoss,
-		epochSk:   epochSketch,
-		cumLoss:   s.cumLoss,
-		cumSk:     &cumSk,
-	}
+	s.closedRows = s.meas.Intervals()
+	ms, err := s.publishLocked(from, len(s.seqs), epochLoss, epochSketch)
+	s.counters.LastInferMillis = ms
+	s.counters.TotalInferMillis += ms
 	if s.cfg.Leaf != "" {
+		// Queued even when the publish failed: the report is sealed from
+		// the fold, and dropping it would open a permanent epoch gap in
+		// the leaf→root tree.
 		rep := EpochReport{
 			Leaf:       s.cfg.Leaf,
 			Epoch:      s.epoch,
@@ -769,112 +663,34 @@ func (s *Service) foldEpochLocked() *closeJob {
 			}
 		}
 		sealReport(&rep)
-		job.report = &rep
-	}
-	return job
-}
-
-// finishClose runs the inference for one folded epoch *without*
-// holding the service lock, then publishes the verdict atomically.
-// Inference takes turns in epoch order: a close waits until the
-// previous epoch has published, so the mirror table and the observer's
-// cache advance one epoch at a time and two closes never mutate them
-// concurrently. Settled-state side effects — queueing the leaf report,
-// running due compaction — happen inside the publish critical section.
-//
-// Every path out of the critical section advances s.published and
-// broadcasts, including the verdict-marshal failure path: an early
-// return that skipped the advance would leave every later epoch's
-// publish (and Close) waiting on the condition forever.
-func (s *Service) finishClose(job *closeJob) error {
-	s.mu.Lock()
-	for s.published != job.epoch-1 {
-		s.pub.Wait()
-	}
-	s.mu.Unlock()
-
-	start := time.Now()
-	s.mirror.Sent = append(s.mirror.Sent[:job.from], job.sent...)
-	s.mirror.Lost = append(s.mirror.Lost[:job.from], job.lost...)
-	s.obs.Update(&s.mirror, job.from)
-	res := core.Infer(s.net, s.obs, s.inferConfig())
-	ms := float64(time.Since(start).Microseconds()) / 1000
-
-	ev := buildVerdict(res, job.epoch, job.records, job.intervals, job.sources, resolveMinGap(s.inferConfig()))
-	marshal := json.Marshal
-	if s.verdictMarshal != nil {
-		marshal = func(v any) ([]byte, error) { return s.verdictMarshal(v.(EpochVerdict)) }
-	}
-	vb, verr := marshal(ev)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.published = job.epoch
-	defer s.pub.Broadcast()
-	s.counters.LastInferMillis = ms
-	s.counters.TotalInferMillis += ms
-	if job.report != nil {
-		// Queued even when the publish fails below: the report was
-		// sealed at fold time, and dropping it would open a permanent
-		// epoch gap in the leaf→root tree.
-		s.outbox = append(s.outbox, *job.report)
+		s.outbox = append(s.outbox, rep)
 		select {
 		case s.reportCh <- struct{}{}:
 		default:
 		}
 	}
-	if s.cfg.CompactEvery > 0 && job.epoch%s.cfg.CompactEvery == 0 {
+	s.pending = s.pending[:0]
+	if s.cfg.CompactEvery > 0 && s.epoch%s.cfg.CompactEvery == 0 {
 		s.compactDue = true
 	}
-	if verr != nil {
-		// The served verdict stays at the previous epoch's bytes and the
-		// closing caller gets the error; compaction stays due and runs at
-		// the next settled publish.
-		return fmt.Errorf("serve: epoch %d verdict marshal: %w", job.epoch, verr)
-	}
-	s.verdict = vb
-	s.listing = append(s.listing, renderEpochSummary(ev, job.epochLoss, job.epochSk, job.cumLoss, job.cumSk))
-	if len(s.listing) > maxSummaryBlocks {
-		s.dropped += len(s.listing) - maxSummaryBlocks
-		s.listing = s.listing[len(s.listing)-maxSummaryBlocks:]
-	}
-	var cerr error
-	if s.compactDue && s.jr != nil && !s.replaying && s.published == s.epoch {
-		// Settled: every folded epoch is published, so the snapshot's
-		// verdict bytes agree with its fold state.
-		if cerr = s.compactLocked(); cerr == nil {
-			s.compactDue = false
-		}
-	}
-	return cerr
-}
-
-// compactLocked captures the snapshot document and runs the journal's
-// snapshot+truncate sequence. Caller guarantees settled state.
-func (s *Service) compactLocked() error {
-	data, err := s.snapshotLocked()
 	if err != nil {
-		return fmt.Errorf("serve: snapshot marshal: %w", err)
+		// The served verdict stays at the previous epoch's bytes and the
+		// closing caller gets the error; compaction stays due and runs
+		// after the next successful publish, so a snapshot's verdict
+		// bytes always agree with its fold state.
+		return err
 	}
-	return s.jr.compact(s.epoch, data, s.records, s.epoch)
-}
-
-func (s *Service) inferConfig() core.Config {
-	if s.cfg.Infer == (core.Config{}) {
-		return core.DefaultConfig()
+	if s.compactDue && s.jr != nil && !s.replaying {
+		data, err := s.snapshotLocked()
+		if err != nil {
+			return fmt.Errorf("serve: snapshot marshal: %w", err)
+		}
+		if err := s.jr.compact(s.epoch, data, s.records, s.epoch); err != nil {
+			return err
+		}
+		s.compactDue = false
 	}
-	return s.cfg.Infer
-}
-
-// copyMeasLocked deep-copies the accumulated table (for the
-// measure.Source view).
-func (s *Service) copyMeasLocked() *measure.Measurements {
-	out := measure.NewMeasurements(s.meas.Intervals(), s.net.NumPaths())
-	for t := range s.meas.Sent {
-		copy(out.Sent[t], s.meas.Sent[t])
-		copy(out.Lost[t], s.meas.Lost[t])
-	}
-	return out
+	return nil
 }
 
 // resolveMinGap applies the cluster fallback default to an inference
@@ -941,9 +757,7 @@ func confidence(cl cluster.Result, unsolv, minGap float64) float64 {
 // renderEpochSummary renders one closed epoch's summary block. Only
 // deterministic quantities appear: operational counters (duplicates,
 // latency) live in Status, not here, so the summary stays
-// byte-identical across arrival orders, chunkings, and restarts. The
-// cumulative accumulators are the values *at that epoch*, so summaries
-// published out of the lock cannot see later folds.
+// byte-identical across arrival orders, chunkings, and restarts.
 func renderEpochSummary(ev EpochVerdict, loss sweep.Welford, sk *sweep.Sketch, cumLoss sweep.Welford, cumSk *sweep.Sketch) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "epoch %d: %d records total, %d intervals, %d sources\n",
@@ -967,27 +781,114 @@ func renderEpochSummary(ev EpochVerdict, loss sweep.Welford, sk *sweep.Sketch, c
 	return sb.String()
 }
 
+// tally is the epoch state a leaf Service and a Root share, all under
+// one lock: the accumulated table and its Algorithm 2 cache, the
+// cumulative loss accumulators, the epoch and record counts, and the
+// served verdict and summary window. Both close an epoch the same way —
+// fold it in canonical order, then publishLocked — so the inference
+// runs in one place.
+type tally struct {
+	mu    sync.Mutex
+	net   *graph.Network
+	infer core.Config // Algorithm 1 (zero value: core.DefaultConfig)
+
+	meas    *measure.Measurements     // accumulated fold of every accepted record
+	obs     *core.IncrementalObserver // Algorithm 2 cache over meas
+	records int64                     // cumulative accepted records
+	epoch   int                       // closed epochs
+
+	// Cumulative loss-fraction aggregates: per-epoch folds (canonical
+	// order) merged in epoch order — the sweep merge laws make this
+	// deterministic under any within-epoch arrival order.
+	cumLoss   sweep.Welford
+	cumSketch *sweep.Sketch
+
+	verdict []byte   // latest EpochVerdict, canonical JSON
+	listing []string // per-epoch summary blocks (bounded window)
+	dropped int      // summary blocks aged out of the window
+
+	// verdictMarshal is a test seam: when non-nil it replaces
+	// json.Marshal for the epoch verdict (simulating a marshal failure
+	// at publish time).
+	verdictMarshal func(EpochVerdict) ([]byte, error)
+}
+
+// init sets up an empty tally serving the zero verdict.
+func (t *tally) init(net *graph.Network, opts measure.Options, infer core.Config) error {
+	t.net = net
+	t.infer = infer
+	t.meas = measure.NewMeasurements(0, net.NumPaths())
+	t.obs = &core.IncrementalObserver{Opts: opts}
+	t.cumSketch = sweep.NewUnitSketch()
+	v, err := json.Marshal(EpochVerdict{})
+	t.verdict = v
+	return err
+}
+
+func (t *tally) inferConfig() core.Config {
+	if t.infer == (core.Config{}) {
+		return core.DefaultConfig()
+	}
+	return t.infer
+}
+
+// publishLocked closes one folded epoch: it merges the epoch's loss
+// folds into the cumulative ones, counts the epoch, re-runs the
+// inference over the live table — Algorithm 2 re-derives only the rows
+// from `from` on, which cover every row the epoch changed — and serves
+// the new verdict and summary block. It returns the inference time in
+// ms. When the verdict does not marshal the epoch still counts, but the
+// served verdict and summary stay at the previous epoch's.
+func (t *tally) publishLocked(from, sources int, loss sweep.Welford, sk *sweep.Sketch) (float64, error) {
+	t.cumLoss.Merge(loss)
+	t.cumSketch.Merge(sk) // same unit transform by construction
+	t.epoch++
+
+	cfg := t.inferConfig()
+	start := time.Now()
+	t.obs.Update(t.meas, from)
+	res := core.Infer(t.net, t.obs, cfg)
+	ms := float64(time.Since(start).Microseconds()) / 1000
+
+	ev := buildVerdict(res, t.epoch, t.records, t.meas.Intervals(), sources, resolveMinGap(cfg))
+	marshal := json.Marshal
+	if t.verdictMarshal != nil {
+		marshal = func(v any) ([]byte, error) { return t.verdictMarshal(v.(EpochVerdict)) }
+	}
+	vb, err := marshal(ev)
+	if err != nil {
+		return ms, fmt.Errorf("serve: epoch %d verdict marshal: %w", t.epoch, err)
+	}
+	t.verdict = vb
+	t.listing = append(t.listing, renderEpochSummary(ev, loss, sk, t.cumLoss, t.cumSketch))
+	if len(t.listing) > maxSummaryBlocks {
+		t.dropped += len(t.listing) - maxSummaryBlocks
+		t.listing = t.listing[len(t.listing)-maxSummaryBlocks:]
+	}
+	return ms, nil
+}
+
 // VerdictJSON returns the latest epoch verdict as canonical JSON (the
-// zero verdict `{"epoch":0,...}` before any epoch closes). Verdicts
-// publish in epoch order before the closing call returns, so a caller
-// that just ingested past a boundary reads that boundary's verdict.
-func (s *Service) VerdictJSON() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]byte(nil), s.verdict...)
+// zero verdict `{"epoch":0,...}` before any epoch closes). A close
+// serves its verdict before the closing call returns, so a caller that
+// just ingested past a boundary reads that boundary's verdict.
+func (t *tally) VerdictJSON() []byte {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]byte(nil), t.verdict...)
 }
 
 // SummaryText returns the per-epoch summary window, oldest first. The
 // text is a pure function of the accepted records and epoch
 // boundaries.
-func (s *Service) SummaryText() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (t *tally) SummaryText() string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var sb strings.Builder
-	if s.dropped > 0 {
-		fmt.Fprintf(&sb, "(%d earlier epochs aged out of the summary window)\n", s.dropped)
+	if t.dropped > 0 {
+		fmt.Fprintf(&sb, "(%d earlier epochs aged out of the summary window)\n", t.dropped)
 	}
-	for _, b := range s.listing {
+	for _, b := range t.listing {
 		sb.WriteString(b)
 	}
 	return sb.String()
@@ -1038,17 +939,20 @@ func (s *Service) ReportSignal() <-chan struct{} { return s.reportCh }
 func (s *Service) Measurements() (*measure.Measurements, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.copyMeasLocked(), nil
+	out := measure.NewMeasurements(s.meas.Intervals(), s.net.NumPaths())
+	for t := range s.meas.Sent {
+		copy(out.Sent[t], s.meas.Sent[t])
+		copy(out.Lost[t], s.meas.Lost[t])
+	}
+	return out, nil
 }
 
-// Close flushes and claims the journal, waiting for in-flight
-// epoch publishes first. The service must not be used afterwards.
+// Close flushes and claims the journal. Afterwards every write
+// (Ingest, CloseEpoch) returns ErrClosed; reads keep working.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.published != s.epoch {
-		s.pub.Wait()
-	}
+	s.closed = true
 	if s.jr == nil {
 		return nil
 	}

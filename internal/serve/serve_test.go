@@ -456,9 +456,9 @@ func TestHoleRangesBounded(t *testing.T) {
 }
 
 // TestVerdictMarshalFailureDoesNotWedge: a verdict that fails to
-// marshal surfaces as an error from the close, leaves the previous
-// verdict served — and still advances the publish turn, so later
-// epochs and Close do not deadlock behind it.
+// marshal surfaces as an error from the close and leaves the previous
+// verdict served, while the epoch still counts, so later epochs and
+// Close proceed behind it.
 func TestVerdictMarshalFailureDoesNotWedge(t *testing.T) {
 	n, recs := testStream(20, 2, 3)
 	s := mustNew(t, Config{Net: n, EpochRecords: 0})
@@ -796,5 +796,59 @@ func TestServiceIsSource(t *testing.T) {
 	m2, _ := src.Measurements()
 	if m2.Sent[0][0] == m.Sent[0][0] {
 		t.Fatal("snapshot aliases the live table")
+	}
+}
+
+// TestWritesAfterClose: a closed service applies, journals and acks
+// nothing — Ingest and CloseEpoch return ErrClosed — while reads keep
+// answering, and a resume holds exactly the records acked before Close.
+func TestWritesAfterClose(t *testing.T) {
+	n, recs := testStream(20, 2, 3)
+	for _, durable := range []bool{false, true} {
+		cfg := Config{Net: n, NetName: "figure4", EpochRecords: 0}
+		if durable {
+			cfg.Dir = t.TempDir()
+		}
+		s := mustNew(t, cfg)
+		if _, err := s.Ingest(recs[:10]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.CloseEpoch(); err != nil {
+			t.Fatal(err)
+		}
+		wantVerdict, wantSummary := s.VerdictJSON(), s.SummaryText()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Ingest(recs[10:80])
+		if !errors.Is(err, ErrClosed) || res.Accepted != 0 {
+			t.Fatalf("durable=%v: ingest after Close = (%+v, %v), want nothing accepted and ErrClosed", durable, res, err)
+		}
+		if closed, err := s.CloseEpoch(); !errors.Is(err, ErrClosed) || closed {
+			t.Fatalf("durable=%v: CloseEpoch after Close = (%v, %v), want ErrClosed", durable, closed, err)
+		}
+		if st := s.Status(); st.Records != 10 || st.Epochs != 1 || st.Pending != 0 {
+			t.Fatalf("durable=%v: status after rejected writes: %+v", durable, st)
+		}
+		if !bytes.Equal(s.VerdictJSON(), wantVerdict) || s.SummaryText() != wantSummary {
+			t.Fatalf("durable=%v: reads changed after Close", durable)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("durable=%v: second Close = %v", durable, err)
+		}
+		if !durable {
+			continue
+		}
+		cfg.Resume = true
+		s2 := mustNew(t, cfg)
+		if st := s2.Status(); st.Records != 10 || st.Epochs != 1 {
+			t.Fatalf("resume after rejected writes holds %+v, want the 10 acked records", st)
+		}
+		if !bytes.Equal(s2.VerdictJSON(), wantVerdict) {
+			t.Fatalf("resumed verdict changed:\n%s\nvs\n%s", s2.VerdictJSON(), wantVerdict)
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

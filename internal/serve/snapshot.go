@@ -17,7 +17,7 @@ import (
 // window, or future folds depend on is here: the integer measurement
 // table, the per-source sequence high-water marks (and the holes below
 // them), the cumulative floating-point accumulators in their exact
-// wire form, the published verdict bytes, the summary window, the
+// wire form, the served verdict bytes, the summary window, the
 // open epoch's pending records, and — in leaf mode — the unacked
 // report outbox (the only copy of snapshot-covered epochs the root has
 // not confirmed).
@@ -46,7 +46,7 @@ type snapWire struct {
 	// in the sweep aggregate wire encoding (exact float64 round trip).
 	CumLoss   sweep.WelfordWire `json:"cum_loss"`
 	CumSketch sweep.SketchWire  `json:"cum_sketch"`
-	// Verdict is the published EpochVerdict, verbatim; Listing the
+	// Verdict is the served EpochVerdict, verbatim; Listing the
 	// summary window; Dropped the blocks aged out of it.
 	Verdict json.RawMessage `json:"verdict"`
 	Listing []string        `json:"listing,omitempty"`
@@ -64,8 +64,8 @@ type snapWire struct {
 }
 
 // snapshotLocked captures the full service state as a snapshot
-// document. Only called when the state is settled (every folded epoch
-// published), so the verdict bytes and the fold state agree.
+// document. Only called right after a successful publish, so the
+// verdict bytes and the fold state agree.
 func (s *Service) snapshotLocked() ([]byte, error) {
 	w := snapWire{
 		Epoch:     s.epoch,
@@ -191,7 +191,6 @@ func (s *Service) restoreSnapshot(w *snapWire) error {
 	s.pending = w.Pending
 	s.records = w.Records
 	s.epoch = w.Epoch
-	s.published = w.Epoch
 	s.cumLoss = cumLoss
 	s.cumSketch = cumSketch
 	s.verdict = append([]byte(nil), w.Verdict...)

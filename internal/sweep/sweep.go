@@ -898,17 +898,5 @@ func ReadManifestDir(dir string) (*ManifestInfo, error) {
 	if err != nil {
 		return nil, errKind(ErrValidation, "sweep: corrupt manifest in %s: %w", dir, err)
 	}
-	info := &ManifestInfo{
-		Name:        m.Name,
-		Fingerprint: m.Fingerprint,
-		Cells:       m.Cells,
-		Shards:      m.Shards,
-		BaseSeed:    m.BaseSeed,
-		Completed:   m.Completed,
-		Range:       m.rng(),
-	}
-	if m.Range != nil {
-		info.Partition = Partition{K: m.Range.K, N: m.Range.N}
-	}
-	return info, nil
+	return manifestInfo(m), nil
 }

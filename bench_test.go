@@ -578,6 +578,101 @@ func BenchmarkEpochClose(b *testing.B) {
 	}
 }
 
+// BenchmarkRootDeliver is the root's ack path: per op, every epoch
+// report two leaves closed over a 40-epoch stream is delivered, in
+// epoch order, to a fresh root. The memory root folds and publishes
+// each tree epoch; the durable root also flushes a report line and a
+// claim line covering it before every ack. Root set-up and Close sit
+// outside the timer.
+func BenchmarkRootDeliver(b *testing.B) {
+	const leaves, epochs, span = 2, 40, 16
+	n, meas := plantedFigure4Table(epochs * span)
+	svcs := make([]*neutrality.ServeService, leaves)
+	for i := range svcs {
+		svc, err := neutrality.NewServe(neutrality.ServeConfig{Net: n, EpochRecords: 0, Leaf: fmt.Sprintf("leaf-%d", i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		svcs[i] = svc
+	}
+	// Leaf i owns the sources of paths i, i+leaves, …: disjoint source
+	// sets, as the tree requires.
+	for e := 0; e < epochs; e++ {
+		for i, svc := range svcs {
+			var recs []neutrality.StreamRecord
+			for t := e * span; t < (e+1)*span; t++ {
+				for p := i; p < n.NumPaths(); p += leaves {
+					recs = append(recs, neutrality.StreamRecord{
+						Source: fmt.Sprintf("vp-%d", p), Seq: int64(t + 1), Interval: t, Path: p,
+						Sent: meas.Sent[t][p], Lost: meas.Lost[t][p],
+					})
+				}
+			}
+			if _, err := svc.Ingest(recs); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := svc.CloseEpoch(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	var reports []neutrality.ServeEpochReport
+	for e := 0; e < epochs; e++ {
+		for _, svc := range svcs {
+			reports = append(reports, svc.Reports()[e])
+		}
+	}
+	for _, durable := range []bool{false, true} {
+		name := "memory"
+		if durable {
+			name = "durable"
+		}
+		b.Run(name, func(b *testing.B) {
+			dirs := b.TempDir()
+			var verdict []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cfg := neutrality.ServeRootConfig{Net: n, NetName: "figure4", Leaves: leaves}
+				if durable {
+					cfg.Dir = filepath.Join(dirs, fmt.Sprint(i))
+				}
+				root, err := neutrality.NewServeRoot(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for _, rep := range reports {
+					if _, err := root.Deliver(rep); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				if err := root.Close(); err != nil {
+					b.Fatal(err)
+				}
+				if st := root.Status(); st.Epochs != epochs {
+					b.Fatalf("root folded %d epochs, want %d", st.Epochs, epochs)
+				}
+				verdict = root.VerdictJSON()
+				if durable {
+					os.RemoveAll(cfg.Dir)
+				}
+				b.StartTimer()
+			}
+			b.StopTimer()
+			var ev neutrality.ServeEpochVerdict
+			if err := json.Unmarshal(verdict, &ev); err != nil {
+				b.Fatal(err)
+			}
+			if !ev.NonNeutral {
+				b.Fatalf("root-deliver bench verdict off target: %+v", ev)
+			}
+		})
+	}
+}
+
 // BenchmarkServeIngestSharded is the concurrent multi-source variant:
 // eight vantage points stream their own sequence spaces from separate
 // goroutines into a journal partitioned eight ways by source hash.

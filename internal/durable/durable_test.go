@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -316,5 +317,42 @@ func TestLog(t *testing.T) {
 	}
 	if got, want := readFile(t, d.Path("l.jsonl")), string(image("a", "c")); got != want {
 		t.Fatalf("log holds %q, want %q", got, want)
+	}
+}
+
+// TestClaimCodec: the hand-written claim encoder writes exactly
+// json.Marshal's bytes, and the parser accepts only that form.
+func TestClaimCodec(t *testing.T) {
+	for _, c := range []Claim{
+		{ShardLines: []int{0}},
+		{SnapshotEpoch: 24, ShardLines: []int{7, 0, 1 << 40, 3}, Records: 1<<62 + 5, Epochs: 31},
+	} {
+		want, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := appendClaim([]byte("prefix"), &c)
+		if !bytes.Equal(got[len("prefix"):], want) {
+			t.Fatalf("appendClaim = %s, json.Marshal = %s", got[len("prefix"):], want)
+		}
+		back, err := parseClaim(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt, _ := json.Marshal(back); !bytes.Equal(rt, want) {
+			t.Fatalf("parseClaim(%s) round-trips to %s", want, rt)
+		}
+	}
+	for _, bad := range []string{
+		`{"snapshot_epoch":0,"shard_lines":[1],"records":1,"epochs":0,"extra":1}`,
+		`{"shard_lines":[1],"snapshot_epoch":0,"records":1,"epochs":0}`,
+		`{"snapshot_epoch":0, "shard_lines":[1],"records":1,"epochs":0}`,
+		`{"snapshot_epoch":0,"shard_lines":null,"records":1,"epochs":0}`,
+		`{"snapshot_epoch":0,"shard_lines":[1]}`,
+		`[]`,
+	} {
+		if _, err := parseClaim([]byte(bad)); err == nil {
+			t.Fatalf("parseClaim accepted %s", bad)
+		}
 	}
 }

@@ -1,12 +1,11 @@
 // Package durable is the one implementation of the framed line logs
 // in this repository — the sweep's shard files, the streaming
-// service's ingest journal and claim log, and the root's report log.
-// It owns the line frame, recovery of a log image against the line
-// count a claim covers, buffered appends, and whole-file replacement.
-// Callers keep what differs: what a line means and where a claim
-// lives — a manifest replaced by WriteAtomic (the root log, the sweep
-// store) or, for the ingest journal, the last line of an append-only
-// claim log read with Recover(image, 0, parse).
+// service's ingest journal, and the root's report log. It owns the
+// line frame, recovery of a log image against the line count a claim
+// covers, buffered appends, and whole-file replacement. A claim lives
+// either in a manifest replaced by WriteAtomic (the sweep store) or in
+// the append-only claim log of a ClaimedLogs set (the journal and the
+// root log); callers keep what a line means and their manifest.
 //
 // Every caller keeps one contract: a claim covers lines only after
 // they are written, and every acknowledgement sits inside a claim. So

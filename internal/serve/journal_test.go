@@ -167,15 +167,15 @@ func flipLine(t *testing.T, data []byte, i int) []byte {
 }
 
 // claimAt decodes line i of a claim-log image.
-func claimAt(t *testing.T, data []byte, i int) claim {
+func claimAt(t *testing.T, data []byte, i int) durable.Claim {
 	t.Helper()
 	start, end := lineAt(t, data, i)
 	payload, err := durable.Unframe(data[start : end-1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := parseClaim(payload)
-	if err != nil {
+	var c durable.Claim
+	if err := json.Unmarshal(payload, &c); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -265,7 +265,7 @@ func TestClaimLogFallback(t *testing.T) {
 	ingestBy(t, s, recs, 32)
 	kill(t, s)
 
-	cpath, jpath := filepath.Join(cfg.Dir, claimLogName), journalShardName(cfg.Dir, 0)
+	cpath, jpath := filepath.Join(cfg.Dir, durable.ClaimLogName), journalShardName(cfg.Dir, 0)
 	claims, shard := readFile(t, cpath), readFile(t, jpath)
 	if got := bytes.Count(claims, []byte("\n")); got != 3 {
 		t.Fatalf("three acks wrote %d claim lines, want 3", got)
@@ -311,43 +311,6 @@ func TestClaimLogFallback(t *testing.T) {
 	}
 }
 
-// TestClaimCodec: the hand-written claim encoder writes exactly
-// json.Marshal's bytes, and the parser accepts only that form.
-func TestClaimCodec(t *testing.T) {
-	for _, c := range []claim{
-		{ShardLines: []int{0}},
-		{SnapshotEpoch: 24, ShardLines: []int{7, 0, 1 << 40, 3}, Records: 1<<62 + 5, Epochs: 31},
-	} {
-		want, err := json.Marshal(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := appendClaim([]byte("prefix"), &c)
-		if !bytes.Equal(got[len("prefix"):], want) {
-			t.Fatalf("appendClaim = %s, json.Marshal = %s", got[len("prefix"):], want)
-		}
-		back, err := parseClaim(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rt, _ := json.Marshal(back); !bytes.Equal(rt, want) {
-			t.Fatalf("parseClaim(%s) round-trips to %s", want, rt)
-		}
-	}
-	for _, bad := range []string{
-		`{"snapshot_epoch":0,"shard_lines":[1],"records":1,"epochs":0,"extra":1}`,
-		`{"shard_lines":[1],"snapshot_epoch":0,"records":1,"epochs":0}`,
-		`{"snapshot_epoch":0, "shard_lines":[1],"records":1,"epochs":0}`,
-		`{"snapshot_epoch":0,"shard_lines":null,"records":1,"epochs":0}`,
-		`{"snapshot_epoch":0,"shard_lines":[1]}`,
-		`[]`,
-	} {
-		if _, err := parseClaim([]byte(bad)); err == nil {
-			t.Fatalf("parseClaim accepted %s", bad)
-		}
-	}
-}
-
 // TestJournalV2Resume: a directory written by a v2 build — serve.json
 // at version 2 holding the (lagging) claim, no claim log — resumes to
 // byte-identical verdict and summary bytes, adopting the lines past
@@ -364,7 +327,7 @@ func TestJournalV2Resume(t *testing.T) {
 
 	// Rewrite the directory as the v2 build left it: the base claim is
 	// the first claim since the snapshot, and there is no claim log.
-	cpath, mpath := filepath.Join(cfg.Dir, claimLogName), filepath.Join(cfg.Dir, manifestName)
+	cpath, mpath := filepath.Join(cfg.Dir, durable.ClaimLogName), filepath.Join(cfg.Dir, manifestName)
 	c := claimAt(t, readFile(t, cpath), 0)
 	var m manifest
 	if err := json.Unmarshal(readFile(t, mpath), &m); err != nil {

@@ -96,7 +96,7 @@ func chunkStream(rng *rand.Rand, recs []measure.StreamRecord, maxChunk int) [][]
 func kill(t *testing.T, s *Service) {
 	t.Helper()
 	if s.jr != nil {
-		if err := s.jr.close(); err != nil {
+		if err := s.jr.logs.Close(); err != nil {
 			t.Fatal(err)
 		}
 		s.jr = nil

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"neutrality/internal/core"
+	"neutrality/internal/durable"
 	"neutrality/internal/graph"
 	"neutrality/internal/measure"
 	"neutrality/internal/sweep"
@@ -95,8 +96,8 @@ type RootConfig struct {
 	// Net is the shared topology; leaf reports address its path
 	// indices.
 	Net *graph.Network
-	// NetName stamps the report-log manifest so a resume under a
-	// different topology is rejected; empty skips the name check.
+	// NetName names the topology in the report-log identity: a resume
+	// must give the same name, the empty name included.
 	NetName string
 	// Leaves is the expected leaf count: epoch e folds once every one
 	// of the first Leaves distinct leaf names has delivered e.
@@ -147,7 +148,7 @@ type RootStatus struct {
 type Root struct {
 	tally // the lock, the merged table, the counts and the served verdict
 	cfg   RootConfig
-	log   *rootLog // nil when running in-memory
+	log   *durable.ClaimedLogs // the report log; nil when running in-memory
 
 	leafEpoch map[string]int                  // per-leaf delivered high-water mark
 	staged    map[string]map[int]*EpochReport // undigested reports by leaf, epoch
@@ -178,69 +179,11 @@ func NewRoot(cfg RootConfig) (*Root, error) {
 		return nil, err
 	}
 	if cfg.Dir != "" {
-		if err := r.replayLog(); err != nil {
+		if err := r.openLog(); err != nil {
 			return nil, err
 		}
 	}
 	return r, nil
-}
-
-// replayLog opens the durable report log and replays it through the
-// same delivery path as live shipment, rebuilding the per-leaf marks
-// and the fold to the exact pre-restart state. Claimed lines were
-// acked (the leaf may have dropped its copy), so any replay failure
-// inside the claim is ErrCorrupt; an unclaimed line that does not
-// extend the fold cleanly stops adoption — it was never acked, and the
-// leaf re-sends it.
-func (r *Root) replayLog() error {
-	lg, reports, ends, err := openRootLog(r.cfg)
-	if err != nil {
-		return err
-	}
-	adopted := 0
-	for i, rep := range reports {
-		if err := r.replayReport(rep); err != nil {
-			if i < lg.lines {
-				lg.log.Close()
-				return errCorruptf("serve: root log line %d (within the claimed %d): %v", i+1, lg.lines, err)
-			}
-			break
-		}
-		adopted++
-	}
-	// Adoption drops the torn tail and claims the replayed lines: their
-	// state is folded in, so from here they answer duplicate acks and
-	// must be durable.
-	keep := int64(0)
-	if adopted > 0 {
-		keep = ends[adopted-1]
-	}
-	lg.lines = adopted
-	if err = lg.log.Truncate(keep); err == nil {
-		err = lg.writeManifest(r.records, r.epoch)
-	}
-	if err != nil {
-		lg.log.Close()
-		return err
-	}
-	r.log = lg
-	return nil
-}
-
-// replayReport re-applies one logged report during recovery: the same
-// validation and ordering gates as Deliver, minus the logging.
-func (r *Root) replayReport(rep EpochReport) error {
-	if err := r.validateReport(rep); err != nil {
-		return err
-	}
-	hwm, known := r.leafEpoch[rep.Leaf]
-	if !known && len(r.leafEpoch) >= r.cfg.Leaves {
-		return fmt.Errorf("leaf %q beyond the expected %d leaves", rep.Leaf, r.cfg.Leaves)
-	}
-	if rep.Epoch != hwm+1 {
-		return fmt.Errorf("leaf %q logged epoch %d after %d", rep.Leaf, rep.Epoch, hwm)
-	}
-	return r.acceptLocked(rep)
 }
 
 // RootDeliverResult reports one delivery's effect.
@@ -254,38 +197,52 @@ type RootDeliverResult struct {
 	Folded int `json:"folded"`
 }
 
-func (r *Root) validateReport(rep EpochReport) error {
+// admitLocked is the one gate a report passes, live or replayed: the
+// content seal and domain checks, the expected-leaf bound, and the
+// per-leaf epoch order. It reports an already-delivered epoch as dup;
+// a per-leaf gap is ErrReportGap, anything else measure.ErrValidation.
+func (r *Root) admitLocked(rep EpochReport) (dup bool, err error) {
 	if !verifyReport(rep) {
-		return fmt.Errorf("serve: epoch report content hash mismatch: %w", measure.ErrValidation)
+		return false, fmt.Errorf("serve: epoch report content hash mismatch: %w", measure.ErrValidation)
 	}
 	if rep.Leaf == "" || rep.Epoch <= 0 || rep.Records < 0 {
-		return fmt.Errorf("serve: epoch report malformed (leaf=%q epoch=%d records=%d): %w", rep.Leaf, rep.Epoch, rep.Records, measure.ErrValidation)
+		return false, fmt.Errorf("serve: epoch report malformed (leaf=%q epoch=%d records=%d): %w", rep.Leaf, rep.Epoch, rep.Records, measure.ErrValidation)
 	}
 	if rep.Sources < 0 || len(rep.Counts) > rep.Records {
-		return fmt.Errorf("serve: epoch report counts inconsistent: %w", measure.ErrValidation)
+		return false, fmt.Errorf("serve: epoch report counts inconsistent: %w", measure.ErrValidation)
 	}
 	paths := r.net.NumPaths()
 	for i, c := range rep.Counts {
 		if c.Interval < 0 || c.Interval >= r.cfg.MaxIntervals || c.Path < 0 || c.Path >= paths ||
 			c.Sent < 0 || c.Lost < 0 || c.Lost > c.Sent {
-			return fmt.Errorf("serve: epoch report count %d out of domain: %w", i, measure.ErrValidation)
+			return false, fmt.Errorf("serve: epoch report count %d out of domain: %w", i, measure.ErrValidation)
 		}
 		if i > 0 {
 			p := rep.Counts[i-1]
 			if c.Interval < p.Interval || (c.Interval == p.Interval && c.Path <= p.Path) {
-				return fmt.Errorf("serve: epoch report counts out of canonical order at %d: %w", i, measure.ErrValidation)
+				return false, fmt.Errorf("serve: epoch report counts out of canonical order at %d: %w", i, measure.ErrValidation)
 			}
 		}
 	}
 	if loss, err := sweep.CheckWelford(rep.Loss, "report loss"); err != nil {
-		return fmt.Errorf("serve: %v: %w", err, measure.ErrValidation)
+		return false, fmt.Errorf("serve: %v: %w", err, measure.ErrValidation)
 	} else if loss.N > rep.Records {
-		return fmt.Errorf("serve: epoch report loss folds %d of %d records: %w", loss.N, rep.Records, measure.ErrValidation)
+		return false, fmt.Errorf("serve: epoch report loss folds %d of %d records: %w", loss.N, rep.Records, measure.ErrValidation)
 	}
 	if _, err := sweep.CheckSketch(rep.LossSketch, "report loss sketch", false); err != nil {
-		return fmt.Errorf("serve: %v: %w", err, measure.ErrValidation)
+		return false, fmt.Errorf("serve: %v: %w", err, measure.ErrValidation)
 	}
-	return nil
+	hwm, known := r.leafEpoch[rep.Leaf]
+	if !known && len(r.leafEpoch) >= r.cfg.Leaves {
+		return false, fmt.Errorf("serve: leaf %q beyond the expected %d leaves: %w", rep.Leaf, r.cfg.Leaves, measure.ErrValidation)
+	}
+	if rep.Epoch <= hwm {
+		return true, nil
+	}
+	if rep.Epoch != hwm+1 {
+		return false, fmt.Errorf("%w: leaf %q delivered epoch %d after %d", ErrReportGap, rep.Leaf, rep.Epoch, hwm)
+	}
+	return false, nil
 }
 
 // Deliver accepts one leaf epoch report: content-hash verification,
@@ -297,39 +254,34 @@ func (r *Root) validateReport(rep EpochReport) error {
 func (r *Root) Deliver(rep EpochReport) (RootDeliverResult, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
-		return RootDeliverResult{Epoch: rep.Epoch, Folded: r.epoch}, ErrClosed
-	}
-	if err := r.validateReport(rep); err != nil {
-		r.counters.RejectsValidation++
-		return RootDeliverResult{Epoch: rep.Epoch, Folded: r.epoch}, err
-	}
-	hwm, known := r.leafEpoch[rep.Leaf]
-	if !known && len(r.leafEpoch) >= r.cfg.Leaves {
-		r.counters.RejectsValidation++
-		return RootDeliverResult{Epoch: rep.Epoch, Folded: r.epoch},
-			fmt.Errorf("serve: leaf %q beyond the expected %d leaves: %w", rep.Leaf, r.cfg.Leaves, measure.ErrValidation)
-	}
-	if rep.Epoch <= hwm {
-		r.counters.Duplicates++
-		return RootDeliverResult{Duplicate: true, Epoch: rep.Epoch, Folded: r.epoch}, nil
-	}
-	if rep.Epoch != hwm+1 {
+	dup, err := r.admitLocked(rep)
+	switch {
+	case r.closed:
+		dup, err = false, ErrClosed
+	case errors.Is(err, ErrReportGap):
 		r.counters.Gaps++
-		return RootDeliverResult{Epoch: rep.Epoch, Folded: r.epoch},
-			fmt.Errorf("%w: leaf %q delivered epoch %d after %d", ErrReportGap, rep.Leaf, rep.Epoch, hwm)
-	}
-	if r.log != nil {
-		// Durability before acknowledgement: once the leaf sees 200 it
-		// may drop its only other copy of this report.
-		if err := r.log.append(rep, r.records, r.epoch); err != nil {
-			return RootDeliverResult{Epoch: rep.Epoch, Folded: r.epoch}, err
+	case err != nil:
+		r.counters.RejectsValidation++
+	case dup:
+		r.counters.Duplicates++
+	default:
+		if r.log != nil {
+			// Durability before acknowledgement: once the leaf sees 200 it
+			// may drop its only other copy of this report, so the line and
+			// a claim covering it are flushed first.
+			var payload []byte
+			if payload, err = json.Marshal(rep); err == nil {
+				err = r.log.Append(0, func(b []byte) []byte { return append(b, payload...) })
+			}
+			if err == nil {
+				err = r.log.Flush(r.records, r.epoch)
+			}
+		}
+		if err == nil {
+			err = r.acceptLocked(rep)
 		}
 	}
-	if err := r.acceptLocked(rep); err != nil {
-		return RootDeliverResult{Epoch: rep.Epoch, Folded: r.epoch}, err
-	}
-	return RootDeliverResult{Epoch: rep.Epoch, Folded: r.epoch}, nil
+	return RootDeliverResult{Duplicate: dup, Epoch: rep.Epoch, Folded: r.epoch}, err
 }
 
 // acceptLocked installs one validated, in-order report and folds any
@@ -350,8 +302,9 @@ func (r *Root) acceptLocked(rep EpochReport) error {
 	return nil
 }
 
-// Close checkpoints and closes the report log. Afterwards every
-// Deliver returns ErrClosed; reads keep working.
+// Close flushes and closes the report log; every delivery already
+// claimed its line, so nothing is rewritten. Afterwards every Deliver
+// returns ErrClosed; reads keep working.
 func (r *Root) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -359,8 +312,8 @@ func (r *Root) Close() error {
 	if r.log == nil {
 		return nil
 	}
-	err := r.log.writeManifest(r.records, r.epoch)
-	if cerr := r.log.log.Close(); err == nil {
+	err := r.log.Flush(r.records, r.epoch)
+	if cerr := r.log.Close(); err == nil {
 		err = cerr
 	}
 	r.log = nil

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"neutrality/internal/durable"
 	"neutrality/internal/measure"
 	"neutrality/internal/sweep"
 )
@@ -430,6 +432,11 @@ func TestRootDeliverAfterClose(t *testing.T) {
 	}
 
 	cfg.Resume = true
+	unnamed := cfg
+	unnamed.NetName = ""
+	if _, err := NewRoot(unnamed); !errors.Is(err, sweep.ErrValidation) {
+		t.Fatalf("resume of a %q root log with no net name = %v, want ErrValidation", cfg.NetName, err)
+	}
 	root2, err := NewRoot(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -496,5 +503,228 @@ func TestRootHTTPReads(t *testing.T) {
 	}
 	if want := root.Status(); st != want {
 		t.Fatalf("GET /v1/status = %+v, want %+v", st, want)
+	}
+}
+
+// killRoot simulates a root process death: the report log's files are
+// closed without Close's final flush, and the root is abandoned.
+func killRoot(t *testing.T, r *Root) {
+	t.Helper()
+	if err := r.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r.log = nil
+}
+
+// TestRootDeliverWritesNoManifest: a durable delivery claims its
+// report by appending one claim line, so across every delivery and
+// Close the root rewrites no file: root.json is written only when the
+// log is created.
+func TestRootDeliverWritesNoManifest(t *testing.T) {
+	leafSvcs, union, _ := driveTree(t, 2, 4)
+	cfg := RootConfig{Net: union.net, NetName: "figure4", Leaves: 2, Dir: t.TempDir()}
+	root, err := NewRoot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := map[string]int{}
+	root.log.Dir().Failpoint = func(op, name string) error {
+		ops[op+" "+name]++
+		return nil
+	}
+	deliveries := 0
+	for _, leaf := range leafSvcs {
+		for _, rep := range leaf.Reports() {
+			if _, err := root.Deliver(rep); err != nil {
+				t.Fatal(err)
+			}
+			deliveries++
+		}
+	}
+	if err := root.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"append " + rootLogName: deliveries, "append " + durable.ClaimLogName: deliveries}
+	if fmt.Sprint(ops) != fmt.Sprint(want) {
+		t.Fatalf("%d deliveries and Close made durable writes %v, want %v", deliveries, ops, want)
+	}
+	if got, want := root.VerdictJSON(), union.VerdictJSON(); !bytes.Equal(got, want) {
+		t.Fatalf("verdict diverged from union:\ngot  %s\nwant %s", got, want)
+	}
+}
+
+// TestRootLogV1Resume: a directory written by a v1 build — root.json
+// at version 1 holding the (lagging) claim, no claim log — resumes to
+// byte-identical verdict bytes, adopting the reports past that claim,
+// and is upgraded to a v2 manifest with the same claim before any
+// claim line is appended.
+func TestRootLogV1Resume(t *testing.T) {
+	leafSvcs, union, _ := driveTree(t, 2, 4)
+	cfg := RootConfig{Net: union.net, NetName: "figure4", Leaves: 2, Dir: t.TempDir()}
+	root, err := NewRoot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < 3; e++ {
+		for _, leaf := range leafSvcs {
+			if _, err := root.Deliver(leaf.Reports()[e]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := root.VerdictJSON()
+	killRoot(t, root)
+
+	// Rewrite the directory as the v1 build left it: the claim is the
+	// third claim line, and there is no claim log.
+	cpath, mpath := filepath.Join(cfg.Dir, durable.ClaimLogName), filepath.Join(cfg.Dir, rootManifestName)
+	c := claimAt(t, readFile(t, cpath), 2)
+	var m rootManifest
+	if err := json.Unmarshal(readFile(t, mpath), &m); err != nil {
+		t.Fatal(err)
+	}
+	m.Version = rootLogV1
+	m.Lines, m.Records, m.Epochs = c.ShardLines[0], c.Records, c.Epochs
+	if m.Lines != 3 || m.Epochs != 1 {
+		t.Fatalf("want a v1 claim lagging the 6 logged reports; claim %+v", c)
+	}
+	v1, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, mpath, append(v1, '\n'))
+	if err := os.Remove(cpath); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Resume = true
+	root2, err := NewRoot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer root2.Close()
+	if got := root2.VerdictJSON(); !bytes.Equal(got, want) {
+		t.Fatalf("v1 resume changed the verdict:\ngot  %s\nwant %s", got, want)
+	}
+	var up rootManifest
+	if err := json.Unmarshal(readFile(t, mpath), &up); err != nil {
+		t.Fatal(err)
+	}
+	wantUp := m
+	wantUp.Version = rootLogVersion
+	if up != wantUp {
+		t.Fatalf("upgraded manifest %+v, want %+v", up, wantUp)
+	}
+	if got := claimAt(t, readFile(t, cpath), 0); got.ShardLines[0] != 6 || bytes.Count(readFile(t, cpath), []byte("\n")) != 1 {
+		t.Fatalf("resume claimed %v in %q, want one claim over the 6 adopted reports", got, readFile(t, cpath))
+	}
+	if res, err := root2.Deliver(leafSvcs[1].Reports()[2]); err != nil || !res.Duplicate {
+		t.Fatalf("resend of an adopted report = (%+v, %v), want a duplicate ack", res, err)
+	}
+	for _, leaf := range leafSvcs {
+		if _, err := root2.Deliver(leaf.Reports()[3]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := root2.VerdictJSON(), union.VerdictJSON(); !bytes.Equal(got, want) {
+		t.Fatalf("verdict after v1 resume diverged from union:\ngot  %s\nwant %s", got, want)
+	}
+}
+
+// TestRootKillMatrix kills the root at every failpoint a delivery
+// reaches — the report append and the claim append — for every
+// delivery of a 2-leaf tree. The kill points are not listed by hand:
+// a clean run records every durable.Dir failpoint. Each leaf then
+// re-sends only the reports it never saw acked, as a shipper does
+// once it dropped the acked ones; a lost acked report would surface
+// as a gap. The resumed root must reach the union's verdict bytes.
+func TestRootKillMatrix(t *testing.T) {
+	leafSvcs, union, _ := driveTree(t, 2, 4)
+	queues := make([][]EpochReport, len(leafSvcs))
+	for i, leaf := range leafSvcs {
+		queues[i] = leaf.Reports()
+	}
+	cfg := RootConfig{Net: union.net, NetName: "figure4", Leaves: len(queues)}
+	// deliver ships every report, epoch by epoch, through a fresh
+	// durable root whose failpoint is fp, stopping at the first error;
+	// it returns the root and how many reports of each leaf were acked.
+	deliver := func(dir string, fp func(op, name string) error) (*Root, []int, error) {
+		c := cfg
+		c.Dir = dir
+		root, err := NewRoot(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.log.Dir().Failpoint = fp
+		acked := make([]int, len(queues))
+		for e := range queues[0] {
+			for i, q := range queues {
+				if _, err := root.Deliver(q[e]); err != nil {
+					return root, acked, err
+				}
+				acked[i]++
+			}
+		}
+		return root, acked, nil
+	}
+
+	type point struct{ op, name string }
+	var trace []point
+	root, _, err := deliver(t.TempDir(), func(op, name string) error {
+		trace = append(trace, point{op, name})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	killRoot(t, root)
+	if deliveries := len(queues) * len(queues[0]); len(trace) != 2*deliveries {
+		t.Fatalf("%d deliveries reached %d failpoints %v, want a report and a claim append each", deliveries, len(trace), trace)
+	}
+	for at, p := range trace {
+		step := "claim"
+		if p.name == rootLogName {
+			step = "report"
+		}
+		t.Run(fmt.Sprintf("%s/delivery-%d", step, at/2+1), func(t *testing.T) {
+			dir := t.TempDir()
+			boom := errors.New("killed at " + step)
+			calls := 0
+			root, acked, err := deliver(dir, func(op, name string) error {
+				calls++
+				if calls-1 != at {
+					return nil
+				}
+				if (point{op, name}) != p {
+					t.Errorf("failpoint %d is %s %s, the clean run had %s %s", at, op, name, p.op, p.name)
+				}
+				return boom
+			})
+			if !errors.Is(err, boom) {
+				t.Fatalf("failpoint never fired: %v", err)
+			}
+			killRoot(t, root)
+
+			rcfg := cfg
+			rcfg.Dir, rcfg.Resume = dir, true
+			root2, err := NewRoot(rcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer root2.Close()
+			for e := range queues[0] {
+				for i, q := range queues {
+					if e < acked[i] {
+						continue
+					}
+					if _, err := root2.Deliver(q[e]); err != nil {
+						t.Fatalf("re-send of leaf %d epoch %d after a kill at %s: %v", i, e+1, step, err)
+					}
+				}
+			}
+			if got, want := root2.VerdictJSON(), union.VerdictJSON(); !bytes.Equal(got, want) {
+				t.Fatalf("verdict diverged after a kill at %s:\ngot  %s\nwant %s", step, got, want)
+			}
+		})
 	}
 }

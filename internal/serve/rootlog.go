@@ -3,9 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
 
 	"neutrality/internal/durable"
 )
@@ -17,13 +15,15 @@ import (
 // restart, no permanent 409 wedge against leaves that already acked
 // and dropped their reports.
 //
-// Like the ingest journal it is an internal/durable log: one framed
-// line per accepted report, and a manifest (root.json) whose claim
-// advances BEFORE a delivery is acked — a leaf that sees 200 may drop
-// its only other copy. Damage inside the claim is therefore ErrCorrupt;
-// lines past it were never acked, so replay adopts them only while
-// they extend the fold cleanly and truncates the rest (the leaf
-// re-sends).
+// Since report-log format v2 it is the ingest journal's claimed log
+// set with one log: one framed line per accepted report in root.jsonl,
+// and a claim line in claims.jsonl covering it, both flushed BEFORE a
+// delivery is acked — a leaf that sees 200 may drop its only other
+// copy. The manifest, root.json, holds the identity and a base claim
+// and is written only when the log is created or a v1 log is first
+// resumed. Damage inside the claim is therefore ErrCorrupt; lines past
+// it were never acked, so replay adopts them only while they extend
+// the fold cleanly and truncates the rest (the leaf re-sends).
 //
 // Unlike the ingest journal the log has no compaction: it grows one
 // small aggregate line per leaf-epoch, orders of magnitude slower
@@ -32,14 +32,14 @@ const (
 	rootLogName      = "root.jsonl"
 	rootManifestName = "root.json"
 	// rootLogVersion is the report-log format version, independent of
-	// the ingest journal's manifestVersion.
-	rootLogVersion = 1
+	// the ingest journal's manifestVersion. Version 2 added the claim
+	// log; a v1 log is a v2 log without one, so it is still adopted.
+	rootLogVersion = 2
+	rootLogV1      = 1
 )
 
-// rootManifest is the report log's durability claim plus the
-// configuration identity a resume must match.
-type rootManifest struct {
-	Version    int     `json:"version"`
+// rootLogIdentity is the configuration a resume must match.
+type rootLogIdentity struct {
 	Net        string  `json:"net"`
 	Paths      int     `json:"paths"`
 	Leaves     int     `json:"leaves"`
@@ -47,24 +47,23 @@ type rootManifest struct {
 	LossThresh float64 `json:"loss_threshold"`
 	Normalize  bool    `json:"normalize"`
 	Smoothing  float64 `json:"smoothing"`
-	// Lines is the claimed durable line count — every acknowledged
-	// delivery is inside it. Records and Epochs echo the folded state
-	// at the claim for fast inspection.
+}
+
+// rootManifest is root.json: the identity and the base claim.
+type rootManifest struct {
+	Version int `json:"version"`
+	rootLogIdentity
+	// Lines is the base claim, the durable line count of root.jsonl,
+	// which claim-log lines supersede. Records and Epochs echo the
+	// folded state at the claim for fast inspection.
 	Lines   int   `json:"lines"`
 	Records int64 `json:"records"`
 	Epochs  int   `json:"epochs"`
 }
 
-// withClaim returns m carrying the given claim.
-func (m rootManifest) withClaim(lines int, records int64, epochs int) rootManifest {
-	m.Lines, m.Records, m.Epochs = lines, records, epochs
-	return m
-}
-
-// rootIdentity derives the manifest identity block from the config.
-func rootIdentity(cfg RootConfig) rootManifest {
-	return rootManifest{
-		Version:    rootLogVersion,
+// rootIdentity derives the report-log identity from the config.
+func rootIdentity(cfg RootConfig) rootLogIdentity {
+	return rootLogIdentity{
 		Net:        cfg.NetName,
 		Paths:      cfg.Net.NumPaths(),
 		Leaves:     cfg.Leaves,
@@ -75,78 +74,86 @@ func rootIdentity(cfg RootConfig) rootManifest {
 	}
 }
 
-// rootLog is the append side of the report log. Any write failure
-// breaks dir: once disk may disagree with memory, no further delivery
-// may be acked.
-type rootLog struct {
-	dir   *durable.Dir
-	log   *durable.Log
-	lines int // the claim: the manifest's until replay adopts
-	ident rootManifest
-}
-
-// openRootLog opens (or creates) the report log in cfg.Dir and returns
-// the append handle plus the frame-validated reports and the byte
-// offset each line ends at. Lines within the manifest claim must
-// verify — anything else is ErrCorrupt; past the claim, lines are
-// recovered until the first invalid one. The semantic replay (and the
-// final adoption/truncation decision) belongs to NewRoot.
-func openRootLog(cfg RootConfig) (*rootLog, []EpochReport, []int64, error) {
-	dir, err := durable.Open(cfg.Dir)
+// openLog opens (or creates) the report log in cfg.Dir and replays it
+// through the same admission as live shipment, rebuilding the per-leaf
+// marks and the fold to the exact pre-restart state. Claimed lines
+// were acked (the leaf may have dropped its copy), so a claimed line
+// that fails to replay is ErrCorrupt; past the claim, replay stops at
+// the first line that does not extend the fold cleanly — a duplicate
+// or a gap included — since it was never acked and the leaf re-sends
+// it.
+func (r *Root) openLog() error {
+	dir, err := durable.Open(r.cfg.Dir)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("serve: root log dir: %w", err)
+		return fmt.Errorf("serve: root log dir: %w", err)
 	}
-	ident := rootIdentity(cfg)
-
+	ident := rootIdentity(r.cfg)
 	var m rootManifest
-	mExists := false
-	mdata, err := os.ReadFile(dir.Path(rootManifestName))
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-	case err != nil:
-		return nil, nil, nil, fmt.Errorf("serve: reading root manifest: %w", err)
-	default:
-		mExists = true
-		if err := json.Unmarshal(mdata, &m); err != nil {
-			return nil, nil, nil, errCorruptf("serve: root manifest does not parse: %v", err)
+	mExists, err := readManifest(dir, rootManifestName, &m)
+	if err != nil {
+		return err
+	}
+	if mExists {
+		if m.Version != rootLogVersion && m.Version != rootLogV1 {
+			return errValidationf("serve: root log format version %d, this build reads %d and %d; the log cannot be adopted", m.Version, rootLogV1, rootLogVersion)
 		}
-		if m.Version != rootLogVersion {
-			return nil, nil, nil, errValidationf("serve: root log format version %d, this build writes %d; the log cannot be adopted", m.Version, rootLogVersion)
-		}
-		if m.withClaim(0, 0, 0) != ident {
-			return nil, nil, nil, errValidationf("serve: root log identity mismatch: log is (net=%q paths=%d leaves=%d seed=%d), config is (net=%q paths=%d leaves=%d seed=%d)",
-				m.Net, m.Paths, m.Leaves, m.Seed, ident.Net, ident.Paths, ident.Leaves, ident.Seed)
-		}
-		if m.Lines < 0 {
-			return nil, nil, nil, errCorruptf("serve: root manifest claims %d lines", m.Lines)
+		if diff := identityDiff(m.rootLogIdentity, ident); diff != "" {
+			return errValidationf("serve: root log identity mismatch: %s", diff)
 		}
 	}
 
-	data, err := os.ReadFile(dir.Path(rootLogName))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, nil, fmt.Errorf("serve: reading root log: %w", err)
+	logs, err := dir.ReadClaimed(rootLogName)
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
-	if (mExists || len(data) > 0) && !cfg.Resume {
-		return nil, nil, nil, errValidationf("serve: %s already holds a root log; pass resume to adopt it", cfg.Dir)
+	if (mExists || !logs.Empty()) && !r.cfg.Resume {
+		return errValidationf("serve: %s already holds a root log; pass resume to adopt it", r.cfg.Dir)
 	}
-
-	var reports []EpochReport
-	ends, err := durable.Recover(data, m.Lines, func(payload []byte) error {
+	var base *durable.Claim
+	if mExists {
+		base = &durable.Claim{ShardLines: []int{m.Lines}, Records: m.Records, Epochs: m.Epochs}
+	}
+	adopted := 0
+	c, err := logs.Recover(base, func(_ int, payload []byte) error {
 		rep, err := parseReport(payload)
+		dup := false
 		if err == nil {
-			reports = append(reports, rep)
+			dup, err = r.admitLocked(rep)
+		}
+		if err == nil && dup {
+			err = fmt.Errorf("leaf %q logged epoch %d twice", rep.Leaf, rep.Epoch)
+		}
+		if err == nil {
+			err = r.acceptLocked(rep)
+		}
+		if err == nil {
+			adopted++
 		}
 		return err
 	})
 	if err != nil {
-		return nil, nil, nil, errCorruptf("serve: root log %v", err)
+		return errCorruptf("serve: root log %v", err)
 	}
-
-	log, err := dir.OpenLog(rootLogName)
+	// A new log, or a v1 one, gets a v2 manifest before its first claim
+	// line, so an older build refuses the directory.
+	if !mExists || m.Version == rootLogV1 {
+		m = rootManifest{Version: rootLogVersion, rootLogIdentity: ident, Lines: c.ShardLines[0], Records: c.Records, Epochs: c.Epochs}
+		if err := dir.WriteJSON(rootManifestName, m); err != nil {
+			return err
+		}
+	}
+	// Adoption drops the torn tail and claims the replayed lines: their
+	// state is folded in, so from here they answer duplicate acks and
+	// must be durable.
+	if err = logs.Adopt([]int{adopted}); err == nil {
+		err = logs.Flush(r.records, r.epoch)
+	}
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("serve: opening root log: %w", err)
+		logs.Close()
+		return err
 	}
-	return &rootLog{dir: dir, log: log, lines: m.Lines, ident: ident}, reports, ends, nil
+	r.log = logs
+	return nil
 }
 
 // parseReport validates one report line's payload: decodable JSON, a
@@ -164,29 +171,4 @@ func parseReport(payload []byte) (EpochReport, error) {
 		return EpochReport{}, fmt.Errorf("report fails its content hash")
 	}
 	return rep, nil
-}
-
-// append writes one accepted report durably: the framed line, then the
-// manifest claiming it — both before the delivery is acknowledged.
-// Reports are rare (one per leaf-epoch), so the per-delivery manifest
-// replacement is cheap.
-func (l *rootLog) append(rep EpochReport, records int64, epochs int) error {
-	payload, err := json.Marshal(rep)
-	if err != nil {
-		return fmt.Errorf("serve: root log marshal: %w", err)
-	}
-	if _, err := l.log.Append(func(b []byte) []byte { return append(b, payload...) }); err != nil {
-		return err
-	}
-	if err := l.log.Flush(); err != nil {
-		return err
-	}
-	l.lines++
-	return l.writeManifest(records, epochs)
-}
-
-// writeManifest claims the current line count, replacing the manifest
-// atomically so a kill leaves either the previous claim or the new one.
-func (l *rootLog) writeManifest(records int64, epochs int) error {
-	return l.dir.WriteJSON(rootManifestName, l.ident.withClaim(l.lines, records, epochs))
 }

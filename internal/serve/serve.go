@@ -89,8 +89,8 @@ func (e *BusyError) Unwrap() error { return ErrBusy }
 type Config struct {
 	// Net is the serving topology; records address its path indices.
 	Net *graph.Network
-	// NetName stamps the journal manifest so a resume under a different
-	// topology is rejected; empty skips the name check.
+	// NetName names the topology in the journal identity: a resume must
+	// give the same name, the empty name included.
 	NetName string
 	// Opts configures Algorithm 2 over the accumulated table (zero
 	// value: measure.DefaultOptions).
@@ -295,7 +295,7 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	if cfg.Dir != "" {
-		jr, snap, shards, err := openJournal(cfg)
+		jr, snap, entries, claimed, err := openJournal(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -305,13 +305,13 @@ func New(cfg Config) (*Service, error) {
 			err = s.restoreSnapshot(snap)
 		}
 		if err == nil {
-			err = s.replayShards(shards)
+			err = s.replayShards(entries, claimed)
 		}
 		if err == nil {
-			err = jr.flush(s.records, s.epoch)
+			err = jr.logs.Flush(s.records, s.epoch)
 		}
 		if err != nil {
-			jr.close()
+			jr.logs.Close()
 			return nil, err
 		}
 		s.replaying = false
@@ -334,24 +334,20 @@ func New(cfg Config) (*Service, error) {
 // from some shard's tail discards the marker from the shards that do
 // hold it: an incomplete close was never acknowledged, so dropping it
 // re-opens the epoch exactly as the sender observed it.
-func (s *Service) replayShards(shards []shardRecovery) error {
-	type cursor struct {
-		i       int
-		stopped bool
-	}
-	curs := make([]cursor, len(shards))
+func (s *Service) replayShards(shards [][]journalEntry, claimed []int) error {
+	// pos[si] is shard si's replay cursor: the count of its lines
+	// adopted so far. Stopping a shard cuts its entries at the cursor.
+	pos := make([]int, len(shards))
 	paths := s.net.NumPaths()
 
-	stop := func(si int) { curs[si].stopped = true }
+	stop := func(si int) { shards[si] = shards[si][:pos[si]] }
 
 	for {
 		// Apply every shard's leading records up to its next marker.
-		for si := range shards {
-			c := &curs[si]
-			sh := &shards[si]
-			for !c.stopped && c.i < len(sh.entries) && sh.entries[c.i].Rec != nil {
-				r := sh.entries[c.i].Rec
-				inClaim := c.i < sh.claimed
+		for si, sh := range shards {
+			for pos[si] < len(sh) && sh[pos[si]].Rec != nil {
+				r := sh[pos[si]].Rec
+				inClaim := pos[si] < claimed[si]
 				if verr := r.Validate(paths, s.cfg.MaxIntervals); verr != nil {
 					if inClaim {
 						return errCorruptf("serve: journal shard %d record invalid: %v", si, verr)
@@ -377,23 +373,22 @@ func (s *Service) replayShards(shards []shardRecovery) error {
 					break
 				}
 				s.applyLocked(*r)
-				c.i++
+				pos[si]++
 			}
 		}
 
 		// An epoch closes only when every shard agrees on the marker.
 		next := s.epoch + 1
 		all, any := true, false
-		for si := range shards {
-			c := &curs[si]
-			if c.stopped || c.i >= len(shards[si].entries) {
+		for si, sh := range shards {
+			if pos[si] >= len(sh) {
 				all = false
 				continue
 			}
-			e := shards[si].entries[c.i]
+			e := sh[pos[si]]
 			any = true
 			if e.Close != next {
-				if c.i < shards[si].claimed {
+				if pos[si] < claimed[si] {
 					return errCorruptf("serve: journal shard %d closes epoch %d after epoch %d", si, e.Close, s.epoch)
 				}
 				stop(si) // stale or future marker in the tail: residue
@@ -408,10 +403,9 @@ func (s *Service) replayShards(shards []shardRecovery) error {
 			// never completed. Inside a claim that is impossible for a
 			// consistent claim (claims are taken after all markers
 			// flush); in the tail it is an unacked partial close.
-			for si := range shards {
-				c := &curs[si]
-				if !c.stopped && c.i < len(shards[si].entries) && shards[si].entries[c.i].Close == next {
-					if c.i < shards[si].claimed {
+			for si, sh := range shards {
+				if pos[si] < len(sh) && sh[pos[si]].Close == next {
+					if pos[si] < claimed[si] {
 						return errCorruptf("serve: journal shard %d claims a close of epoch %d missing from other shards", si, next)
 					}
 					stop(si)
@@ -420,28 +414,17 @@ func (s *Service) replayShards(shards []shardRecovery) error {
 			break
 		}
 		// All shards at the marker: adopt it everywhere and fold.
-		for si := range curs {
-			curs[si].i++
+		for si := range pos {
+			pos[si]++
 		}
 		if err := s.foldEpochLocked(); err != nil {
 			return err
 		}
 	}
 
-	// Adopt each shard's replayed prefix: truncate the log to the end of
-	// its last adopted line, and count those lines toward the claim.
-	for si := range shards {
-		n := curs[si].i
-		keep := int64(0)
-		if n > 0 {
-			keep = shards[si].ends[n-1]
-		}
-		if err := s.jr.logs[si].Truncate(keep); err != nil {
-			return err
-		}
-		s.jr.lines[si] = n
-	}
-	return nil
+	// Adopt each shard's replayed prefix: the log is truncated past its
+	// last adopted line, and those lines count toward the next claim.
+	return s.jr.logs.Adopt(pos)
 }
 
 // maxHoleRanges bounds the per-source hole set: a pathologically gappy
@@ -558,7 +541,7 @@ func (s *Service) flushLocked() error {
 	if s.jr == nil {
 		return nil
 	}
-	return s.jr.flush(s.records, s.epoch)
+	return s.jr.logs.Flush(s.records, s.epoch)
 }
 
 // CloseEpoch closes the open epoch explicitly (the wall-clock path and
@@ -587,7 +570,7 @@ func (s *Service) closeLocked() error {
 		if err := s.jr.appendClose(s.epoch + 1); err != nil {
 			return err
 		}
-		if err := s.jr.flush(s.records, s.epoch+1); err != nil {
+		if err := s.jr.logs.Flush(s.records, s.epoch+1); err != nil {
 			return err
 		}
 	}
@@ -905,7 +888,7 @@ func (s *Service) Status() Status {
 	st.Sources = len(s.seqs)
 	st.Intervals = s.meas.Intervals()
 	if s.jr != nil {
-		st.JournalStatus = &JournalStatus{SnapshotEpoch: s.jr.snapEpoch, LinesSinceSnapshot: s.jr.claimed}
+		st.JournalStatus = &JournalStatus{SnapshotEpoch: s.jr.logs.Gen(), LinesSinceSnapshot: s.jr.logs.Claimed()}
 	}
 	return st
 }
@@ -956,8 +939,8 @@ func (s *Service) Close() error {
 	if s.jr == nil {
 		return nil
 	}
-	err := s.jr.flush(s.records, s.epoch)
-	if cerr := s.jr.close(); err == nil {
+	err := s.jr.logs.Flush(s.records, s.epoch)
+	if cerr := s.jr.logs.Close(); err == nil {
 		err = cerr
 	}
 	s.jr = nil

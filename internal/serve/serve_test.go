@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -214,6 +216,9 @@ func TestJournalResume(t *testing.T) {
 	if _, err := New(Config{Net: n, NetName: "figure4", EpochRecords: 32, Dir: dir, Resume: true}); !errors.Is(err, sweep.ErrValidation) {
 		t.Fatalf("resume with changed epoch size = %v, want ErrValidation", err)
 	}
+	if _, err := New(Config{Net: n, NetName: "", EpochRecords: 64, Dir: dir, Resume: true}); !errors.Is(err, sweep.ErrValidation) {
+		t.Fatalf("resume with no net name = %v, want ErrValidation", err)
+	}
 
 	s2 := mustNew(t, Config{Net: n, NetName: "figure4", EpochRecords: 64, Dir: dir, Resume: true})
 	defer s2.Close()
@@ -230,6 +235,43 @@ func TestJournalResume(t *testing.T) {
 	r, err := s2.Ingest(recs) // full resend: all duplicates
 	if err != nil || r.Accepted != 0 || r.Duplicates != len(recs) {
 		t.Fatalf("resend after resume: %+v, %v", r, err)
+	}
+}
+
+// TestIdentityMismatchNamesFields: a journal or root log resumed
+// under a different identity is refused, and the message names each
+// differing field with its value on disk and in the config — the
+// smoothing parameter too, which changes no other identity field.
+func TestIdentityMismatchNamesFields(t *testing.T) {
+	n, recs := testStream(20, 2, 5)
+	opts := measure.DefaultOptions()
+	cfg := Config{Net: n, NetName: "figure4", Opts: opts, EpochRecords: 32, Dir: t.TempDir()}
+	s := mustNew(t, cfg)
+	if _, err := s.Ingest(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rcfg := RootConfig{Net: n, NetName: "figure4", Opts: opts, Leaves: 1, Dir: t.TempDir()}
+	r, err := NewRoot(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	opts.Smoothing += 0.5
+	want := fmt.Sprintf("smoothing is %v on disk, %v in the config", measure.DefaultOptions().Smoothing, opts.Smoothing)
+	cfg.Opts, cfg.Resume = opts, true
+	rcfg.Opts, rcfg.Resume = opts, true
+	_, leafErr := New(cfg)
+	_, rootErr := NewRoot(rcfg)
+	for what, err := range map[string]error{"journal": leafErr, "root log": rootErr} {
+		if !errors.Is(err, sweep.ErrValidation) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s resume with smoothing %v = %v, want ErrValidation naming %q", what, opts.Smoothing, err, want)
+		}
 	}
 }
 
@@ -588,7 +630,7 @@ func TestJournalFaultMidBatch(t *testing.T) {
 // as a v2 journal upgraded in place has).
 func TestManifestOverClaim(t *testing.T) {
 	n, recs := testStream(20, 2, 5)
-	for _, held := range []string{claimLogName, manifestName} {
+	for _, held := range []string{durable.ClaimLogName, manifestName} {
 		t.Run(held, func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := Config{Net: n, EpochRecords: 32, Dir: dir}
@@ -600,13 +642,13 @@ func TestManifestOverClaim(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg.Resume = true
-			mpath, cpath := filepath.Join(dir, manifestName), filepath.Join(dir, claimLogName)
+			mpath, cpath := filepath.Join(dir, manifestName), filepath.Join(dir, durable.ClaimLogName)
 			var m manifest
 			if err := json.Unmarshal(readFile(t, mpath), &m); err != nil {
 				t.Fatal(err)
 			}
 			if m.ShardLines[0] != 0 {
-				t.Fatalf("manifest base claim %v, want 0 (claims live in %s)", m.ShardLines, claimLogName)
+				t.Fatalf("manifest base claim %v, want 0 (claims live in %s)", m.ShardLines, durable.ClaimLogName)
 			}
 			if held == manifestName {
 				// Move the last claim into the manifest.
@@ -622,7 +664,7 @@ func TestManifestOverClaim(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if held == claimLogName {
+			if held == durable.ClaimLogName {
 				// A claim log without its manifest is no less acknowledged.
 				mdata := readFile(t, mpath)
 				if err := os.Remove(mpath); err != nil {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"neutrality/internal/durable"
 	"neutrality/internal/measure"
 )
 
@@ -212,7 +213,7 @@ func TestCompactionBoundsDisk(t *testing.T) {
 			peak = size
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, claimLogName)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, durable.ClaimLogName)); err != nil {
 		t.Fatalf("the footprint must include the claim log: %v", err)
 	}
 	if err := s.Close(); err != nil {
@@ -274,7 +275,7 @@ func TestCompactionKeepsUnshippedReports(t *testing.T) {
 	rcfg.Resume = true
 	s2 := mustNew(t, rcfg)
 	defer s2.Close()
-	if s2.jr.snapEpoch == 0 {
+	if s2.jr.logs.Gen() == 0 {
 		t.Fatal("no compaction ran; the test exercises nothing")
 	}
 	got := s2.Reports()

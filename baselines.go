@@ -10,11 +10,6 @@ type (
 	// LossTomographyResult is the outcome of least-squares loss
 	// tomography.
 	LossTomographyResult = tomo.LossResult
-	// LinkPathProbs carries directly measured per-link per-path
-	// congestion probabilities (in-network visibility).
-	LinkPathProbs = tomo.LinkPathProbs
-	// FlaggedLink is a link flagged by direct probing.
-	FlaggedLink = tomo.Flagged
 )
 
 // BooleanTomography locates congested links per interval under the
@@ -28,10 +23,4 @@ func BooleanTomography(n *Network, states [][]bool) *BoolTomographyResult {
 // the residual is a network-level inconsistency signal.
 func LossTomography(n *Network, pathsets []Pathset, y []float64) *LossTomographyResult {
 	return tomo.LeastSquares(n, pathsets, y)
-}
-
-// DirectProbe flags links whose directly measured per-class congestion
-// probabilities diverge (NetPolice-style; requires in-network probes).
-func DirectProbe(n *Network, probs []LinkPathProbs, gapThreshold float64) []FlaggedLink {
-	return tomo.DirectProbe(n, probs, gapThreshold)
 }

@@ -2,10 +2,10 @@ package neutrality_test
 
 // One benchmark per table and figure of the paper's evaluation (Section 6),
 // plus the ablations and baselines called out in DESIGN.md. Each bench runs
-// the corresponding experiment at the bench-friendly scale (10 Mbps, 90 s —
-// same load shape as the paper's 100 Mbps, 10 min) and prints the same
-// rows/series the paper reports. The full-scale versions are produced by
-// `go run ./cmd/experiments -full`.
+// the corresponding experiment at the bench-friendly scale (10 Mbps, 30 Mbps
+// for topology B, 180 s — same load shape as the paper's 100 Mbps, 10 min)
+// and prints the same rows/series the paper reports. The full-scale
+// versions are produced by `go run ./cmd/experiments -full`.
 //
 // Reported metrics:
 //   - agreement_pct: fraction of experiments whose verdict matches the
@@ -31,6 +31,7 @@ import (
 
 	"neutrality"
 	"neutrality/internal/figures"
+	"neutrality/internal/fleet"
 	"neutrality/internal/measure"
 	"neutrality/internal/sweep"
 )
@@ -53,10 +54,11 @@ func benchFig8(b *testing.B, set int) {
 	b.ReportAllocs()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig8(set, figures.Quick, 1)
+		rs, err := figures.Fig8(figures.Exec{}, figures.Quick, 1, set)
 		if err != nil {
 			b.Fatal(err)
 		}
+		r := rs[0]
 		events += r.Events
 		b.ReportMetric(float64(r.Agreement)/float64(len(r.Rows))*100, "agreement_pct")
 		once(fmt.Sprintf("fig8-%d", set), r.String)
@@ -132,7 +134,7 @@ func BenchmarkFig8Set9(b *testing.B) { benchFig8(b, 9) }
 // the Section 6.4 headline: zero false positives, zero false negatives.
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig10(figures.QuickB, 1)
+		r, err := figures.Fig10(figures.Exec{}, figures.QuickB, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,7 +154,7 @@ func BenchmarkFig10(b *testing.B) {
 // active — congestion alone does not reveal differentiation.
 func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig11(figures.QuickB, 1)
+		r, err := figures.Fig11(figures.Exec{}, figures.QuickB, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,7 +169,7 @@ func BenchmarkFig11(b *testing.B) {
 
 func BenchmarkLossThresholdSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := figures.LossThresholdSweep(figures.Quick, 1)
+		r, err := figures.LossThresholdSweep(figures.Exec{}, figures.Quick, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -180,7 +182,7 @@ func BenchmarkLossThresholdSweep(b *testing.B) {
 
 func BenchmarkIntervalSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := figures.IntervalSweep(figures.Quick, 1)
+		r, err := figures.IntervalSweep(figures.Exec{}, figures.Quick, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -195,7 +197,7 @@ func BenchmarkIntervalSweep(b *testing.B) {
 
 func BenchmarkAblationNormalization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := figures.AblationNormalization(figures.Quick, 1)
+		r, err := figures.AblationNormalization(figures.Exec{}, figures.Quick, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,7 +210,7 @@ func BenchmarkAblationNormalization(b *testing.B) {
 
 func BenchmarkAblationClustering(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := figures.AblationClustering(1)
+		r, err := figures.AblationClustering(figures.Exec{}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,7 +233,7 @@ func BenchmarkAblationPairObservations(b *testing.B) {
 
 func BenchmarkAblationDelayMetric(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := figures.AblationDelayMetric(figures.Quick, 1)
+		r, err := figures.AblationDelayMetric(figures.Exec{}, figures.Quick, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -385,7 +387,7 @@ func BenchmarkFleetLocal(b *testing.B) {
 	cells := 0
 	for i := 0; i < b.N; i++ {
 		root := b.TempDir()
-		res, err := neutrality.RunFleetLocal(context.Background(), g, neutrality.FleetLocalOptions{
+		res, err := fleet.RunLocal(context.Background(), g, fleet.LocalOptions{
 			Parts: 2 * workers, Workers: workers, SweepWorkers: sweepWorkers,
 			Shards: 4, BaseSeed: 1,
 			Dir: filepath.Join(root, "work"), Out: filepath.Join(root, "merged"),

@@ -1,7 +1,7 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation (Section 6). By default it runs at a reduced scale (10 Mbps,
-// 90 s — identical load shape, fewer packets); pass -full for the paper's
-// 100 Mbps / 10-minute operating point.
+// 30 Mbps for topology B, 180 s — identical load shape, fewer packets);
+// pass -full for the paper's 100 Mbps / 10-minute operating point.
 //
 // Usage:
 //
@@ -12,7 +12,7 @@
 // (-workers, default one per CPU); per-unit seeds are derived from
 // (seed, unit index), so the output is byte-identical for every
 // -workers value. Interrupting the run (Ctrl-C) stops dispatching new
-// experiments and exits after the in-flight ones finish.
+// experiments and aborts the in-flight emulations mid-run.
 //
 // Output is the textual equivalent of each figure: one row per experiment
 // for Figure 8's nine graphs, five-number summaries per boxplot for
@@ -72,7 +72,7 @@ func main() {
 		// All nine sets flattened into one 34-unit batch so the pool
 		// stays full across set boundaries; results keep the paper's
 		// set and row order.
-		results, err := figures.Fig8All(x, sc, *seed)
+		results, err := figures.Fig8(x, sc, *seed)
 		if err != nil {
 			log.Fatalf("fig8: %v", err)
 		}
@@ -82,7 +82,7 @@ func main() {
 	}
 
 	if run("fig10") {
-		r, err := figures.Fig10Exec(x, scB, *seed)
+		r, err := figures.Fig10(x, scB, *seed)
 		if err != nil {
 			log.Fatalf("fig10: %v", err)
 		}
@@ -90,7 +90,7 @@ func main() {
 	}
 
 	if run("fig11") {
-		r, err := figures.Fig11Exec(x, scB, *seed)
+		r, err := figures.Fig11(x, scB, *seed)
 		if err != nil {
 			log.Fatalf("fig11: %v", err)
 		}
@@ -101,8 +101,8 @@ func main() {
 		// The two sweeps are independent; run them as parallel units and
 		// print in the paper's order.
 		sweeps := []func() (*figures.SweepResult, error){
-			func() (*figures.SweepResult, error) { return figures.LossThresholdSweepExec(x, sc, *seed) },
-			func() (*figures.SweepResult, error) { return figures.IntervalSweepExec(x, sc, *seed) },
+			func() (*figures.SweepResult, error) { return figures.LossThresholdSweep(x, sc, *seed) },
+			func() (*figures.SweepResult, error) { return figures.IntervalSweep(x, sc, *seed) },
 		}
 		results, err := runner.Map(ctx, *workers, len(sweeps), func(_ context.Context, i int) (*figures.SweepResult, error) {
 			return sweeps[i]()
@@ -119,10 +119,10 @@ func main() {
 		// Five independent ablation/baseline studies as parallel units,
 		// printed in the documented order.
 		studies := []func() (fmt.Stringer, error){
-			func() (fmt.Stringer, error) { return figures.AblationNormalizationExec(x, sc, *seed) },
-			func() (fmt.Stringer, error) { return figures.AblationClusteringExec(x, *seed) },
+			func() (fmt.Stringer, error) { return figures.AblationNormalization(x, sc, *seed) },
+			func() (fmt.Stringer, error) { return figures.AblationClustering(x, *seed) },
 			func() (fmt.Stringer, error) { return figures.AblationPairObservations(), nil },
-			func() (fmt.Stringer, error) { return figures.AblationDelayMetric(sc, *seed) },
+			func() (fmt.Stringer, error) { return figures.AblationDelayMetric(x, sc, *seed) },
 			func() (fmt.Stringer, error) { return figures.BaselineComparison(*seed) },
 		}
 		results, err := runner.Map(ctx, *workers, len(studies), func(_ context.Context, i int) (fmt.Stringer, error) {

@@ -38,8 +38,6 @@ type (
 	ParamsA = lab.ParamsA
 	// ParamsB are the topology-B experiment knobs (Table 3).
 	ParamsB = lab.ParamsB
-	// SpecA is one experiment of a Table 2 set.
-	SpecA = lab.SpecA
 	// TopologyA is the dumbbell of Figure 7.
 	TopologyA = topo.TopologyA
 	// TopologyB is the multi-ISP backbone in the spirit of Figure 9.
@@ -79,18 +77,8 @@ func DefaultParamsA() ParamsA { return lab.DefaultParamsA() }
 // DefaultParamsB returns the topology-B defaults (Table 3 workloads).
 func DefaultParamsB() ParamsB { return lab.DefaultParamsB() }
 
-// TableTwo returns the experiment specs of Table 2's set (1–9).
-func TableTwo(set int) ([]SpecA, error) { return lab.TableTwo(set) }
-
 // PoliceClass2 polices class c2 at the given fraction of link capacity.
 func PoliceClass2(rate float64) *Differentiation { return lab.PoliceClass2(rate) }
 
 // ShapeBothClasses shapes class c2 at rate R and class c1 at 1−R.
 func ShapeBothClasses(rate float64) *Differentiation { return lab.ShapeBothClasses(rate) }
-
-// FixedSize generates constant flow sizes (in Mb).
-func FixedSize(mb float64) workload.SizeGen { return workload.FixedSize(mb) }
-
-// ParetoSize generates Pareto-distributed flow sizes with the given mean
-// (in Mb).
-func ParetoSize(meanMb float64) workload.SizeGen { return workload.ParetoSize(meanMb) }

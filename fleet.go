@@ -31,8 +31,6 @@ type (
 	FleetTransport = fleet.Transport
 	// FleetWorkerOptions configures one worker loop.
 	FleetWorkerOptions = fleet.WorkerOptions
-	// FleetLocalOptions configures RunFleetLocal.
-	FleetLocalOptions = fleet.LocalOptions
 	// FleetResult is a committed fleet run.
 	FleetResult = fleet.Result
 	// FleetStatus is a point-in-time fleet snapshot.
@@ -77,11 +75,4 @@ func NewFleetServer(o *FleetOrchestrator) *FleetServer { return fleet.NewServer(
 // fleet finishes, fails, or ctx ends.
 func FleetWork(ctx context.Context, g *Grid, tr FleetTransport, opt FleetWorkerOptions) error {
 	return fleet.Work(ctx, g, tr, opt)
-}
-
-// RunFleetLocal runs a whole fleet in one process — orchestrator plus
-// in-process workers over the shared-directory transport — and commits
-// the merged, byte-identical single-run artifacts.
-func RunFleetLocal(ctx context.Context, g *Grid, opt FleetLocalOptions) (*FleetResult, error) {
-	return fleet.RunLocal(ctx, g, opt)
 }

@@ -12,7 +12,8 @@ import (
 // processing (Section 6.2).
 
 type (
-	// Config parameterizes Infer.
+	// Config parameterizes Infer. The zero value is the paper's
+	// operating point (clustered mode).
 	Config = core.Config
 	// Result is the inference outcome: per-slice verdicts, the flagged
 	// set Σn̄, and diagnostics.
@@ -47,20 +48,12 @@ const (
 	Exact = core.Exact
 )
 
-// DefaultConfig returns the paper's operating point (clustered mode).
-func DefaultConfig() Config { return core.DefaultConfig() }
-
 // DefaultMeasureOptions mirrors the paper: 1 % loss threshold,
 // normalization on.
 func DefaultMeasureOptions() MeasureOptions { return measure.DefaultOptions() }
 
 // Infer runs Algorithm 1 on network n with the given observer and config.
 func Infer(n *Network, obs Observer, cfg Config) *Result { return core.Infer(n, obs, cfg) }
-
-// InferExact runs Algorithm 1 with exact (noise-free) observations.
-func InferExact(n *Network, y func(Pathset) float64) *Result {
-	return core.Infer(n, core.YFunc(y), Config{Mode: core.Exact})
-}
 
 // InferMeasured runs the full practical pipeline on raw measurements:
 // Algorithm 2 normalization per slice, then Algorithm 1 with clustering.

@@ -226,17 +226,6 @@ func (r *Result) NonNeutralSeqs() []*Verdict {
 	return out
 }
 
-// NeutralSeqs returns the candidates classified neutral.
-func (r *Result) NeutralSeqs() []*Verdict {
-	var out []*Verdict
-	for _, v := range r.Candidates {
-		if !v.NonNeutral {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // NetworkNonNeutral reports whether any candidate was classified
 // non-neutral — the network-level detection verdict.
 func (r *Result) NetworkNonNeutral() bool {

@@ -337,9 +337,6 @@ func Build(sim *Sim, g *graph.Network, linkCfg map[graph.LinkID]LinkConfig, rtts
 // Link returns the runtime link with the given ID.
 func (n *Network) Link(id graph.LinkID) *Link { return &n.links[id] }
 
-// RTT returns the base round-trip time of a path.
-func (n *Network) RTT(p graph.PathID) Time { return n.routes[p].rtt }
-
 // RegisterHandler adds a packet destination to the network's handler
 // table and returns its id for Packet.Dst. Handlers are registered once
 // per traffic endpoint (e.g. one per TCP flow slot), never per packet.

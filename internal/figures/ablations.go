@@ -3,6 +3,7 @@ package figures
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"neutrality/internal/core"
@@ -18,7 +19,7 @@ import (
 )
 
 // AblationResult is a generic pass/fail table for the design-choice
-// ablations called out in DESIGN.md.
+// ablations listed in DESIGN.md.
 type AblationResult struct {
 	Title string
 	Rows  []string
@@ -42,16 +43,11 @@ func (r *AblationResult) String() string {
 // normalization ON vs OFF on a neutral network whose classes send very
 // different volumes (the experiment-set-1 trap). Without normalization,
 // the heavy class trips the loss threshold more often and the neutral link
-// looks differentiating.
-func AblationNormalization(sc Scale, seed int64) (*AblationResult, error) {
-	return AblationNormalizationExec(Exec{}, sc, seed)
-}
-
-// AblationNormalizationExec is AblationNormalization as a two-cell
-// grid over the normalize axis, run on the sweep engine: both cells
-// re-emulate the identical fixed-seed neutral experiment (emulation is
-// deterministic) and differ only in the inference pass.
-func AblationNormalizationExec(x Exec, sc Scale, seed int64) (*AblationResult, error) {
+// looks differentiating. It is a two-cell grid over the normalize axis,
+// run on the sweep engine: both cells re-emulate the identical
+// fixed-seed neutral experiment (emulation is deterministic) and differ
+// only in the inference pass.
+func AblationNormalization(x Exec, sc Scale, seed int64) (*AblationResult, error) {
 	g := grid.New("ablation-normalization", grid.Base{
 		ScaleFactor: sc.Factor,
 		DurationSec: sc.DurationSec,
@@ -79,15 +75,9 @@ func AblationNormalizationExec(x Exec, sc Scale, seed int64) (*AblationResult, e
 // AblationClustering contrasts the adaptive clustering decision with naive
 // fixed thresholds on topology B synthetic data, where the unsolvability
 // levels depend on the violation strength: a threshold tuned for one gap
-// misclassifies another, while clustering adapts.
-func AblationClustering(seed int64) (*AblationResult, error) {
-	return AblationClusteringExec(Exec{}, seed)
-}
-
-// AblationClusteringExec is AblationClustering with explicit execution
-// control: each violation-strength cell is an independent
-// sample-and-infer unit.
-func AblationClusteringExec(x Exec, seed int64) (*AblationResult, error) {
+// misclassifies another, while clustering adapts. Each
+// violation-strength cell is an independent sample-and-infer unit.
+func AblationClustering(x Exec, seed int64) (*AblationResult, error) {
 	out := &AblationResult{Title: "Ablation: clustering vs fixed threshold (topology B, varying violation strength)"}
 	b := topo.NewTopologyB()
 	n := b.InferenceNet
@@ -219,7 +209,7 @@ func BaselineComparison(seed int64) (*AblationResult, error) {
 		id := graph.LinkID(i)
 		lp := tomo.LinkPathProbs{Link: id, PerPath: map[graph.PathID]float64{}}
 		for _, pth := range n.PathsThrough(id) {
-			lp.PerPath[pth] = 1 - mathExp(-perf[id][n.ClassOf(pth)])
+			lp.PerPath[pth] = 1 - math.Exp(-perf[id][n.ClassOf(pth)])
 		}
 		probs = append(probs, lp)
 	}

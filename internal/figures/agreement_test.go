@@ -35,8 +35,8 @@ const agreementPath = "testdata/fig8_agreement_quick_seeds1-16.json"
 
 // TestFig8CrossSeedAgreement holds Algorithm 2 to the paper-agreement
 // rates recorded in the fixture: for every Table 2 set, the rows whose
-// verdict matches the paper's label, summed over Fig8All at base seeds
-// 1–16, must be consistent with the recorded count: the 99% interval
+// verdict matches the paper's label, summed over Fig8's nine sets at
+// base seeds 1–16, must be consistent with the recorded count: the 99% interval
 // for the difference of the two rates (Newcombe's hybrid score
 // interval, built from each count's Wilson interval) must contain 0.
 // Both counts are binomial samples, so the interval carries the
@@ -53,11 +53,11 @@ const agreementPath = "testdata/fig8_agreement_quick_seeds1-16.json"
 //	go test ./internal/figures -run TestFig8CrossSeedAgreement -record-agreement
 func TestFig8CrossSeedAgreement(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs Fig8All at 16 seeds")
+		t.Skip("runs all nine Fig8 sets at 16 seeds")
 	}
 	got := agreementFixture{Scale: "quick", FirstSeed: 1, LastSeed: 16}
 	for seed := got.FirstSeed; seed <= got.LastSeed; seed++ {
-		results, err := Fig8All(Exec{}, Quick, seed)
+		results, err := Fig8(Exec{}, Quick, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,8 +16,9 @@ import (
 // dropping it. The loss-frequency pipeline cannot attribute the
 // differentiation (and its marginals even point the wrong way), while the
 // latency pipeline — same Algorithm 1/2 machinery over "late" instead of
-// "lost" packets — localizes the shared link.
-func AblationDelayMetric(sc Scale, seed int64) (*AblationResult, error) {
+// "lost" packets — localizes the shared link. Cancelling x's context
+// aborts the emulation mid-run.
+func AblationDelayMetric(x Exec, sc Scale, seed int64) (*AblationResult, error) {
 	out := &AblationResult{Title: "Extension (Section 7): latency metric vs buffered differentiation"}
 	p := lab.DefaultParamsA().Scale(sc.Factor, sc.DurationSec)
 	p.MeanFlowMb = [2]float64{100 * sc.Factor * 10, 100 * sc.Factor * 10} // persistent
@@ -29,7 +30,7 @@ func AblationDelayMetric(sc Scale, seed int64) (*AblationResult, error) {
 	}
 	e, a := p.Experiment("delay-ablation")
 	e.DelayFactor = 1
-	run, err := lab.Run(e)
+	run, err := lab.RunCtx(x.context(), e)
 	if err != nil {
 		return nil, err
 	}

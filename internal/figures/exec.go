@@ -4,11 +4,11 @@ import (
 	"context"
 )
 
-// Exec configures how a sweep executes: a context for cancelling the
-// sweep between experiment units, and the width of the worker pool the
-// units fan out across. The zero value — background context, one worker
-// per CPU — is what the convenience wrappers (Fig8, IntervalSweep, …)
-// use.
+// Exec configures how an artifact executes: a context for cancelling
+// it between experiment units and mid-emulation, and the width of the
+// worker pool the units fan out across. Every artifact that emulates or
+// fans out takes one; the zero value means a background context and one
+// worker per CPU.
 //
 // Determinism: every sweep in this package derives each unit's seed
 // from (baseSeed, unitIndex) and collects results in unit order, so the

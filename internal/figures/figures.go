@@ -10,6 +10,7 @@ package figures
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -83,45 +84,29 @@ var fig8Titles = map[int]string{
 	9: "Fig 8(i) shaping, rate sweep",
 }
 
-// Fig8 runs one Table 2 experiment set and produces the corresponding
-// Figure 8 graph data, fanning the set's experiments across the default
-// worker pool.
-func Fig8(set int, sc Scale, seed int64) (*Fig8Result, error) {
-	return Fig8Exec(Exec{}, set, sc, seed)
-}
-
-// Fig8Exec is Fig8 with explicit execution control. The set's
-// experiments are independent units; each derives its seed from
-// (seed, unitIndex), so the result is identical for every worker count.
-func Fig8Exec(x Exec, set int, sc Scale, seed int64) (*Fig8Result, error) {
-	specs, err := lab.TableTwo(set)
-	if err != nil {
-		return nil, err
+// Fig8 runs the given Table 2 experiment sets (all nine when none are
+// named) and produces one Figure 8 graph per set, in the order named.
+// Every experiment of every set is one unit of a single batch (34 for
+// all nine), so the pool stays full across set boundaries. Each unit
+// derives its seed from (seed, index within its set), so a set's result
+// is identical for every worker count and whichever other sets run
+// beside it.
+func Fig8(x Exec, sc Scale, seed int64, sets ...int) ([]*Fig8Result, error) {
+	if len(sets) == 0 {
+		sets = []int{1, 2, 3, 4, 5, 6, 7, 8, 9}
 	}
-	rows, err := runner.Map(x.context(), x.Workers, len(specs), func(uctx context.Context, i int) (Fig8Row, error) {
-		return fig8Unit(uctx, set, specs[i], i, sc, seed)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return assembleFig8(set, rows), nil
-}
-
-// Fig8All runs all nine Table 2 experiment sets, flattening every
-// individual experiment (34 units) into one batch so the pool stays
-// full across set boundaries. The per-set results are identical to nine
-// Fig8 calls with the same scale and seed.
-func Fig8All(x Exec, sc Scale, seed int64) ([]*Fig8Result, error) {
 	type unit struct {
 		set, idx int
 		spec     lab.SpecA
 	}
 	var units []unit
-	for set := 1; set <= 9; set++ {
+	sizes := make([]int, len(sets))
+	for s, set := range sets {
 		specs, err := lab.TableTwo(set)
 		if err != nil {
 			return nil, err
 		}
+		sizes[s] = len(specs)
 		for i, spec := range specs {
 			units = append(units, unit{set: set, idx: i, spec: spec})
 		}
@@ -132,13 +117,10 @@ func Fig8All(x Exec, sc Scale, seed int64) ([]*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []*Fig8Result
-	start := 0
-	for u := 1; u <= len(units); u++ {
-		if u == len(units) || units[u].set != units[start].set {
-			out = append(out, assembleFig8(units[start].set, rows[start:u]))
-			start = u
-		}
+	out := make([]*Fig8Result, len(sets))
+	for i, set := range sets {
+		out[i] = assembleFig8(set, rows[:sizes[i]:sizes[i]])
+		rows = rows[sizes[i]:]
 	}
 	return out, nil
 }
@@ -146,7 +128,7 @@ func Fig8All(x Exec, sc Scale, seed int64) ([]*Fig8Result, error) {
 // fig8Unit runs one experiment of a Table 2 set: emulation plus
 // inference, producing one Figure 8 row. It is a pure function of its
 // arguments (the per-unit seed is derived from the set's base seed and
-// the experiment index), which is what lets Fig8Exec fan units out in
+// the experiment index), which is what lets Fig8 fan units out in
 // any order; ctx only interrupts it mid-emulation.
 func fig8Unit(ctx context.Context, set int, spec lab.SpecA, i int, sc Scale, seed int64) (Fig8Row, error) {
 	p := spec.Params.Scale(sc.Factor, sc.DurationSec)
@@ -241,15 +223,10 @@ type Fig10Result struct {
 }
 
 // Fig10 runs the topology B experiment and produces both figure halves.
-func Fig10(sc Scale, seed int64) (*Fig10Result, error) {
-	return Fig10Exec(Exec{}, sc, seed)
-}
-
-// Fig10Exec is Fig10 with explicit execution control: the two figure
-// halves — ground-truth summarization and the full inference pass —
-// are independent units over the same emulation run and execute in
-// parallel.
-func Fig10Exec(x Exec, sc Scale, seed int64) (*Fig10Result, error) {
+// The two halves — ground-truth summarization and the full inference
+// pass — are independent units over the same emulation run and execute
+// in parallel.
+func Fig10(x Exec, sc Scale, seed int64) (*Fig10Result, error) {
 	p := lab.DefaultParamsB().Scale(sc.Factor, sc.DurationSec)
 	p.Seed = seed
 	e, b := p.Experiment("fig10")
@@ -331,18 +308,13 @@ func fig10Inferred(out *Fig10Result, run *lab.Result, b *topo.TopologyB, policer
 				if x < 0 {
 					x = 0
 				}
-				probs[i] = 1 - expNeg(x)
+				probs[i] = 1 - math.Exp(-x)
 			}
 			bp.PerClass[c] = stats.Summarize(probs)
 		}
 		out.Inferred = append(out.Inferred, bp)
 	}
 	sort.Slice(out.Inferred, func(i, j int) bool { return out.Inferred[i].Name < out.Inferred[j].Name })
-}
-
-func expNeg(x float64) float64 {
-	// exp(−x) via the stdlib; wrapped for clarity at call sites.
-	return mathExp(-x)
 }
 
 // String renders both halves of Figure 10.
@@ -389,15 +361,10 @@ type Fig11Result struct {
 // Fig11 runs topology B with queue tracing on a busy neutral link (l15,
 // the ingress that carries all background traffic) and the policing
 // ingress l20, reproducing the paper's point: queue occupancy alone does
-// not reveal which of two congested links differentiates.
-func Fig11(sc Scale, seed int64) (*Fig11Result, error) {
-	return Fig11Exec(Exec{}, sc, seed)
-}
-
-// Fig11Exec is Fig11 with explicit execution control (the run is a
-// single unit; Exec contributes cancellation, which aborts the
-// emulation mid-run).
-func Fig11Exec(x Exec, sc Scale, seed int64) (*Fig11Result, error) {
+// not reveal which of two congested links differentiates. The run is a
+// single unit; x contributes cancellation, which aborts the emulation
+// mid-run.
+func Fig11(x Exec, sc Scale, seed int64) (*Fig11Result, error) {
 	p := lab.DefaultParamsB().Scale(sc.Factor, sc.DurationSec)
 	p.Seed = seed
 	e, b := p.Experiment("fig11")
@@ -469,11 +436,4 @@ func sparkline(tr *emu.QueueTrace, width int) string {
 		out[i] = levels[idx]
 	}
 	return string(out)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

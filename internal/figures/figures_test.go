@@ -40,7 +40,7 @@ func TestAblationPairObservations(t *testing.T) {
 }
 
 func TestAblationClustering(t *testing.T) {
-	r, err := AblationClustering(5)
+	r, err := AblationClustering(Exec{}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +65,11 @@ func TestFig8SetSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("emulation harness test")
 	}
-	r, err := Fig8(3, Quick, 1)
+	rs, err := Fig8(Exec{}, Quick, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	if len(r.Rows) != 2 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -85,7 +86,7 @@ func TestFig10Render(t *testing.T) {
 	if testing.Short() {
 		t.Skip("emulation harness test")
 	}
-	r, err := Fig10(Scale{Factor: 0.3, DurationSec: 120}, 1)
+	r, err := Fig10(Exec{}, Scale{Factor: 0.3, DurationSec: 120}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,15 +106,17 @@ func TestFig10Render(t *testing.T) {
 // guarantee (ISSUE 1 acceptance criterion).
 func TestFig8DeterministicAcrossWorkers(t *testing.T) {
 	for _, set := range []int{1, 6} {
-		ref, err := Fig8Exec(Exec{Workers: 1}, set, tiny, 1)
+		refs, err := Fig8(Exec{Workers: 1}, tiny, 1, set)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref := refs[0]
 		for _, workers := range []int{2, 4, 0} {
-			r, err := Fig8Exec(Exec{Workers: workers}, set, tiny, 1)
+			rs, err := Fig8(Exec{Workers: workers}, tiny, 1, set)
 			if err != nil {
 				t.Fatal(err)
 			}
+			r := rs[0]
 			if r.String() != ref.String() {
 				t.Fatalf("set %d workers=%d diverged from workers=1:\n%s\nvs\n%s",
 					set, workers, r, ref)
@@ -128,7 +131,7 @@ func TestFig8AllMatchesPerSet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("emulation harness test")
 	}
-	all, err := Fig8All(Exec{Workers: 4}, tiny, 1)
+	all, err := Fig8(Exec{Workers: 4}, tiny, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +142,11 @@ func TestFig8AllMatchesPerSet(t *testing.T) {
 		if r.Set != i+1 {
 			t.Fatalf("set order: got %d at position %d", r.Set, i)
 		}
-		ref, err := Fig8(r.Set, tiny, 1)
+		refs, err := Fig8(Exec{}, tiny, 1, r.Set)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref := refs[0]
 		if r.String() != ref.String() {
 			t.Fatalf("set %d: batch output diverged from per-set run:\n%s\nvs\n%s", r.Set, r, ref)
 		}
@@ -150,36 +154,40 @@ func TestFig8AllMatchesPerSet(t *testing.T) {
 }
 
 // TestSweepCancellation: a cancelled context aborts sweeps before any
-// unit runs.
+// unit runs, and the single-run artifacts before their emulation
+// finishes.
 func TestSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	x := Exec{Ctx: ctx}
-	if _, err := Fig8Exec(x, 1, tiny, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Fig8Exec err = %v", err)
+	if _, err := Fig8(x, tiny, 1, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Fig8 err = %v", err)
 	}
-	if _, err := IntervalSweepExec(x, tiny, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("IntervalSweepExec err = %v", err)
+	if _, err := IntervalSweep(x, tiny, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("IntervalSweep err = %v", err)
 	}
-	if _, err := LossThresholdSweepExec(x, tiny, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("LossThresholdSweepExec err = %v", err)
+	if _, err := LossThresholdSweep(x, tiny, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("LossThresholdSweep err = %v", err)
 	}
-	if _, err := Fig10Exec(x, tiny, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Fig10Exec err = %v", err)
+	if _, err := Fig10(x, tiny, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Fig10 err = %v", err)
 	}
-	if _, err := Fig11Exec(x, tiny, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Fig11Exec err = %v", err)
+	if _, err := Fig11(x, tiny, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Fig11 err = %v", err)
+	}
+	if _, err := AblationDelayMetric(x, tiny, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("AblationDelayMetric err = %v", err)
 	}
 }
 
 // TestIntervalSweepDeterministicAcrossWorkers: sweep output is stable
 // across pool widths.
 func TestIntervalSweepDeterministicAcrossWorkers(t *testing.T) {
-	ref, err := IntervalSweepExec(Exec{Workers: 1}, tiny, 1)
+	ref, err := IntervalSweep(Exec{Workers: 1}, tiny, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := IntervalSweepExec(Exec{Workers: 3}, tiny, 1)
+	r, err := IntervalSweep(Exec{Workers: 3}, tiny, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,10 +22,11 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden files with 
 //
 //	go test ./internal/figures -run TestFig8Set4GoldenQuick -update-golden
 func TestFig8Set4GoldenQuick(t *testing.T) {
-	r, err := Fig8(4, Quick, 1)
+	rs, err := Fig8(Exec{}, Quick, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	got := r.String()
 	path := filepath.Join("testdata", "fig8_set4_quick_seed1.golden")
 	if *updateGolden {
@@ -51,14 +52,15 @@ func TestFig8Set4GoldenQuick(t *testing.T) {
 // schedule order, so a seed fully reproduces a run — including the exact
 // number of processed events.
 func TestFig8RepeatDeterminism(t *testing.T) {
-	a, err := Fig8(4, Quick, 1)
+	ra, err := Fig8(Exec{}, Quick, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig8(4, Quick, 1)
+	rb, err := Fig8(Exec{}, Quick, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, b := ra[0], rb[0]
 	if a.String() != b.String() {
 		t.Fatalf("repeated runs rendered differently:\n%s\nvs\n%s", a, b)
 	}

@@ -2,7 +2,6 @@ package figures
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -127,17 +126,12 @@ func sweepRowsOf(recs []sweep.Record) []SweepRow {
 }
 
 // LossThresholdSweep re-analyzes the policed run under the paper's loss
-// thresholds {1, 5, 10} % (Section 6.5: "no significant change").
-func LossThresholdSweep(sc Scale, seed int64) (*SweepResult, error) {
-	return LossThresholdSweepExec(Exec{}, sc, seed)
-}
-
-// LossThresholdSweepExec is LossThresholdSweep as a three-cell grid
-// over the lossthr axis: every cell re-emulates the identical
-// fixed-seed experiment (emulation is deterministic, so the
+// thresholds {1, 5, 10} % (Section 6.5: "no significant change"), as a
+// three-cell grid over the lossthr axis: every cell re-emulates the
+// identical fixed-seed experiment (emulation is deterministic, so the
 // measurements are bit-equal across cells) and re-infers under its
 // threshold.
-func LossThresholdSweepExec(x Exec, sc Scale, seed int64) (*SweepResult, error) {
+func LossThresholdSweep(x Exec, sc Scale, seed int64) (*SweepResult, error) {
 	g := policedGrid("loss-threshold-sweep", sc).
 		Add("lossthr",
 			grid.Num(0.01).WithLabel("1%"),
@@ -151,14 +145,9 @@ func LossThresholdSweepExec(x Exec, sc Scale, seed int64) (*SweepResult, error) 
 }
 
 // IntervalSweep re-runs the policed experiment under measurement intervals
-// {100, 200, 500} ms.
-func IntervalSweep(sc Scale, seed int64) (*SweepResult, error) {
-	return IntervalSweepExec(Exec{}, sc, seed)
-}
-
-// IntervalSweepExec is IntervalSweep as a three-cell grid over the
-// interval axis, run on the sweep engine.
-func IntervalSweepExec(x Exec, sc Scale, seed int64) (*SweepResult, error) {
+// {100, 200, 500} ms, as a three-cell grid over the interval axis run on
+// the sweep engine.
+func IntervalSweep(x Exec, sc Scale, seed int64) (*SweepResult, error) {
 	g := policedGrid("interval-sweep", sc).
 		Add("interval",
 			grid.Num(0.1).WithLabel("100ms"),
@@ -197,5 +186,3 @@ func (r *SweepResult) String() string {
 	fmt.Fprintf(&sb, "  verdict stable across configurations: %v\n", r.Stable)
 	return sb.String()
 }
-
-func mathExp(x float64) float64 { return math.Exp(x) }

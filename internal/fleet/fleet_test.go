@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -128,6 +130,52 @@ func TestCommitDegradesToAggregates(t *testing.T) {
 	}
 }
 
+// TestCommitHealsCorruptSource: a partition directory damaged after
+// completion (one flipped byte mid-shard) makes the merge fail with
+// sweep.ErrCorrupt; Commit repairs the source from its seeds and the
+// orchestrator's own record of the partition, re-merges, and commits
+// the single-process bytes without degrading.
+func TestCommitHealsCorruptSource(t *testing.T) {
+	refDir, refSum := referenceRun(t, 2)
+	o, _ := testOrch(t, 2, Config{Lease: time.Minute, SpeculateAfter: -1})
+	var part1 string
+	for k := 1; k <= 2; k++ {
+		a, err := o.Acquire("w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Join(t.TempDir(), "part")
+		if k == 1 {
+			part1 = dir
+		}
+		if err := o.Complete(a.Lease, runPart(t, a, dir)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shard := filepath.Join(part1, "shard-0000.jsonl")
+	data, err := os.ReadFile(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(shard, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	out := filepath.Join(t.TempDir(), "merged")
+	res, err := o.Commit(context.Background(), out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Degraded {
+		t.Fatalf("corrupt source should be healed, not degraded: %v", res.Reason)
+	}
+	if res.Summary != refSum {
+		t.Fatalf("healed summary diverged:\n%s\nvs\n%s", res.Summary, refSum)
+	}
+	assertDirsEqual(t, out, refDir)
+}
+
 // TestHTTPFleetEndToEnd drives real workers against the HTTP transport
 // (aggregate-only shipping): the spec travels over the wire, workers
 // run partitions locally, and because this test shares a filesystem
@@ -179,6 +227,21 @@ func TestHTTPFleetEndToEnd(t *testing.T) {
 	}
 	if err := o.Wait(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+
+	// GET /v1/status serves the orchestrator's snapshot.
+	resp, err := http.Get(srv.URL + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Status
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DoneParts != 3 || st.DoneCells != microGrid().Cells() || st.Failed != "" {
+		t.Fatalf("/v1/status after the fleet finished: %+v", st)
 	}
 
 	out := filepath.Join(root, "merged")

@@ -83,15 +83,6 @@ func (n *Network) EntirelyInClass(ps Pathset, c ClassID) bool {
 	return true
 }
 
-// AllPaths returns the pathset P containing every path of the network.
-func (n *Network) AllPaths() Pathset {
-	ps := make(Pathset, len(n.paths))
-	for i := range n.paths {
-		ps[i] = PathID(i)
-	}
-	return ps
-}
-
 // SingletonPathsets returns {{p} | p in P}.
 func (n *Network) SingletonPathsets() []Pathset {
 	out := make([]Pathset, len(n.paths))

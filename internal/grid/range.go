@@ -22,9 +22,6 @@ type Range struct {
 // Len returns the number of cells in the range.
 func (r Range) Len() int { return r.Hi - r.Lo }
 
-// Contains reports whether cell i falls inside the range.
-func (r Range) Contains(i int) bool { return i >= r.Lo && i < r.Hi }
-
 // FullRange is the range covering every cell of the grid.
 func (g *Grid) FullRange() Range { return Range{Lo: 0, Hi: g.Cells()} }
 

@@ -156,9 +156,9 @@ type SpecA struct {
 	Params ParamsA
 	// NonNeutral is the paper's ground-truth label for the experiment.
 	// Note the R = 0.5 shaping experiment is labeled neutral by the paper
-	// (equal marginal treatment); our reproduction deliberately flags it
+	// (equal marginal treatment); our reproduction may flag it
 	// (joint-distribution differentiation via separate per-class queues) —
-	// see DESIGN.md and the Fig. 8(i) bench output.
+	// see DESIGN.md.
 	NonNeutral bool
 }
 

@@ -184,14 +184,6 @@ func Consistent(a *Matrix, b []float64, tol float64) bool {
 	return a.Rank(tol) == a.AppendColumn(b).Rank(tol)
 }
 
-// InColumnSpace reports whether vector v lies in the column space of A, i.e.
-// whether A·x = v is consistent. Used by the Theorem 1 machinery, where the
-// observability proof asks whether the virtual-link column a⁺(n̄) of A⁺ lies
-// in the column space of A.
-func InColumnSpace(a *Matrix, v []float64, tol float64) bool {
-	return Consistent(a, v, tol)
-}
-
 // LeastSquares solves min ||A·x − b||₂ by Householder QR and returns x and
 // the residual norm. When A is rank-deficient the free variables are pinned
 // to zero (basic solution). Shapes: A is m×n with m >= 1, len(b) == m.

@@ -92,6 +92,10 @@ func TestFigure1Observable(t *testing.T) {
 	if len(eq.Virtual) != 5 {
 		t.Fatalf("|L+| = %d, want 5", len(eq.Virtual))
 	}
+	// p2 alone crosses l1's regulation link, whose gap is 0.693.
+	if y := eq.Observations([]graph.Pathset{{1}}); math.Abs(y[0]-0.693) > 1e-9 {
+		t.Fatalf("y(p2) = %v", y[0])
+	}
 	pathsets := []graph.Pathset{
 		{0}, {1}, {2},
 		graph.NewPathset(0, 1), graph.NewPathset(0, 2), graph.NewPathset(1, 2),

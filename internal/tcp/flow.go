@@ -236,9 +236,6 @@ func (f *Flow) Duration() float64 {
 	return f.finished - f.started
 }
 
-// Path returns the flow's path.
-func (f *Flow) Path() graph.PathID { return f.cfg.Path }
-
 func (f *Flow) inflight() int {
 	fl := f.nextSeq - f.highestAcked
 	if f.inRecovery {

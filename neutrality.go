@@ -17,15 +17,14 @@
 // # Layout
 //
 //   - Model: Network (graph + paths + performance classes), Pathset, Perf.
-//   - Theory: BuildEquivalent / Observable (Theorem 1), slices and
-//     identifiability (Lemmas 2–3).
+//   - Theory: Observable / ObservableStructural (Theorem 1), Slices and
+//     RoutingMatrix (Lemmas 2–3, Section 2.3).
 //   - Algorithm: Infer (Algorithm 1 + Algorithm 2 + clustering),
 //     Evaluate (false-negative/false-positive/granularity metrics).
 //   - Substrates: a packet-level network emulator with TCP (NewReno,
 //     CUBIC), token-bucket policing and shaping (RunExperiment), and a
 //     fast synthetic observation generator (NewSampler, ExactY).
-//   - Baselines: Boolean tomography, least-squares loss tomography, and
-//     NetPolice-style direct probing.
+//   - Baselines: Boolean tomography and least-squares loss tomography.
 //   - Engine: a parallel experiment runner (internal/runner) that fans
 //     independent experiments across a bounded worker pool
 //     (RunExperimentBatch, DeriveSeed).
@@ -51,7 +50,8 @@
 //     context between event batches).
 //
 // Batch entry points: RunExperimentBatch here, lab.RunBatch and the
-// figures.*Exec variants internally. Both CLIs expose the pool width:
+// internal/figures artifacts (each takes a figures.Exec) internally.
+// Both CLIs expose the pool width:
 //
 //	go run ./cmd/experiments -workers 8        # whole evaluation, 8-wide
 //	go run ./cmd/neutrality emulate -runs 20 -workers 8   # 20 replicas
@@ -74,16 +74,19 @@
 //
 // # Quick start
 //
-//	net := neutrality.Figure5()                  // a paper topology
-//	perf := neutrality.Figure5Perf(net)          // ground truth: l1 throttles class 2
-//	res := neutrality.InferExact(net, neutrality.ExactY(net, perf))
+//	net := neutrality.Figure5()              // a paper topology
+//	perf := neutrality.Figure5Perf(net)      // ground truth: l1 throttles class 2
+//	states := neutrality.NewSampler(net, perf, 42).SampleIntervals(10000)
+//	meas := neutrality.SyntheticMeasurements(states, neutrality.DefaultSyntheticOptions())
+//	res := neutrality.InferMeasured(net, meas, neutrality.DefaultMeasureOptions())
 //	for _, v := range res.NonNeutralSeqs() {
 //	    fmt.Println("non-neutral:", v.SeqNames())
 //	}
 //
-// See examples/ for complete programs, DESIGN.md for the system inventory,
-// and EXPERIMENTS.md for the reproduction of every table and figure of the
-// paper's evaluation.
+// See examples/ for complete programs (examples/quickstart runs the flow
+// above), DESIGN.md for the known divergences from the paper and the
+// ablations, and cmd/experiments for the reproduction of every table and
+// figure of the paper's evaluation.
 package neutrality
 
 import (
@@ -127,9 +130,6 @@ const (
 
 // NewBuilder returns an empty network builder.
 func NewBuilder() *Builder { return graph.NewBuilder() }
-
-// NewPathset returns the canonical pathset over the given paths.
-func NewPathset(paths ...PathID) Pathset { return graph.NewPathset(paths...) }
 
 // NewPerf allocates an all-zero performance table.
 func NewPerf(links, classes int) Perf { return graph.NewPerf(links, classes) }

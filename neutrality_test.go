@@ -1,7 +1,6 @@
 package neutrality_test
 
 import (
-	"math"
 	"testing"
 
 	"neutrality"
@@ -19,7 +18,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	}
 
 	// Exact inference localizes it to <l1>.
-	res := neutrality.InferExact(net, neutrality.ExactY(net, perf))
+	res := neutrality.Infer(net, neutrality.YFunc(neutrality.ExactY(net, perf)), neutrality.Config{Mode: neutrality.Exact})
 	flagged := res.NonNeutralSeqs()
 	if len(flagged) != 1 {
 		t.Fatalf("flagged %d sequences", len(flagged))
@@ -120,39 +119,16 @@ func TestPublicTheoryHelpers(t *testing.T) {
 	if len(slices) != 2 {
 		t.Fatalf("Figure 4 slices = %d", len(slices))
 	}
-	a := neutrality.RoutingMatrix(net, []neutrality.Pathset{neutrality.NewPathset(0, 1)})
+	pathsets := []neutrality.Pathset{{0, 1}}
+	a := neutrality.RoutingMatrix(net, pathsets)
 	if a.Rows != 1 || a.Cols != 3 {
 		t.Fatalf("routing matrix %dx%d", a.Rows, a.Cols)
 	}
-	if !neutrality.Consistent(a, []float64{1}, 0) {
-		t.Fatal("single-row system should be consistent")
+	// A zero least-squares residual is consistency over the reals.
+	if res := neutrality.LossTomography(net, pathsets, []float64{1}).Residual; res > 1e-9 {
+		t.Fatalf("single-row system should be consistent, residual %v", res)
 	}
 	if !neutrality.ConsistentNonneg(a, []float64{1}, 0) {
 		t.Fatal("single-row system should be non-negatively consistent")
-	}
-}
-
-func TestPublicEquivalentNetwork(t *testing.T) {
-	net := neutrality.Figure1()
-	perf := neutrality.Figure1Perf(net)
-	eq := neutrality.BuildEquivalent(net, perf)
-	if len(eq.Virtual) != 5 {
-		t.Fatalf("|L+| = %d", len(eq.Virtual))
-	}
-	y := eq.Observations([]neutrality.Pathset{{1}})
-	if math.Abs(y[0]-0.693) > 1e-9 {
-		t.Fatalf("y(p2) = %v", y[0])
-	}
-}
-
-func TestPublicSliceFor(t *testing.T) {
-	net := neutrality.Figure4()
-	l2, _ := net.LinkByName("l2")
-	s := neutrality.SliceFor(net, []neutrality.LinkID{l2.ID})
-	if s.Identifiable() {
-		t.Fatal("<l2> must not be identifiable")
-	}
-	if neutrality.Unsolvability(nil) != 0 {
-		t.Fatal("empty unsolvability")
 	}
 }

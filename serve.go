@@ -76,13 +76,3 @@ func NewServeRoot(cfg ServeRootConfig) (*ServeRoot, error) { return serve.NewRoo
 
 // NewServeRootServer wraps a root in the HTTP report/verdict protocol.
 func NewServeRootServer(r *ServeRoot) *ServeRootServer { return serve.NewRootServer(r) }
-
-// InferSource runs the practical pipeline over any measurement source:
-// the streaming analogue of InferMeasured.
-func InferSource(n *Network, src MeasurementSource, opts MeasureOptions) (*Result, error) {
-	m, err := src.Measurements()
-	if err != nil {
-		return nil, err
-	}
-	return InferMeasured(n, m, opts), nil
-}

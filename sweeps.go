@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"neutrality/internal/grid"
-	"neutrality/internal/lab"
 	"neutrality/internal/sweep"
 )
 
@@ -124,8 +123,3 @@ func PartitionSweepRange(g *Grid, shards, k, n int) (GridRange, error) {
 // DemoSweepGrid is the built-in 1,000-cell demonstration grid:
 // policer rate × discrimination fraction × topology × replicas.
 func DemoSweepGrid() *Grid { return sweep.DemoGrid() }
-
-// TableTwoGrid is Table 2's experiment set (1–9) as a declarative
-// grid spec — the paper's evaluation expressed in the sweep
-// vocabulary.
-func TableTwoGrid(set int) (*Grid, error) { return lab.TableTwoGrid(set) }

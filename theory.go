@@ -1,7 +1,6 @@
 package neutrality
 
 import (
-	"neutrality/internal/graph"
 	"neutrality/internal/matrix"
 	"neutrality/internal/neutral"
 	"neutrality/internal/nslice"
@@ -11,8 +10,6 @@ import (
 // Theory API: the constructs of Sections 3–4 of the paper.
 
 type (
-	// Equivalent is the neutral equivalent network G⁺ (Section 3.2).
-	Equivalent = neutral.Equivalent
 	// VirtualLink is a link of G⁺.
 	VirtualLink = neutral.VirtualLink
 	// Witness is a virtual link satisfying Theorem 1's observability
@@ -29,10 +26,6 @@ type (
 	// Matrix is a dense matrix (routing matrices, systems of equations).
 	Matrix = matrix.Matrix
 )
-
-// BuildEquivalent constructs the neutral equivalent of network n under the
-// ground-truth performance table (Section 3.2).
-func BuildEquivalent(n *Network, perf Perf) *Equivalent { return neutral.Build(n, perf) }
 
 // Observable applies Theorem 1: it returns the witnesses — virtual links
 // of G⁺ distinguishable from every link of G — that make the violation
@@ -51,21 +44,10 @@ func ObservableStructural(n *Network, nonNeutral []LinkID) []Witness {
 // of at least one path pair (Algorithm 1, lines 2–8).
 func Slices(n *Network) []*Slice { return nslice.Enumerate(n) }
 
-// SliceFor builds the slice of an explicit link sequence. The result has
-// no path pairs when τ is non-identifiable (like l2 in the paper's
-// Figure 4).
-func SliceFor(n *Network, seq []LinkID) *Slice { return nslice.For(n, seq) }
-
 // RoutingMatrix builds the generalized routing matrix A(Θ) over the given
 // pathsets (Section 2.3).
 func RoutingMatrix(n *Network, pathsets []Pathset) *Matrix {
 	return routing.Matrix(n, pathsets)
-}
-
-// Consistent reports whether A·x = y admits a solution over the reals
-// (Rouché–Capelli rank test). tol <= 0 uses a sensible default.
-func Consistent(a *Matrix, y []float64, tol float64) bool {
-	return matrix.Consistent(a, y, tol)
 }
 
 // ConsistentNonneg reports whether A·x = y admits a solution with x >= 0 —
@@ -75,11 +57,5 @@ func ConsistentNonneg(a *Matrix, y []float64, tol float64) bool {
 	return matrix.ConsistentNonneg(a, y, tol)
 }
 
-// Unsolvability is the practical score of Section 6.2: the spread of the
-// per-path-pair estimates of x_τ.
-func Unsolvability(estimates []PairEstimate) float64 { return nslice.Unsolvability(estimates) }
-
 // PowerSetPathsets enumerates P* for small networks (theory experiments).
 func PowerSetPathsets(n *Network) []Pathset { return n.PowerSetPathsets() }
-
-var _ = graph.NewPathset // keep the import pinned to the model package

@@ -1,9 +1,12 @@
 package neutrality_test
 
 import (
+	"math"
 	"testing"
 
 	"neutrality"
+	"neutrality/internal/neutral"
+	"neutrality/internal/nslice"
 )
 
 // These tests exercise the public API exactly as a downstream user would.
@@ -130,5 +133,34 @@ func TestPublicTheoryHelpers(t *testing.T) {
 	}
 	if !neutrality.ConsistentNonneg(a, []float64{1}, 0) {
 		t.Fatal("single-row system should be non-negatively consistent")
+	}
+}
+
+// The equivalent network and explicit slices have no root wrappers; these
+// tests build them from public-API topologies, as the internal packages
+// expose them.
+
+func TestPublicEquivalentNetwork(t *testing.T) {
+	net := neutrality.Figure1()
+	perf := neutrality.Figure1Perf(net)
+	eq := neutral.Build(net, perf)
+	if len(eq.Virtual) != 5 {
+		t.Fatalf("|L+| = %d", len(eq.Virtual))
+	}
+	y := eq.Observations([]neutrality.Pathset{{1}})
+	if math.Abs(y[0]-0.693) > 1e-9 {
+		t.Fatalf("y(p2) = %v", y[0])
+	}
+}
+
+func TestPublicSliceFor(t *testing.T) {
+	net := neutrality.Figure4()
+	l2, _ := net.LinkByName("l2")
+	s := nslice.For(net, []neutrality.LinkID{l2.ID})
+	if s.Identifiable() {
+		t.Fatal("<l2> must not be identifiable")
+	}
+	if nslice.Unsolvability(nil) != 0 {
+		t.Fatal("empty unsolvability")
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"neutrality/internal/figures"
 	"neutrality/internal/fleet"
 	"neutrality/internal/measure"
+	"neutrality/internal/serve"
 	"neutrality/internal/sweep"
 )
 
@@ -380,7 +381,7 @@ func BenchmarkSweepMerge(b *testing.B) {
 // heartbeats, checkpoint directories, aggregate shipping) costs over
 // the raw sweep engine.
 func BenchmarkFleetLocal(b *testing.B) {
-	g := neutrality.DemoSweepGrid()
+	g := sweep.DemoGrid()
 	const workers = 4
 	sweepWorkers := (runtime.NumCPU() + workers - 1) / workers
 	b.ReportAllocs()
@@ -433,12 +434,12 @@ func plantedFigure4Table(intervals int) (*neutrality.Network, *neutrality.Measur
 func BenchmarkServeIngest(b *testing.B) {
 	const intervals = 1024
 	n, meas := plantedFigure4Table(intervals)
-	recs := make([]neutrality.StreamRecord, 0, intervals*n.NumPaths())
+	recs := make([]measure.StreamRecord, 0, intervals*n.NumPaths())
 	seq := int64(0)
 	for t := 0; t < intervals; t++ {
 		for p := 0; p < n.NumPaths(); p++ {
 			seq++
-			recs = append(recs, neutrality.StreamRecord{
+			recs = append(recs, measure.StreamRecord{
 				Source: "bench", Seq: seq, Interval: t, Path: p,
 				Sent: meas.Sent[t][p], Lost: meas.Lost[t][p],
 			})
@@ -450,7 +451,7 @@ func BenchmarkServeIngest(b *testing.B) {
 	records := 0
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		svc, err := neutrality.NewServe(neutrality.ServeConfig{
+		svc, err := serve.New(serve.Config{
 			Net: n, EpochRecords: len(recs), Dir: b.TempDir(),
 		})
 		if err != nil {
@@ -471,7 +472,7 @@ func BenchmarkServeIngest(b *testing.B) {
 			records += res.Accepted
 		}
 		b.StopTimer()
-		var ev neutrality.ServeEpochVerdict
+		var ev serve.EpochVerdict
 		if err := json.Unmarshal(svc.VerdictJSON(), &ev); err != nil {
 			b.Fatal(err)
 		}
@@ -528,11 +529,11 @@ func BenchmarkEpochClose(b *testing.B) {
 	const span = 256
 	n, block := plantedFigure4Table(span)
 	paths := n.NumPaths()
-	epochRecs := func(e int) []neutrality.StreamRecord {
-		recs := make([]neutrality.StreamRecord, 0, span*paths)
+	epochRecs := func(e int) []measure.StreamRecord {
+		recs := make([]measure.StreamRecord, 0, span*paths)
 		for t := 0; t < span; t++ {
 			for p := 0; p < paths; p++ {
-				recs = append(recs, neutrality.StreamRecord{
+				recs = append(recs, measure.StreamRecord{
 					Source: fmt.Sprintf("vp-%d", p), Seq: int64(e*span + t + 1), Interval: e*span + t, Path: p,
 					Sent: block.Sent[t][p], Lost: block.Lost[t][p],
 				})
@@ -542,7 +543,7 @@ func BenchmarkEpochClose(b *testing.B) {
 	}
 	for _, depth := range []int{1, 100, 1000} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			svc, err := neutrality.NewServe(neutrality.ServeConfig{Net: n, EpochRecords: 0})
+			svc, err := serve.New(serve.Config{Net: n, EpochRecords: 0})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -569,7 +570,7 @@ func BenchmarkEpochClose(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			var ev neutrality.ServeEpochVerdict
+			var ev serve.EpochVerdict
 			if err := json.Unmarshal(svc.VerdictJSON(), &ev); err != nil {
 				b.Fatal(err)
 			}
@@ -589,9 +590,9 @@ func BenchmarkEpochClose(b *testing.B) {
 func BenchmarkRootDeliver(b *testing.B) {
 	const leaves, epochs, span = 2, 40, 16
 	n, meas := plantedFigure4Table(epochs * span)
-	svcs := make([]*neutrality.ServeService, leaves)
+	svcs := make([]*serve.Service, leaves)
 	for i := range svcs {
-		svc, err := neutrality.NewServe(neutrality.ServeConfig{Net: n, EpochRecords: 0, Leaf: fmt.Sprintf("leaf-%d", i)})
+		svc, err := serve.New(serve.Config{Net: n, EpochRecords: 0, Leaf: fmt.Sprintf("leaf-%d", i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -601,10 +602,10 @@ func BenchmarkRootDeliver(b *testing.B) {
 	// sets, as the tree requires.
 	for e := 0; e < epochs; e++ {
 		for i, svc := range svcs {
-			var recs []neutrality.StreamRecord
+			var recs []measure.StreamRecord
 			for t := e * span; t < (e+1)*span; t++ {
 				for p := i; p < n.NumPaths(); p += leaves {
-					recs = append(recs, neutrality.StreamRecord{
+					recs = append(recs, measure.StreamRecord{
 						Source: fmt.Sprintf("vp-%d", p), Seq: int64(t + 1), Interval: t, Path: p,
 						Sent: meas.Sent[t][p], Lost: meas.Lost[t][p],
 					})
@@ -618,7 +619,7 @@ func BenchmarkRootDeliver(b *testing.B) {
 			}
 		}
 	}
-	var reports []neutrality.ServeEpochReport
+	var reports []serve.EpochReport
 	for e := 0; e < epochs; e++ {
 		for _, svc := range svcs {
 			reports = append(reports, svc.Reports()[e])
@@ -636,11 +637,11 @@ func BenchmarkRootDeliver(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				cfg := neutrality.ServeRootConfig{Net: n, NetName: "figure4", Leaves: leaves}
+				cfg := serve.RootConfig{Net: n, NetName: "figure4", Leaves: leaves}
 				if durable {
 					cfg.Dir = filepath.Join(dirs, fmt.Sprint(i))
 				}
-				root, err := neutrality.NewServeRoot(cfg)
+				root, err := serve.NewRoot(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -664,7 +665,7 @@ func BenchmarkRootDeliver(b *testing.B) {
 				b.StartTimer()
 			}
 			b.StopTimer()
-			var ev neutrality.ServeEpochVerdict
+			var ev serve.EpochVerdict
 			if err := json.Unmarshal(verdict, &ev); err != nil {
 				b.Fatal(err)
 			}
@@ -688,14 +689,14 @@ func BenchmarkServeIngestSharded(b *testing.B) {
 	n, meas := plantedFigure4Table(intervals)
 	// Deal the flattened table round-robin across the senders, each
 	// with its own source name and contiguous sequence space.
-	streams := make([][]neutrality.StreamRecord, senders)
+	streams := make([][]measure.StreamRecord, senders)
 	seqs := make([]int64, senders)
 	total := 0
 	for t := 0; t < intervals; t++ {
 		for p := 0; p < n.NumPaths(); p++ {
 			i := total % senders
 			seqs[i]++
-			streams[i] = append(streams[i], neutrality.StreamRecord{
+			streams[i] = append(streams[i], measure.StreamRecord{
 				Source: fmt.Sprintf("bench-%d", i), Seq: seqs[i], Interval: t, Path: p,
 				Sent: meas.Sent[t][p], Lost: meas.Lost[t][p],
 			})
@@ -708,7 +709,7 @@ func BenchmarkServeIngestSharded(b *testing.B) {
 	records := 0
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		svc, err := neutrality.NewServe(neutrality.ServeConfig{
+		svc, err := serve.New(serve.Config{
 			Net: n, EpochRecords: total, Dir: b.TempDir(),
 			JournalShards: senders,
 		})
@@ -719,7 +720,7 @@ func BenchmarkServeIngestSharded(b *testing.B) {
 		var wg sync.WaitGroup
 		for _, stream := range streams {
 			wg.Add(1)
-			go func(stream []neutrality.StreamRecord) {
+			go func(stream []measure.StreamRecord) {
 				defer wg.Done()
 				for lo := 0; lo < len(stream); lo += 256 {
 					hi := lo + 256
@@ -736,7 +737,7 @@ func BenchmarkServeIngestSharded(b *testing.B) {
 		wg.Wait()
 		records += total
 		b.StopTimer()
-		var ev neutrality.ServeEpochVerdict
+		var ev serve.EpochVerdict
 		if err := json.Unmarshal(svc.VerdictJSON(), &ev); err != nil {
 			b.Fatal(err)
 		}
@@ -758,22 +759,22 @@ func BenchmarkServeIngestSharded(b *testing.B) {
 // increasing across the batches in order: what one service absorbs
 // before the ingest stage benches swap in a fresh one, so the open
 // epoch's buffer stays bounded however long the bench runs.
-func stageBatches() (*neutrality.Network, [][]neutrality.StreamRecord) {
+func stageBatches() (*neutrality.Network, [][]measure.StreamRecord) {
 	const batch, sources = 256, 16
 	n, meas := plantedFigure4Table(4096)
-	var all []neutrality.StreamRecord
+	var all []measure.StreamRecord
 	seqs := make([]int64, sources)
 	for t := range meas.Sent {
 		for p := range meas.Sent[t] {
 			s := len(all) % sources
 			seqs[s]++
-			all = append(all, neutrality.StreamRecord{
+			all = append(all, measure.StreamRecord{
 				Source: fmt.Sprintf("vp-%02d", s), Seq: seqs[s], Interval: t, Path: p,
 				Sent: meas.Sent[t][p], Lost: meas.Lost[t][p],
 			})
 		}
 	}
-	var out [][]neutrality.StreamRecord
+	var out [][]measure.StreamRecord
 	for lo := 0; lo < len(all); lo += batch {
 		out = append(out, all[lo:lo+batch])
 	}
@@ -796,8 +797,8 @@ func BenchmarkIngestDecode(b *testing.B) {
 			bodies[i] = append(bodies[i], '\n')
 		}
 	}
-	var svc *neutrality.ServeService
-	var srv *neutrality.ServeServer
+	var svc *serve.Service
+	var srv *serve.Server
 	b.ReportAllocs()
 	b.ResetTimer()
 	records := 0
@@ -806,10 +807,10 @@ func BenchmarkIngestDecode(b *testing.B) {
 		if k == 0 {
 			b.StopTimer()
 			var err error
-			if svc, err = neutrality.NewServe(neutrality.ServeConfig{Net: n, EpochRecords: 0}); err != nil {
+			if svc, err = serve.New(serve.Config{Net: n, EpochRecords: 0}); err != nil {
 				b.Fatal(err)
 			}
-			srv = neutrality.NewServeServer(svc)
+			srv = serve.NewServer(svc)
 			b.StartTimer()
 		}
 		w := httptest.NewRecorder()
@@ -837,7 +838,7 @@ func BenchmarkIngestDecode(b *testing.B) {
 func BenchmarkJournalAppend(b *testing.B) {
 	n, batches := stageBatches()
 	root := b.TempDir()
-	var svc *neutrality.ServeService
+	var svc *serve.Service
 	var dir string
 	retire := func() {
 		if svc == nil {
@@ -858,7 +859,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 			retire()
 			dir = filepath.Join(root, fmt.Sprint(i))
 			var err error
-			svc, err = neutrality.NewServe(neutrality.ServeConfig{
+			svc, err = serve.New(serve.Config{
 				Net: n, EpochRecords: 0, JournalShards: 4, Dir: dir,
 			})
 			if err != nil {
@@ -919,7 +920,7 @@ func BenchmarkShardVerify(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := neutrality.VerifySweep(g, dir)
+		rep, err := sweep.Verify(g, dir)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,7 +5,8 @@ import (
 	"log"
 	"os"
 
-	"neutrality"
+	"neutrality/internal/measure"
+	"neutrality/internal/sweep"
 )
 
 // Exit codes. Orchestration scripts around the sweep/merge/fleet
@@ -30,10 +31,10 @@ const (
 // classify maps an error to its exit code via the sweep error kinds.
 func classify(err error) int {
 	switch {
-	case errors.Is(err, neutrality.ErrSweepValidation),
-		errors.Is(err, neutrality.ErrMeasureValidation):
+	case errors.Is(err, sweep.ErrValidation),
+		errors.Is(err, measure.ErrValidation):
 		return exitValidation
-	case errors.Is(err, neutrality.ErrSweepIncomplete):
+	case errors.Is(err, sweep.ErrIncomplete):
 		return exitIncomplete
 	}
 	return exitFatal

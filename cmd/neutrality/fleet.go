@@ -11,7 +11,7 @@ import (
 	"os"
 	"time"
 
-	"neutrality"
+	"neutrality/internal/fleet"
 )
 
 // cmdFleet dispatches the fleet-mode subcommands: a fault-tolerant
@@ -66,7 +66,7 @@ func cmdFleetServe(ctx context.Context, args []string) {
 		log.Print("-out is required")
 		os.Exit(exitUsage)
 	}
-	o, err := neutrality.NewFleet(g, neutrality.FleetConfig{
+	o, err := fleet.New(g, fleet.Config{
 		Parts: *parts, Shards: *shards, BaseSeed: *seed,
 		Lease: *lease, SpeculateAfter: *speculate, MaxAttempts: *maxAttempts,
 		UploadDir: *uploadDir,
@@ -79,7 +79,7 @@ func cmdFleetServe(ctx context.Context, args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	srv := &http.Server{Handler: neutrality.NewFleetServer(o)}
+	srv := &http.Server{Handler: fleet.NewServer(o)}
 	go srv.Serve(ln)
 	defer srv.Close()
 	fmt.Fprintf(os.Stderr, "fleet %s: %d cells in %d partitions, serving on %s\n",
@@ -141,14 +141,14 @@ func cmdFleetWork(ctx context.Context, args []string) {
 		log.Print("fleet work needs -addr and -dir")
 		os.Exit(exitUsage)
 	}
-	cl := &neutrality.FleetClient{Base: *addr}
+	cl := &fleet.Client{Base: *addr}
 	g, _, _, err := cl.FetchSpec(ctx)
 	if err != nil {
 		fatal(fmt.Errorf("fetching the fleet spec from %s: %w", *addr, err))
 	}
 	fmt.Fprintf(os.Stderr, "fleet %s: %d cells, working under %s\n", g.Name, g.Cells(), *dir)
 
-	opt := neutrality.FleetWorkerOptions{
+	opt := fleet.WorkerOptions{
 		ID: *id, Workers: *workers, Dir: *dir,
 		CellTimeout: *cellTimeout, Poll: *poll, Heartbeat: *heartbeat,
 	}
@@ -157,7 +157,7 @@ func cmdFleetWork(ctx context.Context, args []string) {
 			fmt.Fprintf(os.Stderr, "\rcell %d done", cell)
 		}
 	}
-	if err := neutrality.FleetWork(ctx, g, cl, opt); err != nil {
+	if err := fleet.Work(ctx, g, cl, opt); err != nil {
 		if !*quiet {
 			fmt.Fprintln(os.Stderr)
 		}

@@ -75,6 +75,9 @@ import (
 	"strings"
 
 	"neutrality"
+	"neutrality/internal/lab"
+	"neutrality/internal/measure"
+	"neutrality/internal/runner"
 )
 
 func main() {
@@ -259,7 +262,7 @@ func cmdEmulate(ctx context.Context, args []string) {
 		if *runs == 1 {
 			return *seed
 		}
-		return neutrality.DeriveSeed(*seed, i)
+		return runner.Seed(*seed, i)
 	}
 
 	var net *neutrality.Network
@@ -297,7 +300,7 @@ func cmdEmulate(ctx context.Context, args []string) {
 		log.Fatalf("emulate supports topologies a and b, not %q", *netName)
 	}
 
-	results, err := neutrality.RunExperimentBatch(ctx, *workers, exps)
+	results, err := lab.RunBatch(ctx, *workers, exps)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -345,7 +348,7 @@ func saveCSV(path string, m *neutrality.Measurements) {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	if err := neutrality.WriteMeasurementsCSV(f, m); err != nil {
+	if err := m.WriteCSV(f); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s (%d intervals, %d paths)\n", path, m.Intervals(), m.NumPaths())
@@ -367,7 +370,7 @@ func cmdInfer(args []string) {
 			log.Fatal(err)
 		}
 		defer f.Close()
-		meas, err := neutrality.ReadMeasurementsCSV(f)
+		meas, err := measure.ReadCSV(f)
 		if err != nil {
 			// A malformed CSV exits 3 (validation), not 1: rerunning the
 			// same invocation cannot succeed.

@@ -7,7 +7,7 @@ import (
 	"os"
 	"time"
 
-	"neutrality"
+	"neutrality/internal/sweep"
 )
 
 // cmdMerge reconstitutes a single-run sweep directory from partition
@@ -43,7 +43,7 @@ func cmdMerge(args []string) {
 	}
 
 	start := time.Now()
-	res, err := neutrality.MergeSweep(g, dirs, *out)
+	res, err := sweep.Merge(g, dirs, *out)
 	if err != nil {
 		// An unfinished partition or coverage gap exits
 		// resumable-incomplete (4); spec mismatches exit validation (3).

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"neutrality"
+	"neutrality/internal/measure"
+	"neutrality/internal/serve"
 )
 
 // cmdServe runs the streaming inference service: a long-running HTTP
@@ -82,7 +84,7 @@ func cmdServe(ctx context.Context, args []string) {
 		log.Fatal("-root-url requires -leaf (the leaf's name in the tree)")
 	}
 
-	svc, err := neutrality.NewServe(neutrality.ServeConfig{
+	svc, err := serve.New(serve.Config{
 		Net: n, NetName: *netName, Opts: opts,
 		EpochRecords: *epochRecords, MaxPending: *maxPending,
 		Dir: *dir, Resume: *resume,
@@ -97,7 +99,7 @@ func cmdServe(ctx context.Context, args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	h := neutrality.NewServeServer(svc)
+	h := serve.NewServer(svc)
 	h.EpochInterval = *epochInterval
 	srv := &http.Server{Handler: h}
 	go srv.Serve(ln)
@@ -109,7 +111,7 @@ func cmdServe(ctx context.Context, args []string) {
 
 	shipDone := make(chan error, 1)
 	if *rootURL != "" {
-		sh := &neutrality.ServeShipper{S: svc, URL: *rootURL}
+		sh := &serve.Shipper{S: svc, URL: *rootURL}
 		go func() { shipDone <- sh.Run(ctx) }()
 		fmt.Fprintf(os.Stderr, "leaf %q shipping epoch reports to %s\n", *leaf, *rootURL)
 	}
@@ -166,8 +168,8 @@ func cmdServe(ctx context.Context, args []string) {
 // it is acked, and a -resume restart replays the log to the exact
 // pre-restart marks and fold; without it, a root restart requires a
 // full-tree restart from empty state.
-func cmdServeRoot(ctx context.Context, n *neutrality.Network, netName string, leaves int, addr, dir string, resume bool, opts neutrality.MeasureOptions) {
-	r, err := neutrality.NewServeRoot(neutrality.ServeRootConfig{
+func cmdServeRoot(ctx context.Context, n *neutrality.Network, netName string, leaves int, addr, dir string, resume bool, opts measure.Options) {
+	r, err := serve.NewRoot(serve.RootConfig{
 		Net: n, NetName: netName, Leaves: leaves, Opts: opts,
 		Dir: dir, Resume: resume,
 	})
@@ -178,7 +180,7 @@ func cmdServeRoot(ctx context.Context, n *neutrality.Network, netName string, le
 	if err != nil {
 		fatal(err)
 	}
-	srv := &http.Server{Handler: neutrality.NewServeRootServer(r)}
+	srv := &http.Server{Handler: serve.NewRootServer(r)}
 	go srv.Serve(ln)
 	defer srv.Close()
 	st := r.Status()

@@ -11,24 +11,25 @@ import (
 	"strings"
 	"time"
 
-	"neutrality"
+	"neutrality/internal/grid"
+	"neutrality/internal/sweep"
 )
 
 // loadGrid resolves the shared -demo/-grid flag pair of the sweep and
 // merge subcommands into a validated grid spec.
-func loadGrid(demo bool, gridFile string) *neutrality.Grid {
-	var g *neutrality.Grid
+func loadGrid(demo bool, gridFile string) *grid.Grid {
+	var g *grid.Grid
 	switch {
 	case demo && gridFile != "":
 		log.Fatal("pass either -demo or -grid, not both")
 	case demo:
-		g = neutrality.DemoSweepGrid()
+		g = sweep.DemoGrid()
 	case gridFile != "":
 		f, err := os.Open(gridFile)
 		if err != nil {
 			log.Fatal(err)
 		}
-		spec, err := neutrality.ParseGridJSON(f)
+		spec, err := grid.ParseJSON(f)
 		f.Close()
 		if err != nil {
 			log.Fatal(err)
@@ -37,7 +38,7 @@ func loadGrid(demo bool, gridFile string) *neutrality.Grid {
 	default:
 		log.Fatal("pass -grid FILE or -demo (and see sweep -print-spec)")
 	}
-	if err := neutrality.ValidateSweepGrid(g); err != nil {
+	if err := sweep.Validate(g); err != nil {
 		log.Fatal(err)
 	}
 	return g
@@ -46,8 +47,8 @@ func loadGrid(demo bool, gridFile string) *neutrality.Grid {
 // parsePartition parses a -partition k/n value strictly: any
 // malformed or trailing input is rejected rather than silently
 // running the wrong cell range of a fleet.
-func parsePartition(s string) (neutrality.SweepPartition, error) {
-	var p neutrality.SweepPartition
+func parsePartition(s string) (sweep.Partition, error) {
+	var p sweep.Partition
 	if s == "" {
 		return p, nil
 	}
@@ -59,7 +60,7 @@ func parsePartition(s string) (neutrality.SweepPartition, error) {
 		ok = errK == nil && errN == nil && p.K >= 1 && p.N >= 1 && p.K <= p.N
 	}
 	if !ok {
-		return neutrality.SweepPartition{}, fmt.Errorf("-partition must be k/n with 1 <= k <= n, got %q", s)
+		return sweep.Partition{}, fmt.Errorf("-partition must be k/n with 1 <= k <= n, got %q", s)
 	}
 	return p, nil
 }
@@ -113,7 +114,7 @@ func cmdSweep(ctx context.Context, args []string) {
 	total := g.Cells()
 	fmt.Fprintf(os.Stderr, "sweep %s: %d cells (%d axes), scale=%g%%, %gs per cell, shards=%d\n",
 		g.Name, total, len(g.Axes), g.Base.ScaleFactor*100, g.Base.DurationSec, *shards)
-	opt := neutrality.SweepOptions{
+	opt := sweep.Options{
 		Workers:     *workers,
 		Shards:      *shards,
 		BaseSeed:    *seed,
@@ -133,10 +134,10 @@ func cmdSweep(ctx context.Context, args []string) {
 		}
 	}
 	start := time.Now()
-	res, err := neutrality.RunSweep(ctx, g, opt)
+	res, err := sweep.Run(ctx, g, opt)
 	if err != nil {
 		resumable := *out != "" &&
-			(errors.Is(err, context.Canceled) || errors.Is(err, neutrality.ErrSweepIncomplete))
+			(errors.Is(err, context.Canceled) || errors.Is(err, sweep.ErrIncomplete))
 		if resumable {
 			// An interruption or per-cell timeout leaves a valid
 			// checkpoint; tell the operator how to go on. The hint

@@ -7,7 +7,7 @@ import (
 	"log"
 	"os"
 
-	"neutrality"
+	"neutrality/internal/sweep"
 )
 
 // cmdVerify scrubs sweep directories against their spec: the manifest,
@@ -39,7 +39,7 @@ func cmdVerify(ctx context.Context, args []string) {
 
 	var firstErr error
 	for _, dir := range dirs {
-		rep, err := neutrality.VerifySweep(g, dir)
+		rep, err := sweep.Verify(g, dir)
 		if err != nil {
 			// No verifiable identity (destroyed/corrupt manifest, wrong
 			// spec). Repair cannot proceed either: rebuilding a manifest
@@ -75,11 +75,11 @@ func cmdVerify(ctx context.Context, args []string) {
 			log.Print(rep.Err())
 			continue
 		}
-		fixed, err := neutrality.RepairSweep(ctx, g, dir, neutrality.SweepRepairOptions{Workers: *workers})
+		fixed, err := sweep.Repair(ctx, g, dir, sweep.RepairOptions{Workers: *workers})
 		if err != nil {
 			fatal(err)
 		}
-		again, err := neutrality.VerifySweep(g, dir)
+		again, err := sweep.Verify(g, dir)
 		if err != nil {
 			fatal(err)
 		}

@@ -1,11 +1,8 @@
 package neutrality
 
 import (
-	"context"
-
 	"neutrality/internal/emu"
 	"neutrality/internal/lab"
-	"neutrality/internal/runner"
 	"neutrality/internal/topo"
 	"neutrality/internal/workload"
 )
@@ -56,20 +53,6 @@ const (
 
 // RunExperiment executes an emulation experiment.
 func RunExperiment(e *Experiment) (*RunResult, error) { return lab.Run(e) }
-
-// RunExperimentBatch executes independent experiments across a bounded
-// worker pool (workers <= 0 means one per CPU), returning results in
-// input order. Each experiment carries its own seed, so the batch
-// output is identical for every worker count. Cancelling ctx stops
-// dispatching new experiments; in-flight runs finish.
-func RunExperimentBatch(ctx context.Context, workers int, exps []*Experiment) ([]*RunResult, error) {
-	return lab.RunBatch(ctx, workers, exps)
-}
-
-// DeriveSeed derives a per-unit seed from a base seed and a unit index
-// (splitmix64 mixing): the canonical way to seed the replicas of a
-// parallel sweep so results are reproducible at any worker count.
-func DeriveSeed(base int64, index int) int64 { return runner.Seed(base, index) }
 
 // DefaultParamsA returns Table 1's default operating point.
 func DefaultParamsA() ParamsA { return lab.DefaultParamsA() }

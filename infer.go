@@ -1,8 +1,6 @@
 package neutrality
 
 import (
-	"io"
-
 	"neutrality/internal/core"
 	"neutrality/internal/measure"
 	"neutrality/internal/synth"
@@ -60,14 +58,6 @@ func Infer(n *Network, obs Observer, cfg Config) *Result { return core.Infer(n, 
 func InferMeasured(n *Network, meas *Measurements, opts MeasureOptions) *Result {
 	return core.Infer(n, core.MeasurementObserver{Meas: meas, Opts: opts}, core.DefaultConfig())
 }
-
-// ReadMeasurementsCSV parses raw measurements from the CSV format written
-// by WriteMeasurementsCSV (header `interval,path0_sent,path0_lost,...`).
-func ReadMeasurementsCSV(r io.Reader) (*Measurements, error) { return measure.ReadCSV(r) }
-
-// WriteMeasurementsCSV serializes raw measurements for interchange with
-// external measurement platforms.
-func WriteMeasurementsCSV(w io.Writer, m *Measurements) error { return m.WriteCSV(w) }
 
 // PathCongestionProb returns, for each path, the fraction of its active
 // intervals with loss at or above the threshold — the per-path series

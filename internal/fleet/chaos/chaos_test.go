@@ -2,13 +2,16 @@ package chaos
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"neutrality/internal/fleet"
 	"neutrality/internal/grid"
 	"neutrality/internal/sweep"
 )
@@ -268,6 +271,27 @@ func TestChaosDegradedConvergence(t *testing.T) {
 	}
 	if res.Summary != refSum {
 		t.Fatalf("degraded summary diverged:\n%s\nvs\n%s", res.Summary, refSum)
+	}
+}
+
+// TestChaosTransportRelaysFail: a worker failure report crosses the
+// chaos transport (a fault-free schedule) and, with a one-attempt
+// budget, fails the fleet with the worker's cell-timeout reason.
+func TestChaosTransportRelaysFail(t *testing.T) {
+	o, err := fleet.New(chaosGrid(), fleet.Config{Parts: 2, Shards: 2, BaseSeed: chaosSeed, MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTransport(fleet.Local{O: o}, Schedule{})
+	err = fleet.Work(context.Background(), chaosGrid(), tr, fleet.WorkerOptions{
+		ID: "w", Dir: t.TempDir(), CellTimeout: time.Nanosecond, Poll: time.Millisecond,
+	})
+	if !errors.Is(err, fleet.ErrFleetFailed) {
+		t.Fatalf("worker: want ErrFleetFailed, got %v", err)
+	}
+	err = o.Wait(context.Background())
+	if !errors.Is(err, fleet.ErrFleetFailed) || !strings.Contains(err.Error(), "exceeded the per-cell timeout") {
+		t.Fatalf("fleet: want ErrFleetFailed with the cell-timeout reason, got %v", err)
 	}
 }
 

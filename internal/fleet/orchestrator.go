@@ -59,7 +59,7 @@ type Config struct {
 	now func() time.Time
 }
 
-func (c Config) withDefaults(cells int) Config {
+func (c Config) withDefaults() Config {
 	if c.Parts <= 0 {
 		c.Parts = 1
 	}
@@ -87,7 +87,6 @@ func (c Config) withDefaults(cells int) Config {
 	if c.now == nil {
 		c.now = time.Now
 	}
-	_ = cells
 	return c
 }
 
@@ -144,7 +143,7 @@ func New(g *grid.Grid, cfg Config) (*Orchestrator, error) {
 	if err := sweep.Validate(g); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults(g.Cells())
+	cfg = cfg.withDefaults()
 	o := &Orchestrator{
 		g:      g,
 		cfg:    cfg,

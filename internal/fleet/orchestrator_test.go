@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -288,6 +289,22 @@ func TestAttemptBudget(t *testing.T) {
 	}
 	if _, err := o.Commit(context.Background(), ""); !errors.Is(err, ErrFleetFailed) {
 		t.Fatalf("want ErrFleetFailed from Commit, got %v", err)
+	}
+}
+
+// TestRunLocalCellTimeoutFails: a worker whose cell misses its
+// deadline gives the lease back through the transport's Fail, and with
+// a one-attempt budget the fleet fails naming the worker's reason.
+func TestRunLocalCellTimeoutFails(t *testing.T) {
+	_, err := RunLocal(context.Background(), microGrid(), LocalOptions{
+		Workers: 1, Parts: 2, Shards: 2, BaseSeed: 7, Dir: t.TempDir(),
+		CellTimeout: time.Nanosecond, MaxAttempts: 1, Poll: time.Millisecond,
+	})
+	if !errors.Is(err, ErrFleetFailed) {
+		t.Fatalf("want ErrFleetFailed, got %v", err)
+	}
+	if !strings.Contains(err.Error(), "exceeded the per-cell timeout") {
+		t.Fatalf("fleet failure %q does not carry the worker's cell-timeout reason", err)
 	}
 }
 

@@ -40,17 +40,6 @@ const (
 	Relay
 )
 
-func (k NodeKind) String() string {
-	switch k {
-	case EndHost:
-		return "end-host"
-	case Relay:
-		return "relay"
-	default:
-		return fmt.Sprintf("NodeKind(%d)", int(k))
-	}
-}
-
 // Node is a vertex of the network graph.
 type Node struct {
 	ID   NodeID

@@ -8,7 +8,6 @@ package matrix
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Matrix is a dense row-major matrix.
@@ -86,22 +85,6 @@ func (m *Matrix) AppendColumn(b []float64) *Matrix {
 		out.Data[i*out.Cols+m.Cols] = b[i]
 	}
 	return out
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var sb strings.Builder
-	for i := 0; i < m.Rows; i++ {
-		sb.WriteString("[")
-		for j := 0; j < m.Cols; j++ {
-			if j > 0 {
-				sb.WriteString(" ")
-			}
-			fmt.Fprintf(&sb, "%6.3g", m.At(i, j))
-		}
-		sb.WriteString("]\n")
-	}
-	return sb.String()
 }
 
 // DefaultTol is the pivot tolerance used when callers pass tol <= 0.

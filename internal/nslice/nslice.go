@@ -309,8 +309,3 @@ func (s *Slice) SeqNames() string {
 	}
 	return "<" + strings.Join(parts, ",") + ">"
 }
-
-// String summarizes the slice.
-func (s *Slice) String() string {
-	return fmt.Sprintf("slice %s: %d pairs, %d paths", s.SeqNames(), len(s.Pairs), len(s.Paths))
-}

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -66,7 +68,8 @@ type EpochReport struct {
 	Loss       sweep.WelfordWire `json:"loss"`
 	LossSketch sweep.SketchWire  `json:"loss_sketch"`
 	// Sum is the SHA-256 (lowercase hex) of the report's canonical
-	// JSON with Sum itself empty.
+	// JSON with Sum itself empty. It must stay the last field:
+	// sealedReport checks it by cutting it off the end of the JSON.
 	Sum string `json:"sum,omitempty"`
 }
 
@@ -77,12 +80,26 @@ func sealReport(r *EpochReport) {
 	r.Sum = shaSum(b)
 }
 
-// verifyReport recomputes the content hash.
-func verifyReport(r EpochReport) bool {
-	want := r.Sum
-	r.Sum = ""
-	b, _ := json.Marshal(&r)
-	return want != "" && shaSum(b) == want
+// sealedReport marshals rep once and checks its content seal on those
+// bytes, returning them with the verdict. A sealed report's Sum is 64
+// lowercase hex digits, which JSON writes unescaped, so its JSON with
+// Sum empty (omitted) is these bytes with the trailing `,"sum":"…"`
+// field cut.
+func sealedReport(rep *EpochReport) ([]byte, bool) {
+	if !sweep.IsSHA256Hex(rep.Sum) {
+		return nil, false
+	}
+	b, err := json.Marshal(rep)
+	if err != nil {
+		return nil, false
+	}
+	cut := len(b) - len(`,"sum":""}`) - len(rep.Sum)
+	b[cut] = '}'
+	sum := sha256.Sum256(b[:cut+1])
+	b[cut] = ','
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], sum[:])
+	return b, string(hexSum[:]) == rep.Sum
 }
 
 // ErrReportGap reports an epoch report arriving ahead of its leaf's
@@ -199,12 +216,21 @@ type RootDeliverResult struct {
 
 // admitLocked is the one gate a report passes, live or replayed: the
 // content seal and domain checks, the expected-leaf bound, and the
-// per-leaf epoch order. It reports an already-delivered epoch as dup;
-// a per-leaf gap is ErrReportGap, anything else measure.ErrValidation.
-func (r *Root) admitLocked(rep EpochReport) (dup bool, err error) {
-	if !verifyReport(rep) {
-		return false, fmt.Errorf("serve: epoch report content hash mismatch: %w", measure.ErrValidation)
+// per-leaf epoch order. It returns the report's canonical JSON, the
+// line the report log holds; it reports an already-delivered epoch as
+// dup; a per-leaf gap is ErrReportGap, anything else
+// measure.ErrValidation.
+func (r *Root) admitLocked(rep *EpochReport) (line []byte, dup bool, err error) {
+	line, ok := sealedReport(rep)
+	if !ok {
+		return nil, false, fmt.Errorf("serve: epoch report content hash mismatch: %w", measure.ErrValidation)
 	}
+	dup, err = r.checkLocked(rep)
+	return line, dup, err
+}
+
+// checkLocked is admitLocked past the seal.
+func (r *Root) checkLocked(rep *EpochReport) (dup bool, err error) {
 	if rep.Leaf == "" || rep.Epoch <= 0 || rep.Records < 0 {
 		return false, fmt.Errorf("serve: epoch report malformed (leaf=%q epoch=%d records=%d): %w", rep.Leaf, rep.Epoch, rep.Records, measure.ErrValidation)
 	}
@@ -254,7 +280,7 @@ func (r *Root) admitLocked(rep EpochReport) (dup bool, err error) {
 func (r *Root) Deliver(rep EpochReport) (RootDeliverResult, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	dup, err := r.admitLocked(rep)
+	line, dup, err := r.admitLocked(&rep)
 	switch {
 	case r.closed:
 		dup, err = false, ErrClosed
@@ -269,10 +295,7 @@ func (r *Root) Deliver(rep EpochReport) (RootDeliverResult, error) {
 			// Durability before acknowledgement: once the leaf sees 200 it
 			// may drop its only other copy of this report, so the line and
 			// a claim covering it are flushed first.
-			var payload []byte
-			if payload, err = json.Marshal(rep); err == nil {
-				err = r.log.Append(0, func(b []byte) []byte { return append(b, payload...) })
-			}
+			err = r.log.Append(0, func(b []byte) []byte { return append(b, line...) })
 			if err == nil {
 				err = r.log.Flush(r.records, r.epoch)
 			}
@@ -487,7 +510,7 @@ func (sh *Shipper) Run(ctx context.Context) error {
 				}
 				var perm *permanentShipError
 				if errors.As(err, &perm) {
-					return fmt.Errorf("serve: root rejected epoch %d report: %s: %w", rep.Epoch, perm.msg, measure.ErrValidation)
+					return fmt.Errorf("serve: root rejected epoch %d report: %v: %w", rep.Epoch, perm, measure.ErrValidation)
 				}
 				select {
 				case <-ctx.Done():

@@ -264,6 +264,28 @@ func TestShipperDrainsToRoot(t *testing.T) {
 	}
 }
 
+// TestShipperStopsOnRejection: a root answering 400 is a permanent
+// rejection: Run returns a validation error instead of retrying, and
+// the report stays in the outbox.
+func TestShipperStopsOnRejection(t *testing.T) {
+	leafSvcs, _, _ := driveTree(t, 1, 2)
+	leaf := leafSvcs[0]
+	queued := len(leaf.Reports())
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "report refused", http.StatusBadRequest)
+	}))
+	defer ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	err := (&Shipper{S: leaf, URL: ts.URL, Backoff: time.Millisecond}).Run(ctx)
+	if !errors.Is(err, measure.ErrValidation) || !strings.Contains(err.Error(), "report refused") {
+		t.Fatalf("shipper against a rejecting root = %v, want a validation error carrying the root's answer", err)
+	}
+	if got := len(leaf.Reports()); got != queued || queued == 0 {
+		t.Fatalf("outbox holds %d reports after the rejection, want the %d queued", got, queued)
+	}
+}
+
 // TestRootDurableRestart: a root with a report log survives a restart
 // mid-tree. Leaves that already acked (and dropped) their early epochs
 // keep shipping from their next unacked epoch — the resumed root's

@@ -173,7 +173,7 @@ func (s *Service) restoreSnapshot(w *snapWire) error {
 	}
 	prevEpoch := 0
 	for i, rep := range w.Outbox {
-		if !verifyReport(rep) {
+		if _, ok := sealedReport(&rep); !ok {
 			return errCorruptf("serve: snapshot outbox report %d fails its content hash", i)
 		}
 		if rep.Leaf != s.cfg.Leaf {

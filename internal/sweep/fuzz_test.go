@@ -52,7 +52,7 @@ func FuzzManifestJSON(f *testing.F) {
 			t.Fatalf("accepted sum/shard count mismatch: %+v", m)
 		}
 		for _, sum := range m.ShardSums {
-			if !isSHA256Hex(sum) {
+			if !IsSHA256Hex(sum) {
 				t.Fatalf("accepted malformed shard sum: %+v", m)
 			}
 		}

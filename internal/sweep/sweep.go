@@ -130,8 +130,6 @@ type Partition struct {
 // IsZero reports whether p is the whole-grid (non-partitioned) run.
 func (p Partition) IsZero() bool { return p == Partition{} }
 
-func (p Partition) String() string { return fmt.Sprintf("%d/%d", p.K, p.N) }
-
 // Options configure one engine run.
 type Options struct {
 	// Workers bounds the worker pool (0 = one per CPU).
@@ -443,16 +441,16 @@ func parseManifest(data []byte) (*manifest, error) {
 		return nil, fmt.Errorf("%d shard sums for %d shards", len(m.ShardSums), m.Shards)
 	}
 	for s, sum := range m.ShardSums {
-		if !isSHA256Hex(sum) {
+		if !IsSHA256Hex(sum) {
 			return nil, fmt.Errorf("shard %d sum %q is not 64 lowercase hex digits", s, sum)
 		}
 	}
 	return &m, nil
 }
 
-// isSHA256Hex reports whether s is a well-formed lowercase-hex SHA-256
+// IsSHA256Hex reports whether s is a well-formed lowercase-hex SHA-256
 // digest.
-func isSHA256Hex(s string) bool {
+func IsSHA256Hex(s string) bool {
 	if len(s) != 64 {
 		return false
 	}

@@ -26,8 +26,7 @@
 //     fast synthetic observation generator (NewSampler, ExactY).
 //   - Baselines: Boolean tomography and least-squares loss tomography.
 //   - Engine: a parallel experiment runner (internal/runner) that fans
-//     independent experiments across a bounded worker pool
-//     (RunExperimentBatch, DeriveSeed).
+//     independent experiments across a bounded worker pool.
 //
 // # Parallel sweeps
 //
@@ -39,8 +38,8 @@
 // properties make the parallel sweeps safe to use for reproduction:
 //
 //   - Determinism: every unit derives its seed from
-//     (baseSeed, unitIndex) — see DeriveSeed — so sweep output is
-//     byte-identical for every worker count and completion order.
+//     (baseSeed, unitIndex), so sweep output is byte-identical for
+//     every worker count and completion order.
 //   - Ordered collection: printed tables keep the paper's row order no
 //     matter which experiment finished first.
 //   - Containment: a panicking experiment becomes a per-unit error
@@ -49,9 +48,8 @@
 //     aborts in-flight emulations mid-run (the event loop polls the
 //     context between event batches).
 //
-// Batch entry points: RunExperimentBatch here, lab.RunBatch and the
-// internal/figures artifacts (each takes a figures.Exec) internally.
-// Both CLIs expose the pool width:
+// Batch entry points: lab.RunBatch and the internal/figures artifacts
+// (each takes a figures.Exec). Both CLIs expose the pool width:
 //
 //	go run ./cmd/experiments -workers 8        # whole evaluation, 8-wide
 //	go run ./cmd/neutrality emulate -runs 20 -workers 8   # 20 replicas
@@ -59,8 +57,8 @@
 // # Sweep orchestration
 //
 // Beyond the paper's fixed 34-experiment evaluation, the sweep
-// subsystem (internal/grid + internal/sweep, re-exported here as
-// Grid/RunSweep/…) executes declarative scenario grids — axes over
+// subsystem (internal/grid + internal/sweep; NewGrid, RunSweep and
+// MergeSweep here) executes declarative scenario grids — axes over
 // topologies, workload mixes, differentiation policies, and inference
 // knobs — as sharded streams of independent cells with one JSONL
 // record per cell, bounded-memory online aggregation (streaming

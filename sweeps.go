@@ -2,7 +2,6 @@ package neutrality
 
 import (
 	"context"
-	"io"
 
 	"neutrality/internal/grid"
 	"neutrality/internal/sweep"
@@ -51,9 +50,6 @@ func GridNum(v float64) GridValue { return grid.Num(v) }
 // GridStr returns a string axis value.
 func GridStr(s string) GridValue { return grid.Str(s) }
 
-// ParseGridJSON reads and validates a grid spec in its JSON file form.
-func ParseGridJSON(r io.Reader) (*Grid, error) { return grid.ParseJSON(r) }
-
 // ValidateSweepGrid checks a grid against the sweep axis vocabulary
 // before anything runs.
 func ValidateSweepGrid(g *Grid) error { return sweep.Validate(g) }
@@ -76,40 +72,6 @@ func MergeSweep(g *Grid, dirs []string, out string) (*SweepResult, error) {
 	return sweep.Merge(g, dirs, out)
 }
 
-// Artifact integrity, re-exported from internal/sweep: every shard
-// record carries a CRC32C frame and every shard file a SHA-256 content
-// hash in the manifest, so damage is detectable — and because each
-// record is a pure function of (grid, cell, seed), damage is also
-// repairable byte-identically. See the `neutrality verify` subcommand
-// for the file-based workflow.
-type (
-	// SweepVerifyReport is the outcome of a read-only integrity scrub.
-	SweepVerifyReport = sweep.VerifyReport
-	// SweepShardStatus is one shard's verification outcome.
-	SweepShardStatus = sweep.ShardStatus
-	// SweepRepairOptions configure RepairSweep.
-	SweepRepairOptions = sweep.RepairOptions
-	// SweepRepairReport is the outcome of a RepairSweep.
-	SweepRepairReport = sweep.RepairReport
-	// SweepManifestInfo is a sweep directory's validated identity.
-	SweepManifestInfo = sweep.ManifestInfo
-)
-
-// VerifySweep walks a sweep directory's artifacts — manifest,
-// per-shard content hashes, per-record CRC framing — and reports every
-// integrity violation without mutating anything.
-func VerifySweep(g *Grid, dir string) (*SweepVerifyReport, error) {
-	return sweep.Verify(g, dir)
-}
-
-// RepairSweep converges a damaged sweep directory on a state
-// indistinguishable from an uncorrupted run: quarantined records are
-// re-derived from their seeds and spliced back, torn tails truncated,
-// and the manifest rewritten with fresh content hashes.
-func RepairSweep(ctx context.Context, g *Grid, dir string, opt SweepRepairOptions) (*SweepRepairReport, error) {
-	return sweep.Repair(ctx, g, dir, opt)
-}
-
 // PartitionSweepRange computes the cell range partition k of n covers
 // for a grid run with the given shard count — the same split RunSweep
 // applies, exposed so orchestrators can size partitions up front.
@@ -120,6 +82,16 @@ func PartitionSweepRange(g *Grid, shards, k, n int) (GridRange, error) {
 	return grid.PartitionBlocks(g.Cells(), shards, k, n)
 }
 
-// DemoSweepGrid is the built-in 1,000-cell demonstration grid:
-// policer rate × discrimination fraction × topology × replicas.
-func DemoSweepGrid() *Grid { return sweep.DemoGrid() }
+// Sweep error kinds RunSweep and MergeSweep return, for branching on
+// failure modes without parsing messages: ErrSweepIncomplete tags resumable-incomplete conditions
+// (unfinished partitions, coverage gaps, per-cell timeouts);
+// ErrSweepValidation tags spec/artifact mismatches that rerunning
+// cannot fix. ErrSweepCorrupt additionally tags artifact-corruption
+// findings (failed record CRCs, shard hash mismatches, destroyed
+// manifests); it wraps ErrSweepValidation, so errors.Is branches on
+// validation keep matching.
+var (
+	ErrSweepIncomplete = sweep.ErrIncomplete
+	ErrSweepValidation = sweep.ErrValidation
+	ErrSweepCorrupt    = sweep.ErrCorrupt
+)

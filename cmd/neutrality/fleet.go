@@ -29,6 +29,8 @@ import (
 // construction). When every worker directory is reachable from the
 // server, the commit reconstitutes the full byte-identical single-run
 // directory; otherwise it degrades to the exact aggregate summary.
+// `serve` exits once every worker that held a lease has been told the
+// outcome, waiting at most one lease TTL for them.
 func cmdFleet(ctx context.Context, args []string) {
 	if len(args) < 1 {
 		log.Print("usage: neutrality fleet serve|work [flags]")
@@ -108,6 +110,7 @@ func cmdFleetServe(ctx context.Context, args []string) {
 			// restarted serve re-dispatches and salvage picks them up.
 			fatalResumable(fmt.Errorf("fleet interrupted (restart serve and workers to continue): %w", err))
 		}
+		o.AwaitWorkers(ctx)
 		fatal(err)
 	}
 	if !*quiet {
@@ -123,6 +126,8 @@ func cmdFleetServe(ctx context.Context, args []string) {
 		fmt.Fprintf(os.Stderr, "merged %d cells into %s\n", res.Cells, res.Dir)
 	}
 	fmt.Print(res.Summary)
+	// A worker that finds the port closed retries forever.
+	o.AwaitWorkers(ctx)
 }
 
 func cmdFleetWork(ctx context.Context, args []string) {

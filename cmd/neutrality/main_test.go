@@ -1,14 +1,18 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"neutrality/internal/fleet"
 	"neutrality/internal/grid"
 	"neutrality/internal/measure"
 	"neutrality/internal/sweep"
@@ -38,13 +42,7 @@ func run(t *testing.T, args ...string) string {
 // round trip over a two-cell grid, checking the lines each prints.
 func TestCommands(t *testing.T) {
 	dir := t.TempDir()
-	spec := filepath.Join(dir, "grid.json")
-	g := grid.New("two-cell", grid.Base{ScaleFactor: 0.05, DurationSec: 10}).
-		Add("diff", grid.Str("police")).
-		Add("rate", grid.Nums(0.2, 0.4)...)
-	if err := os.WriteFile(spec, g.MarshalCanonical(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	_, spec := twoCellGrid(t, dir)
 	sweepDir := filepath.Join(dir, "sweep")
 
 	for _, tc := range []struct {
@@ -98,5 +96,109 @@ func TestClassify(t *testing.T) {
 		if got := classify(tc.err); got != tc.want {
 			t.Errorf("classify(%v) = %d, want %d", tc.err, got, tc.want)
 		}
+	}
+}
+
+// twoCellGrid writes a two-cell grid spec under dir.
+func twoCellGrid(t *testing.T, dir string) (*grid.Grid, string) {
+	t.Helper()
+	spec := filepath.Join(dir, "grid.json")
+	g := grid.New("two-cell", grid.Base{ScaleFactor: 0.05, DurationSec: 10}).
+		Add("diff", grid.Str("police")).
+		Add("rate", grid.Nums(0.2, 0.4)...)
+	if err := os.WriteFile(spec, g.MarshalCanonical(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return g, spec
+}
+
+// lateAcquirer is a worker transport whose every Acquire after its
+// first completion waits delay first, so `fleet serve` commits before
+// the worker asks for more work.
+type lateAcquirer struct {
+	*fleet.Client
+	delay     time.Duration
+	completed atomic.Bool
+}
+
+func (l *lateAcquirer) Acquire(ctx context.Context, worker string) (*fleet.Assignment, error) {
+	if l.completed.Load() {
+		time.Sleep(l.delay)
+	}
+	return l.Client.Acquire(ctx, worker)
+}
+
+func (l *lateAcquirer) Complete(ctx context.Context, lease int64, res fleet.WorkerResult) error {
+	err := l.Client.Complete(ctx, lease, res)
+	if err == nil {
+		l.completed.Store(true)
+	}
+	return err
+}
+
+// TestFleetWorkerExitsAfterCommit runs `fleet serve` in-process with
+// one worker that asks for work again only after serve has committed:
+// serve must keep answering until the worker has heard the fleet is
+// done, so Work returns nil instead of polling a closed port.
+func TestFleetWorkerExitsAfterCommit(t *testing.T) {
+	dir := t.TempDir()
+	g, spec := twoCellGrid(t, dir)
+
+	// serve prints its listen address on stderr.
+	stderrR, stderrW, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, err := os.CreateTemp(dir, "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stdout.Close()
+	savedArgs, savedStdout, savedStderr := os.Args, os.Stdout, os.Stderr
+	os.Args = []string{"neutrality", "fleet", "serve", "-grid", spec, "-out", filepath.Join(dir, "merged"),
+		"-addr", "127.0.0.1:0", "-parts", "1", "-lease", "30s", "-quiet"}
+	os.Stdout, os.Stderr = stdout, stderrW
+	defer func() { os.Args, os.Stdout, os.Stderr = savedArgs, savedStdout, savedStderr }()
+	addr := make(chan string, 1)
+	go func() {
+		sc := bufio.NewScanner(stderrR)
+		for sc.Scan() {
+			if _, a, ok := strings.Cut(sc.Text(), "serving on "); ok {
+				addr <- a
+			}
+		}
+	}()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		main()
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	var base string
+	select {
+	case a := <-addr:
+		base = "http://" + a
+	case <-ctx.Done():
+		t.Fatal("fleet serve never printed its address")
+	}
+	tr := &lateAcquirer{Client: &fleet.Client{Base: base}, delay: 300 * time.Millisecond}
+	err = fleet.Work(ctx, g, tr, fleet.WorkerOptions{ID: "w1", Dir: filepath.Join(dir, "w1"), Workers: 1, Poll: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("worker did not finish after the commit: %v", err)
+	}
+	select {
+	case <-served:
+	case <-ctx.Done():
+		t.Fatal("fleet serve did not return after its worker was told the fleet is done")
+	}
+	stderrW.Close()
+	out, err := os.ReadFile(stdout.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(out), "2 cells aggregated") {
+		t.Fatalf("fleet serve printed no summary:\n%s", out)
 	}
 }

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -8,41 +9,58 @@ import (
 	"neutrality/internal/measure"
 )
 
-// Collector accumulates the three kinds of observations the evaluation
-// needs:
+// Collector accumulates the observations the evaluation needs:
 //
 //   - per-path per-interval sent/lost packet counts — the external
 //     observations fed to Algorithm 2 (what end-hosts can measure);
-//   - per-link per-path per-interval arrival/drop counts — ground truth,
-//     "directly measured by the network", used only for reporting
-//     (Figure 10(a)) and for scoring the algorithm;
+//   - on request (EnableDelayTracking), per-path per-interval
+//     delivered/late counts — the Section 7 latency metric;
+//   - on request (EnableGroundTruth), per-link per-path per-interval
+//     arrival/drop counts — ground truth, "directly measured by the
+//     network", used only for reporting (Figure 10(a)) and for tests;
 //   - queue-occupancy traces for selected links (Figure 11).
 //
-// Ground truth is dense: links and paths are small dense ids, so each
-// sample interval owns a flat [link][path] array of counters and every
-// packet event is two array stores — no per-packet map operations exist
-// anywhere on the forwarding path. Interval rows are appended as
-// simulated time crosses interval boundaries.
+// Every counter lives in one flat interval-major table: row t holds the
+// counters of sample interval t, and the table grows by doubling as
+// simulated time crosses interval boundaries. A row is sent[path] and
+// lost[path], then delivered[path] and late[path] when delay tracking is
+// on, then an arrived/dropped pair per route hop when ground truth is on
+// — a path's hops are consecutive, so the truth columns number the
+// routes' hops, not links × paths. Every packet event is an array
+// increment; no map operation exists anywhere on the forwarding path.
+// Without ground truth no LinkArrival hook is installed and a drop
+// touches only the lost counter.
 type Collector struct {
 	Interval Time
 	paths    int
-	links    int
 
-	sent [][]int // [interval][path]
-	lost [][]int
+	// cells is the counter table; row t is cells[t*width:(t+1)*width].
+	// Cells past len(cells) and below cap(cells) are always zero.
+	cells []int32
+	width int
 
-	// gt[t] is the ground-truth counter row of interval t, indexed
-	// link*paths+path.
-	gt [][]gtCell
+	// delayCol is the first delivered column; lateAfter[p] is the
+	// one-way delay above which a delivered packet of path p counts as
+	// late (nil = delay tracking off).
+	delayCol  int
+	lateAfter []Time
+
+	// truthCol is the first ground-truth column; hopOff[p] numbers path
+	// p's first hop among all routes' hops (nil = ground truth off), and
+	// truthRefs[l] lists the (path, hop number) of every path through
+	// link l in ascending path order.
+	truthCol  int
+	hopOff    []int
+	truthRefs [][]hopRef
 
 	traces map[graph.LinkID]*QueueTrace
-	delay  *delayTracker
 }
 
-// gtCell is one ground-truth counter pair.
-type gtCell struct {
-	arrived int32
-	dropped int32
+// hopRef is one path through a link: the path, and the number of the
+// link's hop on it among all routes' hops.
+type hopRef struct {
+	path graph.PathID
+	hop  int
 }
 
 // QueueTrace is a sampled queue-occupancy time series.
@@ -59,51 +77,98 @@ func NewCollector(n *Network, interval Time) *Collector {
 	c := &Collector{
 		Interval: interval,
 		paths:    n.Graph.NumPaths(),
-		links:    n.Graph.NumLinks(),
+		width:    2 * n.Graph.NumPaths(),
 		traces:   map[graph.LinkID]*QueueTrace{},
 	}
 	n.Hooks.DataSent = func(p *Packet) {
-		t := c.intervalOf(n.Sim.now)
-		c.ensure(t)
-		c.sent[t][p.Path]++
+		c.row(c.intervalOf(n.Sim.now))[p.Path]++
 	}
 	n.Hooks.DataDropped = func(p *Packet, at *Link) {
-		t := c.intervalOf(n.Sim.now)
-		c.ensure(t)
-		c.lost[t][p.Path]++
-		c.ensureGT(t)
-		c.gt[t][int(at.ID)*c.paths+int(p.Path)].dropped++
-	}
-	n.Hooks.LinkArrival = func(p *Packet, at *Link) {
-		t := c.intervalOf(n.Sim.now)
-		c.ensureGT(t)
-		c.gt[t][int(at.ID)*c.paths+int(p.Path)].arrived++
+		r := c.row(c.intervalOf(n.Sim.now))
+		r[c.paths+int(p.Path)]++
+		if c.hopOff != nil {
+			r[c.truthCol+2*(c.hopOff[p.Path]+int(p.hop))+1]++
+		}
 	}
 	return c
 }
 
 func (c *Collector) intervalOf(now Time) int { return int(now / c.Interval) }
 
-func (c *Collector) ensure(t int) {
-	for len(c.sent) <= t {
-		c.sent = append(c.sent, make([]int, c.paths))
-		c.lost = append(c.lost, make([]int, c.paths))
+// row returns the counters of interval t, growing the table to reach it.
+func (c *Collector) row(t int) []int32 {
+	end := (t + 1) * c.width
+	if end > len(c.cells) {
+		c.grow(end)
 	}
+	return c.cells[end-c.width : end]
 }
 
-func (c *Collector) ensureGT(t int) {
-	for len(c.gt) <= t {
-		c.gt = append(c.gt, make([]gtCell, c.links*c.paths))
+// grow extends the table to end cells, doubling its capacity when full.
+func (c *Collector) grow(end int) {
+	if end > cap(c.cells) {
+		grown := make([]int32, end, max(end, 2*cap(c.cells), 64*c.width))
+		copy(grown, c.cells)
+		c.cells = grown
+		return
 	}
+	c.cells = c.cells[:end]
 }
 
-// gtAt returns the ground-truth counters for (interval, link, path);
-// intervals never touched by a packet read as zero.
-func (c *Collector) gtAt(t, link, path int) gtCell {
-	if t >= len(c.gt) {
-		return gtCell{}
+// rows returns the number of intervals the table holds; intervals past
+// it read as zero.
+func (c *Collector) rows() int {
+	if c.width == 0 {
+		return 0
 	}
-	return c.gt[t][link*c.paths+path]
+	return len(c.cells) / c.width
+}
+
+// cell returns counter col of interval t without growing the table.
+func (c *Collector) cell(t, col int) int32 {
+	if t >= c.rows() {
+		return 0
+	}
+	return c.cells[t*c.width+col]
+}
+
+// addColumns reserves k columns at the end of every row and returns the
+// first; columns can only be added before the first packet event.
+func (c *Collector) addColumns(what string, k int) (int, error) {
+	if len(c.cells) > 0 {
+		return 0, fmt.Errorf("emu: %s must be enabled before the run starts", what)
+	}
+	col := c.width
+	c.width += k
+	return col, nil
+}
+
+// EnableGroundTruth starts recording, for every route hop, the data
+// packets arriving at the hop's link and the ones it drops, per interval.
+// It must be called before the run starts.
+func (c *Collector) EnableGroundTruth(n *Network) error {
+	if c.hopOff != nil {
+		return fmt.Errorf("emu: ground truth already enabled")
+	}
+	hopOff := make([]int, len(n.routes))
+	refs := make([][]hopRef, len(n.links))
+	hops := 0
+	for p, route := range n.routes {
+		hopOff[p] = hops
+		for _, l := range route.links {
+			refs[l.ID] = append(refs[l.ID], hopRef{path: graph.PathID(p), hop: hops})
+			hops++
+		}
+	}
+	col, err := c.addColumns("ground truth", 2*hops)
+	if err != nil {
+		return err
+	}
+	c.truthCol, c.hopOff, c.truthRefs = col, hopOff, refs
+	n.Hooks.LinkArrival = func(p *Packet, at *Link) {
+		c.row(c.intervalOf(n.Sim.now))[c.truthCol+2*(c.hopOff[p.Path]+int(p.hop))]++
+	}
+	return nil
 }
 
 // queueSampler drives a QueueTrace via KindSampleTick events: each tick
@@ -141,19 +206,11 @@ func (c *Collector) Trace(l graph.LinkID) *QueueTrace { return c.traces[l] }
 // path.
 func (c *Collector) Measurements(duration Time, paths []graph.PathID) *measure.Measurements {
 	T := int(duration / c.Interval)
-	if T > 0 {
-		c.ensure(T - 1) // pad trailing idle intervals with zeros
-	}
-	if paths == nil {
-		paths = make([]graph.PathID, c.paths)
-		for i := range paths {
-			paths[i] = graph.PathID(i)
-		}
-	}
+	paths = pathsOrAll(paths, c.paths)
 	m := measure.NewMeasurements(T, len(paths))
 	for t := 0; t < T; t++ {
 		for i, p := range paths {
-			sent, lost := c.sent[t][p], c.lost[t][p]
+			sent, lost := int(c.cell(t, int(p))), int(c.cell(t, c.paths+int(p)))
 			if lost > sent {
 				// A packet sent near an interval boundary can be dropped
 				// in the next interval; clamp so the loss is attributed
@@ -165,6 +222,18 @@ func (c *Collector) Measurements(duration Time, paths []graph.PathID) *measure.M
 		}
 	}
 	return m
+}
+
+// pathsOrAll returns paths, or every path id below n when paths is nil.
+func pathsOrAll(paths []graph.PathID, n int) []graph.PathID {
+	if paths != nil {
+		return paths
+	}
+	all := make([]graph.PathID, n)
+	for i := range all {
+		all[i] = graph.PathID(i)
+	}
+	return all
 }
 
 // PathProb pairs a path with its congestion probability.
@@ -196,30 +265,30 @@ func (lt *LinkClassTruth) Prob(p graph.PathID) float64 {
 }
 
 // GroundTruth computes per-link per-path congestion probabilities over the
-// first T intervals of the run. The result is sorted by ascending
-// LinkID (one entry per link), and each entry's PerPath by ascending
-// PathID — documented keys, so exports never depend on map or
-// scheduling order.
-func (c *Collector) GroundTruth(n *Network, duration Time, lossThreshold float64) []LinkClassTruth {
-	T := int(duration / c.Interval)
-	if T > len(c.sent) {
-		T = len(c.sent)
+// first duration/Interval intervals of the run; it fails unless
+// EnableGroundTruth was called. The result is sorted by ascending LinkID
+// (one entry per link), and each entry's PerPath by ascending PathID —
+// documented keys, so exports never depend on map or scheduling order.
+func (c *Collector) GroundTruth(duration Time, lossThreshold float64) ([]LinkClassTruth, error) {
+	if c.hopOff == nil {
+		return nil, fmt.Errorf("emu: ground truth was not enabled")
 	}
-	out := make([]LinkClassTruth, c.links)
-	for l := 0; l < c.links; l++ {
-		paths := n.Graph.PathsThrough(graph.LinkID(l))
-		lt := LinkClassTruth{Link: graph.LinkID(l), PerPath: make([]PathProb, 0, len(paths))}
-		for _, p := range paths {
+	T := min(int(duration/c.Interval), c.rows())
+	out := make([]LinkClassTruth, len(c.truthRefs))
+	for l, refs := range c.truthRefs {
+		lt := LinkClassTruth{Link: graph.LinkID(l), PerPath: make([]PathProb, 0, len(refs))}
+		for _, ref := range refs {
+			col := c.truthCol + 2*ref.hop
 			congested, usable := 0, 0
 			for t := 0; t < T; t++ {
-				e := c.gtAt(t, l, int(p))
 				// LinkArrival fires before the drop decision, so arrived
 				// already includes every packet later dropped here.
-				if e.arrived == 0 {
+				arrived, dropped := c.cell(t, col), c.cell(t, col+1)
+				if arrived == 0 {
 					continue
 				}
 				usable++
-				if float64(e.dropped)/float64(e.arrived) >= lossThreshold {
+				if float64(dropped)/float64(arrived) >= lossThreshold {
 					congested++
 				}
 			}
@@ -227,10 +296,9 @@ func (c *Collector) GroundTruth(n *Network, duration Time, lossThreshold float64
 			if usable > 0 {
 				prob = float64(congested) / float64(usable)
 			}
-			lt.PerPath = append(lt.PerPath, PathProb{Path: p, Prob: prob})
+			lt.PerPath = append(lt.PerPath, PathProb{Path: ref.path, Prob: prob})
 		}
-		sort.Slice(lt.PerPath, func(i, j int) bool { return lt.PerPath[i].Path < lt.PerPath[j].Path })
 		out[l] = lt
 	}
-	return out
+	return out, nil
 }

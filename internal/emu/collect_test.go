@@ -9,10 +9,10 @@ import (
 )
 
 // refTruth is an independent, map-based reimplementation of the ground
-// truth accounting (the representation the dense collector replaced). The
-// tests wrap the network hooks to feed it in parallel with the collector
-// and then require exact agreement, so the dense [interval][link][path]
-// arrays are checked against the recorded map semantics on every scenario.
+// truth accounting, keyed by (interval, link, path). The tests wrap the
+// network hooks to feed it in parallel with the collector and then
+// require exact agreement, so the collector's route-hop columns are
+// checked against the recorded map semantics on every scenario.
 type refTruth struct {
 	interval Time
 	counts   map[[3]int][2]int // (interval, link, path) -> {arrived, dropped}
@@ -76,6 +76,26 @@ func (r *refTruth) groundTruth(n *Network, duration Time, lossThreshold float64,
 	return out
 }
 
+// truthCollector attaches a collector with ground truth enabled.
+func truthCollector(t *testing.T, n *Network, interval Time) *Collector {
+	t.Helper()
+	col := NewCollector(n, interval)
+	if err := col.EnableGroundTruth(n); err != nil {
+		t.Fatal(err)
+	}
+	return col
+}
+
+// groundTruth reads the collector's truth at loss threshold 0.01.
+func groundTruth(t *testing.T, col *Collector, duration Time) []LinkClassTruth {
+	t.Helper()
+	truth, err := col.GroundTruth(duration, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return truth
+}
+
 func truthEqual(t *testing.T, got, want []LinkClassTruth) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -99,7 +119,7 @@ func truthEqual(t *testing.T, got, want []LinkClassTruth) {
 }
 
 // TestGroundTruthPolicerMatchesMapReference drives a policed two-class
-// network and requires the dense collector's ground truth to match the
+// network and requires the collector's ground truth to match the
 // reference map-based accounting exactly: policer drops are charged to
 // the differentiating link for the regulated class only.
 func TestGroundTruthPolicerMatchesMapReference(t *testing.T) {
@@ -108,14 +128,14 @@ func TestGroundTruthPolicerMatchesMapReference(t *testing.T) {
 		Rate: map[graph.ClassID]float64{1: 0.2},
 	})
 	const interval = 0.1
-	col := NewCollector(net, interval)
+	col := truthCollector(t, net, interval)
 	ref := newRefTruth(net, interval)
 	blast(sim, net, 0, 0, 400, 400)
 	blast(sim, net, 1, 1, 800, 800)
 	sim.Run(4)
 
-	got := col.GroundTruth(net, 4, 0.01)
-	want := ref.groundTruth(net, 4, 0.01, len(col.sent))
+	got := groundTruth(t, col, 4)
+	want := ref.groundTruth(net, 4, 0.01, col.rows())
 	truthEqual(t, got, want)
 
 	// The policed class must show congestion on the shared link; the
@@ -128,7 +148,7 @@ func TestGroundTruthPolicerMatchesMapReference(t *testing.T) {
 }
 
 // TestGroundTruthShaperMatchesMapReference drives a shaped class hard
-// enough to overflow its shaper queue and checks dense-vs-reference
+// enough to overflow its shaper queue and checks collector-vs-reference
 // equality again: shaper-queue drops are ground-truth drops at the link.
 func TestGroundTruthShaperMatchesMapReference(t *testing.T) {
 	sim, net := diffNet(t, &Differentiation{
@@ -137,13 +157,13 @@ func TestGroundTruthShaperMatchesMapReference(t *testing.T) {
 		ShaperQueueBytes: 15000,
 	})
 	const interval = 0.1
-	col := NewCollector(net, interval)
+	col := truthCollector(t, net, interval)
 	ref := newRefTruth(net, interval)
 	blast(sim, net, 1, 1, 400, 4000)
 	sim.Run(10)
 
-	got := col.GroundTruth(net, 10, 0.01)
-	want := ref.groundTruth(net, 10, 0.01, len(col.sent))
+	got := groundTruth(t, col, 10)
+	want := ref.groundTruth(net, 10, 0.01, col.rows())
 	truthEqual(t, got, want)
 
 	sh, _ := net.Graph.LinkByName("shared")
@@ -157,15 +177,15 @@ func TestGroundTruthShaperMatchesMapReference(t *testing.T) {
 }
 
 // TestGroundTruthIntervalEdges pins the interval-growth corners of the
-// dense arrays: a packet landing exactly on an interval boundary is
+// counter table: a packet landing exactly on an interval boundary is
 // charged to the interval it opens, idle intervals stay all-zero (NaN
-// probabilities, no phantom rows), and ground-truth rows grow
-// independently of the sent/lost rows.
+// probabilities, no phantom rows), and reading truth never grows the
+// table.
 func TestGroundTruthIntervalEdges(t *testing.T) {
 	cfg := LinkConfig{Capacity: 1e6, Delay: 0, QueueBytes: 1 << 20}
 	sim, net := twoHop(t, cfg, cfg, 0.1)
 	const interval = 0.5
-	col := NewCollector(net, interval)
+	col := truthCollector(t, net, interval)
 	dst := net.RegisterHandler(DeliverFunc(func(p *Packet) {}))
 
 	// One packet exactly at t=0 (opens interval 0), one exactly on the
@@ -179,18 +199,19 @@ func TestGroundTruthIntervalEdges(t *testing.T) {
 	}
 	// Arrivals recorded at the first link: interval 0 and 2 only.
 	la, _ := net.Graph.LinkByName("la")
+	arrivedCol := col.truthCol + 2*col.hopOff[0] // path 0's first hop is la
 	for ti, want := range map[int]int32{0: 1, 1: 0, 2: 1} {
-		if got := col.gtAt(ti, int(la.ID), 0).arrived; got != want {
+		if got := col.cell(ti, arrivedCol); got != want {
 			t.Fatalf("interval %d: arrived=%d, want %d", ti, got, want)
 		}
 	}
 	// Truth over a horizon longer than any touched interval: the empty
 	// interval contributes nothing (no arrivals -> not usable), and
 	// intervals beyond the grown arrays read as zero instead of growing.
-	gtRows := len(col.gt)
-	truth := col.GroundTruth(net, 100, 0.01)
-	if len(col.gt) != gtRows {
-		t.Fatalf("GroundTruth grew the dense arrays from %d to %d rows", gtRows, len(col.gt))
+	rows := col.rows()
+	truth := groundTruth(t, col, 100)
+	if col.rows() != rows {
+		t.Fatalf("GroundTruth grew the counter table from %d to %d rows", rows, col.rows())
 	}
 	if p := truth[la.ID].Prob(0); p != 0 {
 		t.Fatalf("loss-free run has congestion probability %v", p)
@@ -210,11 +231,11 @@ func TestGroundTruthExportDeterministic(t *testing.T) {
 			Kind: Police,
 			Rate: map[graph.ClassID]float64{1: 0.2},
 		})
-		col := NewCollector(net, 0.1)
+		col := truthCollector(t, net, 0.1)
 		blast(sim, net, 0, 0, 200, 400)
 		blast(sim, net, 1, 1, 400, 800)
 		sim.Run(2)
-		return col.GroundTruth(net, 2, 0.01)
+		return groundTruth(t, col, 2)
 	}
 	a, b := run(), run()
 	truthEqual(t, a, b)
@@ -222,5 +243,32 @@ func TestGroundTruthExportDeterministic(t *testing.T) {
 		if !sort.SliceIsSorted(lt.PerPath, func(i, j int) bool { return lt.PerPath[i].Path < lt.PerPath[j].Path }) {
 			t.Fatalf("link %d PerPath not sorted: %+v", lt.Link, lt.PerPath)
 		}
+	}
+}
+
+// TestCollectorColumnsBeforeRun: truth and delay columns are reserved
+// only before the first packet event, once each, and truth is read only
+// when it was recorded.
+func TestCollectorColumnsBeforeRun(t *testing.T) {
+	cfg := LinkConfig{Capacity: 1e6, Delay: 0.001}
+	sim, net := twoHop(t, cfg, cfg, 0.1)
+	col := NewCollector(net, 0.1)
+	if _, err := col.GroundTruth(1, 0.01); err == nil {
+		t.Fatal("GroundTruth succeeded without EnableGroundTruth")
+	}
+	if err := col.EnableGroundTruth(net); err != nil {
+		t.Fatal(err)
+	}
+	if err := col.EnableGroundTruth(net); err == nil {
+		t.Fatal("double EnableGroundTruth accepted")
+	}
+	dst := net.RegisterHandler(DeliverFunc(func(p *Packet) {}))
+	sendData(net, 0, 0, 1500, dst)
+	sim.Run(1)
+	if err := col.EnableDelayTracking(net, 1); err == nil {
+		t.Fatal("delay tracking enabled after the run started")
+	}
+	if _, err := col.GroundTruth(1, 0.01); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -19,17 +19,6 @@ import (
 // shaper with a deep queue inflicts delay, not loss, and is invisible to
 // the loss-frequency metric.
 
-// delayTracker accumulates per-path per-interval delivered/late counts.
-type delayTracker struct {
-	interval Time
-	// lateAfter[p] is the absolute one-way delay above which a packet of
-	// path p counts as late.
-	lateAfter []Time
-	delivered [][]int // [interval][path]
-	late      [][]int
-	paths     int
-}
-
 // EnableDelayTracking starts classifying every delivered data packet as
 // on-time or late. A packet is late when its one-way delay exceeds the
 // path's *neutral delay envelope* — propagation + transmission + factor ×
@@ -38,44 +27,40 @@ type delayTracker struct {
 // shaper's dedicated queue), which is exactly the differentiation this
 // metric is meant to expose. factor 1 is the exact envelope; smaller
 // values make the detector more sensitive (and more prone to flagging
-// ordinary standing queues).
+// ordinary standing queues). It must be called before the run starts.
 func (c *Collector) EnableDelayTracking(n *Network, factor float64) error {
 	if factor <= 0 {
 		return fmt.Errorf("emu: delay factor %v must be positive", factor)
 	}
-	if c.delay != nil {
+	if c.lateAfter != nil {
 		return fmt.Errorf("emu: delay tracking already enabled")
 	}
-	dt := &delayTracker{
-		interval:  c.Interval,
-		paths:     n.Graph.NumPaths(),
-		lateAfter: make([]Time, n.Graph.NumPaths()),
-	}
-	for p := 0; p < n.Graph.NumPaths(); p++ {
+	lateAfter := make([]Time, c.paths)
+	for p := range lateAfter {
 		base, queue := Time(0), Time(0)
 		for _, lid := range n.Graph.Path(graph.PathID(p)).Links {
 			l := n.Link(lid)
 			base += l.Delay + 1500*8/l.Cap
 			queue += float64(l.QLimit) * 8 / l.Cap
 		}
-		dt.lateAfter[p] = base + factor*queue
+		lateAfter[p] = base + factor*queue
 	}
+	col, err := c.addColumns("delay tracking", 2*c.paths)
+	if err != nil {
+		return err
+	}
+	c.delayCol, c.lateAfter = col, lateAfter
 	prev := n.Hooks.Delivered
 	n.Hooks.Delivered = func(pkt *Packet) {
 		if prev != nil {
 			prev(pkt)
 		}
-		t := int(n.Sim.Now() / dt.interval)
-		for len(dt.delivered) <= t {
-			dt.delivered = append(dt.delivered, make([]int, dt.paths))
-			dt.late = append(dt.late, make([]int, dt.paths))
-		}
-		dt.delivered[t][pkt.Path]++
-		if n.Sim.Now()-pkt.SentAt > dt.lateAfter[pkt.Path] {
-			dt.late[t][pkt.Path]++
+		r := c.row(c.intervalOf(n.Sim.now))
+		r[c.delayCol+int(pkt.Path)]++
+		if n.Sim.now-pkt.SentAt > c.lateAfter[pkt.Path] {
+			r[c.delayCol+c.paths+int(pkt.Path)]++
 		}
 	}
-	c.delay = dt
 	return nil
 }
 
@@ -84,26 +69,16 @@ func (c *Collector) EnableDelayTracking(n *Network, factor float64) error {
 // the result to the normal inference pipeline with a loss threshold
 // reinterpreted as a lateness-fraction threshold.
 func (c *Collector) DelayMeasurements(duration Time, paths []graph.PathID) (*measure.Measurements, error) {
-	if c.delay == nil {
+	if c.lateAfter == nil {
 		return nil, fmt.Errorf("emu: delay tracking was not enabled")
 	}
-	dt := c.delay
 	T := int(duration / c.Interval)
-	for len(dt.delivered) < T {
-		dt.delivered = append(dt.delivered, make([]int, dt.paths))
-		dt.late = append(dt.late, make([]int, dt.paths))
-	}
-	if paths == nil {
-		paths = make([]graph.PathID, dt.paths)
-		for i := range paths {
-			paths[i] = graph.PathID(i)
-		}
-	}
+	paths = pathsOrAll(paths, c.paths)
 	m := measure.NewMeasurements(T, len(paths))
 	for t := 0; t < T; t++ {
 		for i, p := range paths {
-			m.Sent[t][i] = dt.delivered[t][p]
-			m.Lost[t][i] = dt.late[t][p]
+			m.Sent[t][i] = int(c.cell(t, c.delayCol+int(p)))
+			m.Lost[t][i] = int(c.cell(t, c.delayCol+c.paths+int(p)))
 		}
 	}
 	return m, nil

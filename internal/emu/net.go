@@ -205,8 +205,10 @@ type Hooks struct {
 	// DataDropped fires when a data packet is dropped anywhere (queue
 	// overflow or policer).
 	DataDropped func(p *Packet, at *Link)
-	// LinkArrival fires when a data packet arrives at a link (ground-truth
-	// per-link accounting).
+	// LinkArrival fires when a data packet arrives at a link, before the
+	// link's differentiation and drop decision. A Collector installs it
+	// only when ground truth is enabled, so a nil hook costs the
+	// forwarding path one branch per hop.
 	LinkArrival func(p *Packet, at *Link)
 	// Delivered fires when a data packet reaches its destination host.
 	Delivered func(p *Packet)

@@ -63,7 +63,7 @@
 // addressed by generation-checked PacketHandles. Link and shaper queues
 // hold packet indices in power-of-two rings, so the steady-state
 // forwarding path allocates nothing and walks contiguous memory; the
-// ground-truth collector indexes flat per-interval arrays. Invariants: a
+// collector counts into one flat interval-major table. Invariants: a
 // live packet is owned by exactly one pending event (its transmit
 // completion, next propagation arrival, or ACK delivery), by exactly one
 // link or shaper ring, or by the current call stack; packet and timer

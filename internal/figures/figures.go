@@ -230,14 +230,19 @@ func Fig10(x Exec, sc Scale, seed int64) (*Fig10Result, error) {
 	p := lab.DefaultParamsB().Scale(sc.Factor, sc.DurationSec)
 	p.Seed = seed
 	e, b := p.Experiment("fig10")
+	e.GroundTruth = true
 	run, err := lab.RunCtx(x.context(), e)
+	if err != nil {
+		return nil, err
+	}
+	truth, err := run.GroundTruth(0.01)
 	if err != nil {
 		return nil, err
 	}
 	policers := graph.NewLinkSet(b.Policers...)
 	out := &Fig10Result{}
 	halves := []func(){
-		func() { out.Actual = fig10Actual(run, b, policers) },
+		func() { out.Actual = fig10Actual(truth, b, policers) },
 		func() { fig10Inferred(out, run, b, policers) },
 	}
 	if _, err := runner.Map(x.context(), x.Workers, len(halves), func(_ context.Context, i int) (struct{}, error) {
@@ -251,9 +256,8 @@ func Fig10(x Exec, sc Scale, seed int64) (*Fig10Result, error) {
 
 // fig10Actual computes Figure 10(a): ground truth per link, boxplot
 // over the paths of each class.
-func fig10Actual(run *lab.Result, b *topo.TopologyB, policers graph.LinkSet) []Boxplot {
+func fig10Actual(truth []emu.LinkClassTruth, b *topo.TopologyB, policers graph.LinkSet) []Boxplot {
 	var actual []Boxplot
-	truth := run.GroundTruth(0.01)
 	for _, lt := range truth {
 		byClass := map[graph.ClassID][]float64{}
 		for _, pp := range lt.PerPath {

@@ -81,7 +81,14 @@ func TestFig8SetSmall(t *testing.T) {
 	}
 }
 
-// TestFig10Render checks the boxplot rendering on a reduced topology-B run.
+// TestFig10Render checks the boxplot rendering on a reduced topology-B run
+// and pins its rendered bytes — Fig 10(a) is the one artifact built on
+// the collector's per-link ground truth — to a recorded digest.
+//
+// If an intentional behaviour change ever invalidates the digest,
+// regenerate it with:
+//
+//	go test ./internal/figures -run TestFig10Render -update-golden
 func TestFig10Render(t *testing.T) {
 	if testing.Short() {
 		t.Skip("emulation harness test")
@@ -99,6 +106,7 @@ func TestFig10Render(t *testing.T) {
 	if r.Sequences < 10 {
 		t.Fatalf("only %d sequences", r.Sequences)
 	}
+	checkDigest(t, "fig10_scale03_120s_seed1.sha256", s)
 }
 
 // TestFig8DeterministicAcrossWorkers: the rendered set output is

@@ -134,6 +134,12 @@ type Orchestrator struct {
 	remain int // partitions not yet done
 	doneCh chan struct{}
 	failed error
+	// workers holds every worker id ever granted a lease, true once an
+	// Acquire has told it the fleet's outcome; allTold is closed when
+	// the last untold one is told (see AwaitWorkers).
+	workers map[string]bool
+	untold  int
+	allTold chan struct{}
 }
 
 // New builds an orchestrator for the grid. The partition split is the
@@ -145,11 +151,13 @@ func New(g *grid.Grid, cfg Config) (*Orchestrator, error) {
 	}
 	cfg = cfg.withDefaults()
 	o := &Orchestrator{
-		g:      g,
-		cfg:    cfg,
-		leases: make(map[int64]*lease),
-		jitter: rand.New(rand.NewSource(cfg.JitterSeed)),
-		doneCh: make(chan struct{}),
+		g:       g,
+		cfg:     cfg,
+		leases:  make(map[int64]*lease),
+		jitter:  rand.New(rand.NewSource(cfg.JitterSeed)),
+		doneCh:  make(chan struct{}),
+		workers: make(map[string]bool),
+		allTold: make(chan struct{}),
 	}
 	o.parts = make([]partState, cfg.Parts)
 	for k := 1; k <= cfg.Parts; k++ {
@@ -251,9 +259,11 @@ func (o *Orchestrator) Acquire(worker string) (*Assignment, error) {
 	now := o.cfg.now()
 	o.expireLocked(now)
 	if o.failed != nil {
+		o.tellLocked(worker)
 		return nil, o.failed
 	}
 	if o.remain == 0 {
+		o.tellLocked(worker)
 		return nil, ErrDone
 	}
 	// Pending partitions first, in index order (deterministic).
@@ -287,8 +297,47 @@ func (o *Orchestrator) Acquire(worker string) (*Assignment, error) {
 	return nil, ErrNoWork
 }
 
+// tellLocked records that worker has been told the fleet's outcome.
+func (o *Orchestrator) tellLocked(worker string) {
+	if told, ok := o.workers[worker]; ok && !told {
+		o.workers[worker] = true
+		if o.untold--; o.untold == 0 {
+			close(o.allTold)
+		}
+	}
+}
+
+// AwaitWorkers blocks until every worker ever granted a lease has been
+// told the fleet's outcome by an Acquire (ErrDone or the fleet's
+// failure), for at most one lease TTL, or until ctx ends; it reports
+// whether every worker was told. A server that stops right after Commit
+// would strand the workers that have not asked yet: to them a refused
+// connection is a transient fault, so they would poll forever. A worker
+// that died never asks, which is what the TTL bound is for.
+func (o *Orchestrator) AwaitWorkers(ctx context.Context) bool {
+	o.mu.Lock()
+	untold := o.untold
+	o.mu.Unlock()
+	if untold == 0 {
+		return true
+	}
+	t := time.NewTimer(o.cfg.Lease)
+	defer t.Stop()
+	select {
+	case <-o.allTold:
+		return true
+	case <-t.C:
+	case <-ctx.Done():
+	}
+	return false
+}
+
 func (o *Orchestrator) grantLocked(now time.Time, p int, worker string, speculative bool) *Assignment {
 	st := &o.parts[p]
+	if _, ok := o.workers[worker]; !ok {
+		o.workers[worker] = false
+		o.untold++
+	}
 	o.nextID++
 	st.attempts++
 	l := &lease{

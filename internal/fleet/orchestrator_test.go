@@ -354,3 +354,34 @@ func TestBackoffGrowsAndIsJittered(t *testing.T) {
 		}
 	}
 }
+
+// TestAwaitWorkersBounded: AwaitWorkers returns at once when no worker
+// holds a grant, waits at most one lease TTL for a worker that never
+// asks again, and returns true once every granted worker has been told
+// the fleet is done.
+func TestAwaitWorkersBounded(t *testing.T) {
+	o, _ := testOrch(t, 1, Config{Lease: 50 * time.Millisecond, SpeculateAfter: -1})
+	if !o.AwaitWorkers(context.Background()) {
+		t.Fatal("AwaitWorkers waited with no worker granted")
+	}
+	a, err := o.Acquire("w1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Complete(a.Lease, runPart(t, a, t.TempDir())); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if o.AwaitWorkers(context.Background()) {
+		t.Fatal("AwaitWorkers reported w1 told before it asked")
+	}
+	if waited := time.Since(start); waited < 50*time.Millisecond {
+		t.Fatalf("AwaitWorkers gave up after %v, before one lease TTL", waited)
+	}
+	if _, err := o.Acquire("w1"); !errors.Is(err, ErrDone) {
+		t.Fatalf("Acquire after completion: %v, want ErrDone", err)
+	}
+	if !o.AwaitWorkers(context.Background()) {
+		t.Fatal("AwaitWorkers did not see w1 told")
+	}
+}

@@ -1,10 +1,10 @@
 // Package lab orchestrates emulation experiments: it instantiates a
 // topology on the emulator, installs workloads, runs for a configured
 // duration, and exports the external observations (for the inference
-// algorithm), the ground truth (for scoring), and queue traces (for
-// Figure 11). The concrete experiment definitions of the paper's
-// evaluation — Table 2's nine topology-A sets and the topology-B run — are
-// built on top.
+// algorithm), the ground truth on request (for Figure 10(a)), and queue
+// traces (for Figure 11). The concrete experiment definitions of the
+// paper's evaluation — Table 2's nine topology-A sets and the topology-B
+// run — are built on top.
 package lab
 
 import (
@@ -50,6 +50,11 @@ type Experiment struct {
 	// propagation + transmission + DelayFactor × the worst-case main-queue
 	// residence. 1 is the exact envelope.
 	DelayFactor float64
+	// GroundTruth records per-link per-path arrival and drop counts (the
+	// network's "directly measured" congestion behind Figure 10(a)) for
+	// Result.GroundTruth. Inference never reads them, so runs that only
+	// feed Algorithms 1–2 leave it off and skip the per-hop accounting.
+	GroundTruth bool
 }
 
 // Result is the outcome of one emulation run.
@@ -63,7 +68,7 @@ type Result struct {
 	// (renumbered 0..n-1 in MeasuredPaths order).
 	Meas *measure.Measurements
 	// DelayMeas are the latency-based observations (nil unless the
-	// experiment set DelayFactor > 1): Sent = delivered, Lost = late.
+	// experiment set DelayFactor > 0): Sent = delivered, Lost = late.
 	DelayMeas *measure.Measurements
 }
 
@@ -99,6 +104,11 @@ func RunCtx(ctx context.Context, e *Experiment) (*Result, error) {
 	}
 	if e.DelayFactor > 0 {
 		if err := col.EnableDelayTracking(net, e.DelayFactor); err != nil {
+			return nil, fmt.Errorf("lab: %s: %w", e.Name, err)
+		}
+	}
+	if e.GroundTruth {
+		if err := col.EnableGroundTruth(net); err != nil {
 			return nil, fmt.Errorf("lab: %s: %w", e.Name, err)
 		}
 	}
@@ -156,7 +166,8 @@ func RunBatch(ctx context.Context, workers int, exps []*Experiment) ([]*Result, 
 }
 
 // GroundTruth exposes the collector's per-link per-path congestion
-// probabilities for the run.
-func (r *Result) GroundTruth(lossThreshold float64) []emu.LinkClassTruth {
-	return r.Collector.GroundTruth(r.Net, r.Experiment.Duration, lossThreshold)
+// probabilities for the run; it fails unless the experiment set
+// GroundTruth.
+func (r *Result) GroundTruth(lossThreshold float64) ([]emu.LinkClassTruth, error) {
+	return r.Collector.GroundTruth(r.Experiment.Duration, lossThreshold)
 }

@@ -257,13 +257,44 @@ func TestGroundTruthSeparatesClasses(t *testing.T) {
 	p := quickParams()
 	p.MeanFlowMb = [2]float64{2, 2} // 20 Mb at full scale: moderate load
 	p.Diff = PoliceClass2(0.3)
-	res, a := runSpec(t, p, "gt")
-	gt := res.GroundTruth(0.01)
+	e, a := p.Experiment("gt")
+	e.GroundTruth = true
+	res, err := Run(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt, err := res.GroundTruth(0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
 	shared := gt[a.Shared]
-	c1 := (shared.Prob(a.Paths[0]) + shared.Prob(a.Paths[1])) / 2
-	c2 := (shared.Prob(a.Paths[2]) + shared.Prob(a.Paths[3])) / 2
+	var probs [4]float64
+	for i := range probs {
+		// Every path crosses the shared link and carries traffic, so each
+		// probability is finite; NaN would pass the comparisons below.
+		if probs[i] = shared.Prob(a.Paths[i]); !(probs[i] >= 0 && probs[i] <= 1) {
+			t.Fatalf("path %d: congestion probability %v on the shared link, want one in [0, 1]", a.Paths[i], probs[i])
+		}
+	}
+	c1 := (probs[0] + probs[1]) / 2
+	c2 := (probs[2] + probs[3]) / 2
 	if c2 < 2*c1 || c2 < 0.05 {
 		t.Fatalf("ground truth gap missing: c1=%v c2=%v", c1, c2)
+	}
+}
+
+// TestGroundTruthOnlyOnRequest: a run that does not ask for ground truth
+// installs no per-hop arrival hook, and reading its truth fails instead
+// of returning empty probabilities.
+func TestGroundTruthOnlyOnRequest(t *testing.T) {
+	p := quickParams()
+	p.DurationSec = 5
+	res, _ := runSpec(t, p, "no-gt")
+	if res.Net.Hooks.LinkArrival != nil {
+		t.Fatal("LinkArrival hook installed without a ground-truth request")
+	}
+	if _, err := res.GroundTruth(0.01); err == nil {
+		t.Fatal("GroundTruth succeeded on a run that did not record it")
 	}
 }
 

@@ -577,6 +577,28 @@ func (s *Service) closeLocked() error {
 	return s.foldEpochLocked()
 }
 
+// canonicalOrder sorts stream records by (interval, path, source, seq).
+// The keys are unique after dedup, so the unstable sort fixes the order.
+// Less compares through pointers: the records are 56 bytes, and a
+// comparator taking them by value (slices.SortFunc) copies two per call.
+type canonicalOrder []measure.StreamRecord
+
+func (o canonicalOrder) Len() int      { return len(o) }
+func (o canonicalOrder) Swap(i, j int) { o[i], o[j] = o[j], o[i] }
+func (o canonicalOrder) Less(i, j int) bool {
+	a, b := &o[i], &o[j]
+	if a.Interval != b.Interval {
+		return a.Interval < b.Interval
+	}
+	if a.Path != b.Path {
+		return a.Path < b.Path
+	}
+	if a.Source != b.Source {
+		return a.Source < b.Source
+	}
+	return a.Seq < b.Seq
+}
+
 // foldEpochLocked folds the open epoch — the canonical-order
 // floating-point folds, the leaf report — and publishes it, then runs
 // any due compaction. Journal replay enters here directly: its close
@@ -588,19 +610,7 @@ func (s *Service) foldEpochLocked() error {
 	// sorted records, never in arrival order. The buffer is emptied
 	// below, so it is sorted in place.
 	epochRecs := s.pending
-	sort.Slice(epochRecs, func(i, j int) bool {
-		a, b := epochRecs[i], epochRecs[j]
-		if a.Interval != b.Interval {
-			return a.Interval < b.Interval
-		}
-		if a.Path != b.Path {
-			return a.Path < b.Path
-		}
-		if a.Source != b.Source {
-			return a.Source < b.Source
-		}
-		return a.Seq < b.Seq
-	})
+	sort.Sort(canonicalOrder(epochRecs))
 	var epochLoss sweep.Welford
 	epochSketch := sweep.NewUnitSketch()
 	for _, r := range epochRecs {

@@ -38,8 +38,9 @@ func run(t *testing.T, args ...string) string {
 	return string(b)
 }
 
-// TestCommands runs the paper-model commands and a sweep + verify
-// round trip over a two-cell grid, checking the lines each prints.
+// TestCommands runs the paper-model commands (a short topology-B
+// emulation among them) and a sweep + verify round trip over a
+// two-cell grid, checking the lines each prints.
 func TestCommands(t *testing.T) {
 	dir := t.TempDir()
 	_, spec := twoCellGrid(t, dir)
@@ -53,6 +54,10 @@ func TestCommands(t *testing.T) {
 		{[]string{"theory"}, []string{
 			"Theorem 1: violation observable; witnesses:\n",
 			"  <l1>                 pairs=3  identifiable\n",
+		}},
+		{[]string{"emulate", "-net", "b", "-duration", "10", "-scale", "0.05"}, []string{
+			"per-path congestion probability:\n",
+			"vs ground truth:",
 		}},
 		{[]string{"infer", "-intervals", "2000"}, []string{
 			"  NON-NEUTRAL <l1,l2>",

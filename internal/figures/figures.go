@@ -17,10 +17,12 @@ import (
 	"neutrality/internal/core"
 	"neutrality/internal/emu"
 	"neutrality/internal/graph"
+	"neutrality/internal/grid"
 	"neutrality/internal/lab"
 	"neutrality/internal/measure"
 	"neutrality/internal/runner"
 	"neutrality/internal/stats"
+	"neutrality/internal/sweep"
 	"neutrality/internal/topo"
 )
 
@@ -86,33 +88,33 @@ var fig8Titles = map[int]string{
 
 // Fig8 runs the given Table 2 experiment sets (all nine when none are
 // named) and produces one Figure 8 graph per set, in the order named.
-// Every experiment of every set is one unit of a single batch (34 for
-// all nine), so the pool stays full across set boundaries. Each unit
-// derives its seed from (seed, index within its set), so a set's result
-// is identical for every worker count and whichever other sets run
-// beside it.
+// Every experiment of every set is one cell of its set's grid and one
+// unit of a single batch (34 for all nine), so the pool stays full
+// across set boundaries. Each unit's seed is seed plus its index within
+// its set, so a set's result is identical for every worker count and
+// whichever other sets run beside it.
 func Fig8(x Exec, sc Scale, seed int64, sets ...int) ([]*Fig8Result, error) {
 	if len(sets) == 0 {
 		sets = []int{1, 2, 3, 4, 5, 6, 7, 8, 9}
 	}
 	type unit struct {
-		set, idx int
-		spec     lab.SpecA
+		set, cell int
+		g         *grid.Grid
 	}
 	var units []unit
 	sizes := make([]int, len(sets))
 	for s, set := range sets {
-		specs, err := lab.TableTwo(set)
+		g, err := lab.TableTwoGrid(set, grid.Base{ScaleFactor: sc.Factor, DurationSec: sc.DurationSec})
 		if err != nil {
 			return nil, err
 		}
-		sizes[s] = len(specs)
-		for i, spec := range specs {
-			units = append(units, unit{set: set, idx: i, spec: spec})
+		sizes[s] = g.Cells()
+		for i := 0; i < g.Cells(); i++ {
+			units = append(units, unit{set: set, cell: i, g: g})
 		}
 	}
 	rows, err := runner.Map(x.context(), x.Workers, len(units), func(uctx context.Context, u int) (Fig8Row, error) {
-		return fig8Unit(uctx, units[u].set, units[u].spec, units[u].idx, sc, seed)
+		return fig8Unit(uctx, units[u].set, units[u].g, units[u].cell, seed)
 	})
 	if err != nil {
 		return nil, err
@@ -125,35 +127,23 @@ func Fig8(x Exec, sc Scale, seed int64, sets ...int) ([]*Fig8Result, error) {
 	return out, nil
 }
 
-// fig8Unit runs one experiment of a Table 2 set: emulation plus
-// inference, producing one Figure 8 row. It is a pure function of its
-// arguments (the per-unit seed is derived from the set's base seed and
-// the experiment index), which is what lets Fig8 fan units out in
-// any order; ctx only interrupts it mid-emulation.
-func fig8Unit(ctx context.Context, set int, spec lab.SpecA, i int, sc Scale, seed int64) (Fig8Row, error) {
-	p := spec.Params.Scale(sc.Factor, sc.DurationSec)
-	p.Seed = seed + int64(i)
-	if set == 5 || set == 8 {
-		// RTT sweeps: a 100 ms interval under-samples the congestion
-		// process when the RTT itself reaches 200 ms (loss events
-		// cluster at RTT granularity). 500 ms is within the paper's
-		// validated interval set (Section 6.5).
-		p.IntervalSec = 0.5
-	}
-	e, a := p.Experiment(fmt.Sprintf("fig8-set%d-%s", set, spec.Label))
-	run, err := lab.RunCtx(ctx, e)
+// fig8Unit runs cell i of a Table 2 set's grid on the sweep engine's
+// cell executor under seed+i and adds what a sweep record lacks: the
+// per-path congestion probabilities and the paper's label. ctx only
+// interrupts it mid-emulation.
+func fig8Unit(ctx context.Context, set int, g *grid.Grid, i int, seed int64) (Fig8Row, error) {
+	rec, run, err := sweep.RunCell(ctx, g, i, seed+int64(i))
 	if err != nil {
 		return Fig8Row{}, err
 	}
-	row := Fig8Row{Label: spec.Label, PaperLabel: spec.NonNeutral, Events: run.Sim.Processed}
-	probs := measure.PathCongestionProb(run.Meas, 0.01)
-	copy(row.CongestionProb[:], probs)
-
-	res := core.Infer(a.Net, core.MeasurementObserver{Meas: run.Meas, Opts: measure.DefaultOptions()}, core.DefaultConfig())
-	row.Verdict = res.NetworkNonNeutral()
-	if len(res.Candidates) > 0 {
-		row.Unsolvability = res.Candidates[0].Unsolvability
+	row := Fig8Row{
+		Label:         rec.Axes[len(rec.Axes)-1],
+		Unsolvability: rec.Unsolvability,
+		Verdict:       rec.Verdict,
+		PaperLabel:    lab.TableTwoNonNeutral(set, g.Cell(i)),
+		Events:        rec.Events,
 	}
+	copy(row.CongestionProb[:], measure.PathCongestionProb(run.Meas, 0.01))
 	return row, nil
 }
 

@@ -10,15 +10,13 @@ import (
 // Scenario-grid axis names for the topology-A parameter knobs. These
 // are the shared vocabulary between the declarative grid specs
 // (internal/grid), the experiment definitions in this package
-// (TableTwo is expressed with them), and the sweep engine
+// (TableTwoGrid is expressed with them), and the sweep engine
 // (internal/sweep), which layers its own topology/differentiation/
 // inference axes on top.
 //
 // Every applier sets the knob to the axis value verbatim — values are
 // absolute, in the units documented on ParamsA; no rescaling happens
-// here. Grids that run at a reduced scale either scale their base
-// params first (the sweep engine scales before applying axes) or keep
-// paper-scale values and scale afterwards (TableTwo's callers).
+// here.
 
 // ApplyAxisA applies one named grid axis to the topology-A parameters.
 // It reports whether the axis names a ParamsA knob at all; unknown

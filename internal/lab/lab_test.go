@@ -9,6 +9,7 @@ import (
 
 	"neutrality/internal/core"
 	"neutrality/internal/graph"
+	"neutrality/internal/grid"
 	"neutrality/internal/measure"
 	"neutrality/internal/topo"
 )
@@ -173,39 +174,42 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-// TestTableTwoSpecs: structural checks of the experiment-set definitions.
+// TestTableTwoSpecs: structural checks of the experiment-set grids.
 func TestTableTwoSpecs(t *testing.T) {
 	counts := map[int]int{1: 4, 2: 4, 3: 2, 4: 4, 5: 4, 6: 4, 7: 4, 8: 4, 9: 4}
+	base := grid.Base{ScaleFactor: 0.1, DurationSec: 180}
 	total := 0
 	for set, want := range counts {
-		specs, err := TableTwo(set)
+		g, err := TableTwoGrid(set, base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(specs) != want {
-			t.Fatalf("set %d has %d specs, want %d", set, len(specs), want)
+		if g.Cells() != want {
+			t.Fatalf("set %d has %d cells, want %d", set, g.Cells(), want)
 		}
-		total += len(specs)
-		for _, s := range specs {
+		total += g.Cells()
+		for i := 0; i < g.Cells(); i++ {
+			c := g.Cell(i)
+			diff, hasDiff := c.Lookup("diff")
 			neutralSet := set <= 3
-			if neutralSet && (s.Params.Diff != nil || s.NonNeutral) {
-				t.Fatalf("set %d spec %q should be neutral", set, s.Label)
+			if neutralSet && (hasDiff || TableTwoNonNeutral(set, c)) {
+				t.Fatalf("set %d cell %d should be neutral", set, i)
 			}
-			if !neutralSet && s.Params.Diff == nil {
-				t.Fatalf("set %d spec %q missing differentiation", set, s.Label)
+			if !neutralSet && (!hasDiff || diff.Str == "none") {
+				t.Fatalf("set %d cell %d missing differentiation", set, i)
 			}
 		}
 	}
 	if total != 34 {
 		t.Fatalf("Table 2 total %d experiments", total)
 	}
-	// Set 9's 50 % experiment is the only differentiating spec expected
+	// Set 9's 50 % experiment is the only differentiating cell expected
 	// to look neutral.
-	specs, _ := TableTwo(9)
-	if specs[0].NonNeutral || !specs[1].NonNeutral {
-		t.Fatal("set 9 NonNeutral annotations wrong")
+	g, _ := TableTwoGrid(9, base)
+	if TableTwoNonNeutral(9, g.Cell(0)) || !TableTwoNonNeutral(9, g.Cell(1)) {
+		t.Fatal("set 9 paper labels wrong")
 	}
-	if _, err := TableTwo(10); err == nil {
+	if _, err := TableTwoGrid(10, base); err == nil {
 		t.Fatal("set 10 accepted")
 	}
 }
@@ -391,43 +395,46 @@ func TestRunCtxCancelsInFlight(t *testing.T) {
 	}
 }
 
-// TestTableTwoGridSpec: TableTwo is now a thin expansion of its
-// declarative grid specs — the grid's cell count, labels, and
-// materialized parameters are the single source of the 34-experiment
-// table. (Byte-identity of the resulting Fig 8 output with the
-// pre-grid hand-rolled loops is pinned by the figures checksum test.)
+// TestTableTwoGridSpec: the grids are declared at the caller's scale.
+// Flow sizes carry ParamsA.Scale's floor while their labels keep the
+// paper's text, and the RTT sweeps (sets 5 and 8) measure at 500 ms.
+// (Byte-identity of the resulting Fig 8 output is pinned by the figures
+// checksum test; the sweep package materializes these grids.)
 func TestTableTwoGridSpec(t *testing.T) {
-	totalCells := 0
+	const factor = 0.1
+	base := grid.Base{ScaleFactor: factor, DurationSec: 180}
 	for set := 1; set <= 9; set++ {
-		g, err := TableTwoGrid(set)
+		g, err := TableTwoGrid(set, base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("set %d grid invalid: %v", set, err)
 		}
-		specs, err := TableTwo(set)
-		if err != nil {
-			t.Fatal(err)
+		if g.Base != base {
+			t.Fatalf("set %d grid base %+v, want %+v", set, g.Base, base)
 		}
-		if g.Cells() != len(specs) {
-			t.Fatalf("set %d: grid has %d cells, TableTwo %d specs", set, g.Cells(), len(specs))
-		}
-		totalCells += g.Cells()
-		for i, spec := range specs {
-			if got := g.Cell(i).Value(len(g.Axes) - 1).Label(); got != spec.Label {
-				t.Fatalf("set %d cell %d: grid label %q, spec label %q", set, i, got, spec.Label)
-			}
+		iv, ok := g.Cell(0).Lookup("interval")
+		if rttSweep := set == 5 || set == 8; ok != rttSweep || (ok && iv.Num != 0.5) {
+			t.Fatalf("set %d interval axis = %v (present %t)", set, iv, ok)
 		}
 	}
-	if totalCells != 34 {
-		t.Fatalf("Table 2 grids cover %d cells, want the paper's 34", totalCells)
+	g, _ := TableTwoGrid(4, base)
+	var labels []string
+	for i := 0; i < g.Cells(); i++ {
+		c := g.Cell(i)
+		labels = append(labels, c.Value(len(g.Axes)-1).Label())
+		mb, _ := c.Lookup("flowmb")
+		paper := []float64{1, 10, 40, 10000}[i]
+		if mb.Num != scaleFlowMb(paper, factor) {
+			t.Fatalf("set 4 cell %d flowmb %g, want %g scaled by %g", i, mb.Num, paper, factor)
+		}
 	}
-	// Spot-check a materialized cell: set 4's third experiment polices
-	// at 30% with 40 Mb flows on both classes.
-	specs, _ := TableTwo(4)
-	p := specs[2].Params
-	if p.MeanFlowMb != [2]float64{40, 40} || p.Diff == nil || p.Diff.Rate[topo.C2] != 0.3 {
-		t.Fatalf("set 4 cell 2 params: %+v", p)
+	if got := strings.Join(labels, " "); got != "1Mb 10Mb 40Mb 10000Mb" {
+		t.Fatalf("set 4 labels %q", got)
+	}
+	// The floor: 1 Mb at 10 % stays at 0.5 Mb, not 0.1 Mb.
+	if mb, _ := g.Cell(0).Lookup("flowmb"); mb.Num != 0.5 {
+		t.Fatalf("set 4 cell 0 flowmb %g, want the 0.5 Mb floor", mb.Num)
 	}
 }

@@ -149,28 +149,17 @@ func (p ParamsA) Experiment(name string) (*Experiment, *topo.TopologyA) {
 	}, a
 }
 
-// SpecA is one experiment of a Table 2 set.
-type SpecA struct {
-	Set    int
-	Label  string // the varying parameter's value, e.g. "40Mb"
-	Params ParamsA
-	// NonNeutral is the paper's ground-truth label for the experiment.
-	// Note the R = 0.5 shaping experiment is labeled neutral by the paper
-	// (equal marginal treatment); our reproduction may flag it
-	// (joint-distribution differentiation via separate per-class queues) —
-	// see DESIGN.md.
-	NonNeutral bool
-}
-
 // TableTwoGrid returns the declarative scenario grid of Table 2's set
-// (1–9): fixed knobs are single-value axes, the set's varying
-// parameter is the last axis, and value labels carry the paper's row
-// labels. The grid is declared at paper scale (callers shrink with
-// ParamsA.Scale); TableTwo expands it into concrete experiment specs,
-// and the sweep engine can run the same grids directly — Table 2 is
-// just a 34-cell sweep.
-func TableTwoGrid(set int) (*grid.Grid, error) {
-	mb := func(v float64) grid.Value { return grid.Num(v).WithLabel(fmt.Sprintf("%gMb", v)) }
+// (1–9) at the caller's scale: fixed knobs are single-value axes, the
+// set's varying parameter is the last axis, and value labels carry the
+// paper's row labels. Flow sizes are declared at paper scale and scaled
+// by base.ScaleFactor with ParamsA.Scale's floor, so the values are
+// absolute knob settings at base, as the sweep engine applies them;
+// Table 2 is just a 34-cell sweep.
+func TableTwoGrid(set int, base grid.Base) (*grid.Grid, error) {
+	mb := func(v float64) grid.Value {
+		return grid.Num(scaleFlowMb(v, base.ScaleFactor)).WithLabel(fmt.Sprintf("%gMb", v))
+	}
 	ms := func(v float64) grid.Value { return grid.Num(v).WithLabel(fmt.Sprintf("%gms", v*1000)) }
 	pct := func(v float64) grid.Value { return grid.Num(v).WithLabel(fmt.Sprintf("%g%%", v*100)) }
 	mbs := func(vs ...float64) []grid.Value {
@@ -190,9 +179,13 @@ func TableTwoGrid(set int) (*grid.Grid, error) {
 	flowSizes := []float64{1, 10, 40, 10000}
 	rtts := []float64{0.05, 0.08, 0.12, 0.2}
 	const defaultRate = 0.3
+	// RTT sweeps: a 100 ms interval under-samples the congestion
+	// process when the RTT itself reaches 200 ms (loss events cluster
+	// at RTT granularity). 500 ms is within the paper's validated
+	// interval set (Section 6.5).
+	rttInterval := ms(0.5)
 
-	d := DefaultParamsA()
-	g := grid.New(fmt.Sprintf("table2-set%d", set), grid.Base{ScaleFactor: 1, DurationSec: d.DurationSec})
+	g := grid.New(fmt.Sprintf("table2-set%d", set), base)
 	switch set {
 	case 1: // neutral; c1 flows 1 Mb, c2 varies
 		g.Add("c1mb", mb(1)).Add("c2mb", mbs(flowSizes...)...)
@@ -207,7 +200,7 @@ func TableTwoGrid(set int) (*grid.Grid, error) {
 			Add("flowmb", mbs(flowSizes...)...)
 	case 5: // policing; both classes' RTT varies together
 		g.Add("diff", grid.Str("police")).Add("rate", pct(defaultRate)).
-			Add("rtt", mss(rtts...)...)
+			Add("interval", rttInterval).Add("rtt", mss(rtts...)...)
 	case 6: // policing; rate varies
 		g.Add("diff", grid.Str("police")).
 			Add("rate", pct(0.2), pct(0.3), pct(0.4), pct(0.5))
@@ -216,7 +209,7 @@ func TableTwoGrid(set int) (*grid.Grid, error) {
 			Add("flowmb", mbs(flowSizes...)...)
 	case 8: // shaping; RTT varies
 		g.Add("diff", grid.Str("shape")).Add("rate", pct(defaultRate)).
-			Add("rtt", mss(rtts...)...)
+			Add("interval", rttInterval).Add("rtt", mss(rtts...)...)
 	case 9: // shaping; rate varies (50 % is the neutral-equivalent corner)
 		g.Add("diff", grid.Str("shape")).
 			Add("rate", pct(0.5), pct(0.4), pct(0.3), pct(0.2))
@@ -226,11 +219,14 @@ func TableTwoGrid(set int) (*grid.Grid, error) {
 	return g, nil
 }
 
-// tableTwoNonNeutral is the paper's ground-truth label for a cell:
-// sets 1–3 are neutral, the differentiation sets non-neutral — except
-// the R = 0.5 corner of set 9, where both classes are shaped
-// identically and the paper calls the link neutral (see SpecA).
-func tableTwoNonNeutral(set int, c grid.Cell) bool {
+// TableTwoNonNeutral is the paper's ground-truth label for a cell of
+// TableTwoGrid(set, ...): sets 1–3 are neutral, the differentiation
+// sets non-neutral — except the R = 0.5 corner of set 9, where both
+// classes are shaped identically and the paper calls the link neutral
+// (equal marginal treatment). Our reproduction may flag that corner
+// (joint-distribution differentiation via separate per-class queues);
+// see DESIGN.md.
+func TableTwoNonNeutral(set int, c grid.Cell) bool {
 	if set <= 3 {
 		return false
 	}
@@ -239,48 +235,4 @@ func tableTwoNonNeutral(set int, c grid.Cell) bool {
 		return rate.Num != 0.5
 	}
 	return true
-}
-
-// TableTwo returns the experiments of Table 2's set (1–9), at the
-// paper's full-scale defaults, by expanding the set's scenario grid:
-// each cell's axis values are applied to the default parameters and
-// the cell's label is the varying axis's value label. Callers shrink
-// with Params.Scale for fast runs.
-func TableTwo(set int) ([]SpecA, error) {
-	g, err := TableTwoGrid(set)
-	if err != nil {
-		return nil, err
-	}
-	specs := make([]SpecA, g.Cells())
-	for i := range specs {
-		c := g.Cell(i)
-		p := DefaultParamsA()
-		diff, rate := "none", 0.0
-		for a, ax := range g.Axes {
-			v := c.Value(a)
-			switch ax.Name {
-			case "diff":
-				diff = v.Str
-			case "rate":
-				rate = v.Num
-			default:
-				if _, err := ApplyAxisA(&p, ax.Name, v); err != nil {
-					return nil, err
-				}
-			}
-		}
-		switch diff {
-		case "police":
-			p.Diff = PoliceClass2(rate)
-		case "shape":
-			p.Diff = ShapeBothClasses(rate)
-		}
-		specs[i] = SpecA{
-			Set:        set,
-			Label:      c.Value(len(g.Axes) - 1).Label(),
-			Params:     p,
-			NonNeutral: tableTwoNonNeutral(set, c),
-		}
-	}
-	return specs, nil
 }

@@ -20,11 +20,12 @@
 //     emulation layer polls it between event batches); units that
 //     ignore the context simply finish.
 //
-// Collect and Map materialize one result per unit, which is right for
-// figure-sized batches. Stream is the engine's third primitive, built
-// for grids too large to hold: it emits each unit's result in index
-// order as soon as its predecessors have been emitted, holding at most
-// a bounded reorder window of completed units in memory.
+// Stream is the engine's one dispatcher: it emits each unit's result
+// in index order as soon as its predecessors have been emitted, holding
+// at most a bounded reorder window of completed units in memory, which
+// suits grids too large to hold. Map runs on it with a window of n and
+// materializes one result per unit, which is right for figure-sized
+// batches.
 package runner
 
 import (
@@ -66,75 +67,15 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: unit %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
 }
 
-// Result is one unit's outcome in a Collect sweep.
-type Result[T any] struct {
+// result is one unit's outcome inside Stream.
+type result[T any] struct {
 	Index int
 	Value T
 	Err   error
 }
 
-// Collect runs units 0..n-1 across a bounded worker pool (workers <= 0
-// means DefaultWorkers) and returns every unit's outcome, indexed by
-// unit. A unit that fails or panics does not stop the others. When ctx
-// is cancelled, units not yet dispatched are marked with the context's
-// error; units already running finish normally.
-func Collect[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, index int) (T, error)) []Result[T] {
-	results := make([]Result[T], n)
-	for i := range results {
-		results[i].Index = i
-	}
-	if n == 0 {
-		return results
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = runUnit(ctx, i, fn)
-			}
-		}()
-	}
-
-	next := 0
-feed:
-	for ; next < n; next++ {
-		// Checked before the select: with a worker already blocked on idx
-		// AND the context done, both select cases are ready and Go picks
-		// randomly — which would dispatch units after cancellation.
-		if ctx.Err() != nil {
-			break feed
-		}
-		select {
-		case idx <- next:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-
-	// Units the feeder never dispatched: attribute the cancellation.
-	for i := next; i < n; i++ {
-		results[i].Err = fmt.Errorf("runner: unit %d not started: %w", i, context.Cause(ctx))
-	}
-	return results
-}
-
 // runUnit executes one unit, converting a panic into a *PanicError.
-func runUnit[T any](ctx context.Context, i int, fn func(ctx context.Context, index int) (T, error)) (r Result[T]) {
+func runUnit[T any](ctx context.Context, i int, fn func(ctx context.Context, index int) (T, error)) (r result[T]) {
 	r.Index = i
 	defer func() {
 		if v := recover(); v != nil {
@@ -145,12 +86,14 @@ func runUnit[T any](ctx context.Context, i int, fn func(ctx context.Context, ind
 	return r
 }
 
-// Map runs units 0..n-1 across a bounded worker pool and returns their
-// values in unit order. It fails fast: the first unit error cancels
-// dispatch of the remaining units (in-flight units still finish), and
-// Map reports the lowest-indexed unit error — a deterministic choice —
-// wrapped with its unit index. On success the output is a pure function
-// of fn, bit-identical for every worker count.
+// Map runs units 0..n-1 across a bounded worker pool (workers <= 0
+// means DefaultWorkers) and returns their values in unit order. It is
+// Stream with a window of n. It fails fast: the first unit error
+// cancels dispatch of the remaining units (in-flight units still
+// finish), and Map reports the lowest-indexed unit error — a
+// deterministic choice — wrapped with its unit index, ahead of any
+// cancellation error. On success the output is a pure function of fn,
+// bit-identical for every worker count.
 func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, index int) (T, error)) ([]T, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -158,34 +101,38 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 	mctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 
-	res := Collect(mctx, workers, n, func(c context.Context, i int) (T, error) {
-		v, err := fn(c, i)
-		if err != nil {
-			cancel(fmt.Errorf("runner: unit %d: %w", i, err))
-		}
-		return v, err
-	})
-
 	out := make([]T, n)
 	var unitErr, cancelErr error
-	for _, r := range res {
-		out[r.Index] = r.Value
-		if r.Err == nil {
-			continue
-		}
-		if isContextErr(r.Err) {
-			if cancelErr == nil {
-				cancelErr = fmt.Errorf("runner: unit %d: %w", r.Index, r.Err)
+	streamErr := Stream(mctx, workers, 0, n, n,
+		func(c context.Context, i int) (T, error) {
+			v, err := fn(c, i)
+			if err != nil {
+				cancel(fmt.Errorf("runner: unit %d: %w", i, err))
 			}
-		} else if unitErr == nil {
-			unitErr = fmt.Errorf("runner: unit %d: %w", r.Index, r.Err)
-		}
-	}
+			return v, err
+		},
+		func(i int, v T, err error) error {
+			out[i] = v
+			if err == nil {
+				return nil
+			}
+			if isContextErr(err) {
+				if cancelErr == nil {
+					cancelErr = fmt.Errorf("runner: unit %d: %w", i, err)
+				}
+			} else if unitErr == nil {
+				unitErr = fmt.Errorf("runner: unit %d: %w", i, err)
+			}
+			return nil
+		})
 	switch {
 	case unitErr != nil:
 		return nil, unitErr
 	case cancelErr != nil:
 		return nil, cancelErr
+	case streamErr != nil:
+		// Cancelled before every unit was dispatched.
+		return nil, streamErr
 	}
 	return out, nil
 }
@@ -199,8 +146,8 @@ func isContextErr(err error) bool {
 // Stream runs units start..n-1 across a bounded worker pool and calls
 // emit(i, value, unitErr) for consecutive indices i = start, start+1, …
 // — strictly in order, on the caller's goroutine, as soon as unit i and
-// all its predecessors have finished. Unlike Collect, Stream never
-// materializes the result set: at most window completed units wait in
+// all its predecessors have finished. Stream never materializes the
+// result set: at most window completed units wait in
 // the reorder buffer, and the dispatcher stalls rather than run more
 // than window units ahead of the emission frontier, so memory is
 // O(window), not O(n).
@@ -250,7 +197,7 @@ func Stream[T any](ctx context.Context, workers, start, n, window int, fn func(c
 	defer cancel(nil)
 
 	idx := make(chan int)
-	done := make(chan Result[T], window)
+	done := make(chan result[T], window)
 	// tokens implements the reorder-window backpressure: the dispatcher
 	// takes one per dispatched unit, the emitter returns one per
 	// emitted unit.
@@ -299,7 +246,7 @@ func Stream[T any](ctx context.Context, workers, start, n, window int, fn func(c
 	// the frontier. Buffered results beyond the frontier at shutdown
 	// are discarded — they are exactly the units a resumed run must
 	// redo, because emission is what commits a unit.
-	pending := make(map[int]Result[T], window)
+	pending := make(map[int]result[T], window)
 	next := start
 	var emitErr error
 	for r := range done {

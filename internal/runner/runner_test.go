@@ -148,60 +148,21 @@ func TestMapPanicBecomesError(t *testing.T) {
 	}
 }
 
-// TestCollectIsolatesFailures: Collect keeps running after individual
-// unit failures and panics, reporting them per unit.
-func TestCollectIsolatesFailures(t *testing.T) {
-	res := Collect(context.Background(), 3, 9, func(_ context.Context, i int) (int, error) {
-		switch i {
-		case 2:
-			return 0, errors.New("unit error")
-		case 5:
-			panic("unit panic")
-		}
-		return i * 10, nil
-	})
-	if len(res) != 9 {
-		t.Fatalf("len = %d", len(res))
-	}
-	for i, r := range res {
-		if r.Index != i {
-			t.Fatalf("res[%d].Index = %d", i, r.Index)
-		}
-		switch i {
-		case 2:
-			if r.Err == nil || r.Err.Error() != "unit error" {
-				t.Fatalf("unit 2 err = %v", r.Err)
-			}
-		case 5:
-			var pe *PanicError
-			if !errors.As(r.Err, &pe) {
-				t.Fatalf("unit 5 err = %v, want *PanicError", r.Err)
-			}
-		default:
-			if r.Err != nil || r.Value != i*10 {
-				t.Fatalf("unit %d = %+v", i, r)
-			}
-		}
-	}
-}
-
-// TestCollectCancelledContext: with an already-cancelled context, no
-// unit runs and every result carries the cancellation.
-func TestCollectCancelledContext(t *testing.T) {
+// TestMapCancelledContext: with an already-cancelled context, no unit
+// runs and Map reports the cancellation.
+func TestMapCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var executed atomic.Int32
-	res := Collect(ctx, 4, 10, func(_ context.Context, i int) (int, error) {
+	out, err := Map(ctx, 4, 10, func(_ context.Context, i int) (int, error) {
 		executed.Add(1)
 		return i, nil
 	})
 	if got := executed.Load(); got != 0 {
 		t.Fatalf("executed %d units on a dead context", got)
 	}
-	for _, r := range res {
-		if !errors.Is(r.Err, context.Canceled) {
-			t.Fatalf("unit %d err = %v", r.Index, r.Err)
-		}
+	if out != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("out=%v err=%v, want nil and context.Canceled", out, err)
 	}
 }
 

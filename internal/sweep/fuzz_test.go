@@ -96,7 +96,8 @@ func fuzzRecoveryGrid() *grid.Grid {
 // invented; and every record the replay yields sits in its documented
 // slot or the resume fails with an error.
 func FuzzShardRecovery(f *testing.F) {
-	valid, err := runCell(context.Background(), fuzzRecoveryGrid(), 0, 7)
+	fg := fuzzRecoveryGrid()
+	valid, _, err := RunCell(context.Background(), fg, 0, cellSeed(fg, 7, 0))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func FuzzShardVerify(f *testing.F) {
 	// A pristine reference image, built once from real records.
 	var recs []Record
 	for i := 0; i < g.Cells(); i++ {
-		r, err := runCell(context.Background(), g, i, 7)
+		r, _, err := RunCell(context.Background(), g, i, cellSeed(g, 7, i))
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -272,17 +272,20 @@ func scaleSizes(sizes []float64, f float64) []float64 {
 	return out
 }
 
-// runCell emulates and infers one cell, producing its record. The
-// context aborts the emulation mid-run when the sweep is interrupted.
-func runCell(ctx context.Context, g *grid.Grid, i int, baseSeed int64) (Record, error) {
-	seed := cellSeed(g, baseSeed, i)
+// RunCell emulates and infers cell i of g under the given seed,
+// producing its record and the emulation run it scored (whose
+// measurements callers may summarize further). It is the one cell
+// executor: Run and repair call it with the cell's derived seed, and
+// figures that need their own per-cell seeds call it directly. The
+// context aborts the emulation mid-run when the caller is interrupted.
+func RunCell(ctx context.Context, g *grid.Grid, i int, seed int64) (Record, *lab.Result, error) {
 	sc, err := materialize(g, i, seed)
 	if err != nil {
-		return Record{}, err
+		return Record{}, nil, err
 	}
 	run, err := lab.RunCtx(ctx, sc.exp)
 	if err != nil {
-		return Record{}, err
+		return Record{}, nil, err
 	}
 	res := core.Infer(sc.net, core.MeasurementObserver{Meas: run.Meas, Opts: sc.opts}, sc.cfg)
 	m := core.Evaluate(res, sc.truth)
@@ -307,5 +310,5 @@ func runCell(ctx context.Context, g *grid.Grid, i int, baseSeed int64) (Record, 
 			rec.Unsolvability = v.Unsolvability
 		}
 	}
-	return rec, nil
+	return rec, run, nil
 }

@@ -269,11 +269,12 @@ func Run(ctx context.Context, g *grid.Grid, opt Options) (*Result, error) {
 	streamErr := runner.Stream(ctx, workers, start, rng.Hi, window,
 		func(uctx context.Context, i int) (Record, error) {
 			if opt.CellTimeout <= 0 {
-				return runCell(uctx, g, i, opt.BaseSeed)
+				r, _, err := RunCell(uctx, g, i, cellSeed(g, opt.BaseSeed, i))
+				return r, err
 			}
 			cctx, cancel := context.WithTimeout(uctx, opt.CellTimeout)
 			defer cancel()
-			r, err := runCell(cctx, g, i, opt.BaseSeed)
+			r, _, err := RunCell(cctx, g, i, cellSeed(g, opt.BaseSeed, i))
 			if err != nil && errors.Is(cctx.Err(), context.DeadlineExceeded) && uctx.Err() == nil {
 				// The cell's own deadline fired (not an outer
 				// cancellation): name the cell so the operator knows
@@ -689,7 +690,8 @@ func (st *store) heal(ctx context.Context, workers int) error {
 		}
 		err := runner.Stream(ctx, workers, 0, len(plan.quarantine), 4*workers,
 			func(uctx context.Context, i int) ([]byte, error) {
-				r, err := runCell(uctx, st.g, plan.quarantine[i], st.baseSeed)
+				cell := plan.quarantine[i]
+				r, _, err := RunCell(uctx, st.g, cell, cellSeed(st.g, st.baseSeed, cell))
 				if err != nil {
 					return nil, err
 				}

@@ -11,7 +11,12 @@ import (
 	"testing"
 
 	"neutrality/internal/durable"
+	"neutrality/internal/emu"
 	"neutrality/internal/grid"
+	"neutrality/internal/lab"
+	"neutrality/internal/stats"
+	"neutrality/internal/topo"
+	"neutrality/internal/workload"
 )
 
 // microGrid is the execution-test grid: 12 topology-A cells at a very
@@ -393,7 +398,7 @@ func TestCellReproducibleInIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, i := range []int{0, 5, 11} {
-		r, err := runCell(context.Background(), g, i, 7)
+		r, _, err := RunCell(context.Background(), g, i, cellSeed(g, 7, i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,6 +406,93 @@ func TestCellReproducibleInIsolation(t *testing.T) {
 			t.Fatalf("cell %d re-run diverged", i)
 		}
 	}
+}
+
+// TestRunCellMatchesRun: RunCell under the cell's derived seed returns
+// the record Run writes for that cell — one executor for both. Cell 0
+// of the demo grid runs on topology A, cell 999 on topology B.
+func TestRunCellMatchesRun(t *testing.T) {
+	g := DemoGrid()
+	for _, k := range []int{1, 1000} {
+		var got []Record
+		if _, err := Run(context.Background(), g, Options{
+			Shards: 1, BaseSeed: 1, Partition: Partition{K: k, N: 1000},
+			OnRecord: func(r Record) { got = append(got, r) },
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 {
+			t.Fatalf("partition %d/1000 ran %d cells, want 1", k, len(got))
+		}
+		i := got[0].Cell
+		r, run, err := RunCell(context.Background(), g, i, cellSeed(g, 1, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recordLines([]Record{r}) != recordLines(got) {
+			t.Fatalf("cell %d: RunCell record\n%s differs from Run's\n%s", i, recordLines([]Record{r}), recordLines(got))
+		}
+		if run == nil || run.Sim.Processed != r.Events {
+			t.Fatalf("cell %d: RunCell's run does not match its record", i)
+		}
+	}
+}
+
+// TestTableTwoGridsRun: every Table 2 set grid is a valid sweep spec,
+// the nine cover the paper's 34 experiments, and set 4's third cell
+// materializes 30 % policing of c2 with the same flow sizes for both
+// classes.
+func TestTableTwoGridsRun(t *testing.T) {
+	base := grid.Base{ScaleFactor: 0.1, DurationSec: 180}
+	total := 0
+	for set := 1; set <= 9; set++ {
+		g, err := lab.TableTwoGrid(set, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Validate(g); err != nil {
+			t.Fatalf("set %d: %v", set, err)
+		}
+		total += g.Cells()
+	}
+	if total != 34 {
+		t.Fatalf("Table 2 grids cover %d cells, want the paper's 34", total)
+	}
+
+	g, _ := lab.TableTwoGrid(4, base)
+	sc, err := materialize(g, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var policed []*emu.Differentiation
+	for _, l := range sc.exp.Links {
+		if l.Diff != nil {
+			policed = append(policed, l.Diff)
+		}
+	}
+	if len(policed) != 1 || policed[0].Kind != emu.Police || policed[0].Rate[topo.C2] != 0.3 || len(policed[0].Rate) != 1 {
+		t.Fatalf("set 4 cell 2 differentiation: %+v", policed)
+	}
+	// 40 Mb at 10 % scale: every slot of every path draws the sizes of
+	// a 4 Mb Pareto mean.
+	want := draws(workload.ParetoSize(4))
+	for _, load := range sc.exp.Loads {
+		for _, slot := range load.Slots {
+			if got := draws(slot.Size); got != want {
+				t.Fatalf("path %d flow sizes %v, want %v", load.Path, got, want)
+			}
+		}
+	}
+}
+
+// draws returns the first sizes gen yields from a fixed stream.
+func draws(gen workload.SizeGen) [8]int {
+	var out [8]int
+	rng := stats.NewRand(1)
+	for i := range out {
+		out[i] = gen(rng)
+	}
+	return out
 }
 
 // TestValidateRejects: bad axes fail before anything runs.

@@ -22,15 +22,16 @@ import (
 //
 // `serve` owns the grid's partition assignments and hands them to
 // workers under time-bounded leases; `work` pulls assignments, runs
-// them as resumable sweep partitions, heartbeats its frontier, and
-// ships the partition aggregate with completion. Dead workers' leases
+// them as resumable sweep partitions, heartbeats its frontier, uploads
+// each finished partition to the server (staged at <out>.staging) and
+// completes it with the partition aggregate. Dead workers' leases
 // expire and re-dispatch with backoff; stragglers are speculatively
 // re-issued (first completion wins; the copies are byte-identical by
-// construction). When every worker directory is reachable from the
-// server, the commit reconstitutes the full byte-identical single-run
-// directory; otherwise it degrades to the exact aggregate summary.
-// `serve` exits once every worker that held a lease has been told the
-// outcome, waiting at most one lease TTL for them.
+// construction). The commit repairs any damaged staged copy and merges
+// the single-run directory into -out, byte-identical to `sweep`; the
+// workers need no filesystem shared with the server. `serve` exits
+// once every worker that held a lease has been told the outcome,
+// waiting at most one lease TTL for them.
 func cmdFleet(ctx context.Context, args []string) {
 	if len(args) < 1 {
 		log.Print("usage: neutrality fleet serve|work [flags]")
@@ -52,14 +53,13 @@ func cmdFleetServe(ctx context.Context, args []string) {
 	gridFile := fs.String("grid", "", "grid spec JSON file (workers fetch it from the server)")
 	demo := fs.Bool("demo", false, "use the built-in demonstration grid")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address for the fleet protocol")
-	out := fs.String("out", "", "merged output directory (required)")
+	out := fs.String("out", "", "merged output directory (required); worker uploads are staged at <out>.staging")
 	parts := fs.Int("parts", 8, "number of partitions to split the grid into")
 	shards := fs.Int("shards", 1, "output shards per the sweep layout")
 	seed := fs.Int64("seed", 1, "base seed")
 	lease := fs.Duration("lease", 15*time.Second, "assignment lease TTL; missed heartbeats past it re-dispatch the partition")
 	speculate := fs.Duration("speculate-after", 0, "re-issue a still-leased partition to an idle worker after this long (0 = 2x lease, negative disables)")
 	maxAttempts := fs.Int("max-attempts", 20, "fail the fleet when one partition burns this many dispatches (0 = unlimited)")
-	uploadDir := fs.String("upload-dir", "", "staging directory for worker artifact uploads: workers ship hash-verified shard files here, so the commit stays byte-identical without a shared filesystem")
 	quiet := fs.Bool("quiet", false, "suppress the progress meter on stderr")
 	fs.Parse(args)
 
@@ -69,9 +69,8 @@ func cmdFleetServe(ctx context.Context, args []string) {
 		os.Exit(exitUsage)
 	}
 	o, err := fleet.New(g, fleet.Config{
-		Parts: *parts, Shards: *shards, BaseSeed: *seed,
+		Out: *out, Parts: *parts, Shards: *shards, BaseSeed: *seed,
 		Lease: *lease, SpeculateAfter: *speculate, MaxAttempts: *maxAttempts,
-		UploadDir: *uploadDir,
 	})
 	if err != nil {
 		fatal(err)
@@ -116,15 +115,11 @@ func cmdFleetServe(ctx context.Context, args []string) {
 	if !*quiet {
 		fmt.Fprintln(os.Stderr)
 	}
-	res, err := o.Commit(ctx, *out)
+	res, err := o.Commit(ctx)
 	if err != nil {
 		fatal(err)
 	}
-	if res.Degraded {
-		fmt.Fprintf(os.Stderr, "warning: degraded to aggregate-only commit (summary is still exact): %v\n", res.Reason)
-	} else {
-		fmt.Fprintf(os.Stderr, "merged %d cells into %s\n", res.Cells, res.Dir)
-	}
+	fmt.Fprintf(os.Stderr, "merged %d cells into %s\n", res.Cells, *out)
 	fmt.Print(res.Summary)
 	// A worker that finds the port closed retries forever.
 	o.AwaitWorkers(ctx)

@@ -18,7 +18,6 @@
 //	neutrality verify  -grid spec.json|-demo [-repair] dir1 [dir2 ...]
 //	neutrality fleet   serve -grid spec.json|-demo -out dir [-addr ...]
 //	                   [-parts 8] [-lease 15s] [-max-attempts 20]
-//	                   [-upload-dir dir]
 //	neutrality fleet   work -addr URL -dir DIR [-workers 0]
 //	                   [-cell-timeout 0] [-heartbeat 2s]
 //	neutrality serve   -net ... [-addr :8090] [-dir DIR] [-resume]
@@ -40,19 +39,20 @@
 // cells from their seeds, byte-identically; `fleet` runs the same
 // distributed sweep fault-tolerantly — leased partition assignment,
 // heartbeat-driven expiry with backoff, speculative re-dispatch of
-// stragglers, checkpoint salvage, full-fidelity shard uploads to a
-// staging directory, self-healing commits, and graceful degradation
-// to exact aggregate-only results; `serve` is the streaming face of
-// the inference — a long-running HTTP service that ingests measurement
-// records (at-least-once, per-source sequence dedup), folds them into
-// the measurement table online, re-runs the inference at epoch
-// boundaries, and serves the latest verdict; with a journal directory
-// it checkpoints every accepted record (across -journal-shards files,
-// compacting into hash-verified snapshots every -compact-every epochs)
-// and resumes to byte-identical state; `serve -leaf NAME -root-url URL`
-// ships each closed epoch to an aggregation root, and `serve -root
-// -leaves N` folds those reports into a tree-wide verdict
-// byte-identical to a single instance ingesting the union.
+// stragglers, checkpoint salvage, hash-verified uploads of every
+// finished partition to the server's staging directory, and a
+// self-healing commit that always writes the single-run bytes;
+// `serve` is the streaming face of the inference — a long-running HTTP
+// service that ingests measurement records (at-least-once, per-source
+// sequence dedup), folds them into the measurement table online,
+// re-runs the inference at epoch boundaries, and serves the latest
+// verdict; with a journal directory it checkpoints every accepted
+// record (across -journal-shards files, compacting into hash-verified
+// snapshots every -compact-every epochs) and resumes to byte-identical
+// state; `serve -leaf NAME -root-url URL` ships each closed epoch to an
+// aggregation root, and `serve -root -leaves N` folds those reports
+// into a tree-wide verdict byte-identical to a single instance
+// ingesting the union.
 // With -runs N > 1, emulate replicates the experiment N times with
 // per-run seeds derived from (-seed, run index), fans the replicas out
 // across a bounded worker pool (-workers, default one per CPU), and
@@ -134,11 +134,10 @@ commands:
            cells from their seeds, byte-identically
   fleet    fault-tolerant distributed sweep: 'serve' leases partitions
            to workers (expiry + backoff + speculative re-dispatch),
-           'work' runs them as resumable checkpoints, ships exact
-           aggregates, and uploads hash-verified shard files when the
-           server stages them (-upload-dir); commit is byte-identical
-           (self-healing corrupt sources), or degrades to the exact
-           summary when no full-fidelity copy is recoverable
+           'work' runs them as resumable checkpoints and uploads
+           hash-verified shard files, which the server stages at
+           <out>.staging; commit repairs damaged copies and is
+           byte-identical to 'sweep' (no shared filesystem needed)
   serve    streaming inference service: POST /v1/ingest measurement
            records (JSON lines, gzip ok, idempotent via per-source
            seqs), epochs close on record count and/or wall clock,

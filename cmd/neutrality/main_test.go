@@ -144,7 +144,9 @@ func (l *lateAcquirer) Complete(ctx context.Context, lease int64, res fleet.Work
 // TestFleetWorkerExitsAfterCommit runs `fleet serve` in-process with
 // one worker that asks for work again only after serve has committed:
 // serve must keep answering until the worker has heard the fleet is
-// done, so Work returns nil instead of polling a closed port.
+// done, so Work returns nil instead of polling a closed port. The
+// merged -out directory must equal a `sweep` of the same grid byte for
+// byte, and the worker's -dir must hold no attempt directory.
 func TestFleetWorkerExitsAfterCommit(t *testing.T) {
 	dir := t.TempDir()
 	g, spec := twoCellGrid(t, dir)
@@ -160,7 +162,8 @@ func TestFleetWorkerExitsAfterCommit(t *testing.T) {
 	}
 	defer stdout.Close()
 	savedArgs, savedStdout, savedStderr := os.Args, os.Stdout, os.Stderr
-	os.Args = []string{"neutrality", "fleet", "serve", "-grid", spec, "-out", filepath.Join(dir, "merged"),
+	merged := filepath.Join(dir, "merged")
+	os.Args = []string{"neutrality", "fleet", "serve", "-grid", spec, "-out", merged,
 		"-addr", "127.0.0.1:0", "-parts", "1", "-lease", "30s", "-quiet"}
 	os.Stdout, os.Stderr = stdout, stderrW
 	defer func() { os.Args, os.Stdout, os.Stderr = savedArgs, savedStdout, savedStderr }()
@@ -189,7 +192,8 @@ func TestFleetWorkerExitsAfterCommit(t *testing.T) {
 		t.Fatal("fleet serve never printed its address")
 	}
 	tr := &lateAcquirer{Client: &fleet.Client{Base: base}, delay: 300 * time.Millisecond}
-	err = fleet.Work(ctx, g, tr, fleet.WorkerOptions{ID: "w1", Dir: filepath.Join(dir, "w1"), Workers: 1, Poll: 20 * time.Millisecond})
+	workDir := filepath.Join(dir, "w1")
+	err = fleet.Work(ctx, g, tr, fleet.WorkerOptions{ID: "w1", Dir: workDir, Workers: 1, Poll: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("worker did not finish after the commit: %v", err)
 	}
@@ -205,5 +209,43 @@ func TestFleetWorkerExitsAfterCommit(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "2 cells aggregated") {
 		t.Fatalf("fleet serve printed no summary:\n%s", out)
+	}
+	if left, _ := filepath.Glob(filepath.Join(workDir, "part-*")); len(left) > 0 {
+		t.Fatalf("worker left attempt directories behind: %v", left)
+	}
+	sweepDir := filepath.Join(dir, "sweep")
+	run(t, "sweep", "-grid", spec, "-out", sweepDir, "-quiet")
+	assertSameFiles(t, merged, sweepDir)
+}
+
+// assertSameFiles fails unless two directories hold the same regular
+// files with the same bytes.
+func assertSameFiles(t *testing.T, got, want string) {
+	t.Helper()
+	files := func(dir string) map[string]string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := map[string]string{}
+		for _, e := range entries {
+			if e.Type().IsRegular() {
+				b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				m[e.Name()] = string(b)
+			}
+		}
+		return m
+	}
+	g, w := files(got), files(want)
+	if len(g) != len(w) {
+		t.Fatalf("%s holds %d files, %s holds %d", got, len(g), want, len(w))
+	}
+	for name, b := range w {
+		if g[name] != b {
+			t.Fatalf("%s differs between %s and %s", name, got, want)
+		}
 	}
 }

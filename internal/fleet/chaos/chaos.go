@@ -224,13 +224,10 @@ type Options struct {
 	Shards       int
 	BaseSeed     int64
 	SweepWorkers int
-	// Dir is the working root; Out receives the merged directory.
+	// Dir is the working root; Out receives the merged directory
+	// (required), with the uploads staged beside it.
 	Dir string
 	Out string
-	// UploadDir, when set, gives the orchestrator a staging area and
-	// turns on full-fidelity shard shipping through the (faulty)
-	// transport.
-	UploadDir string
 	// Lease, Heartbeat, Poll, Backoff, SpeculateAfter tune the
 	// fault-tolerance machinery (keep them short for tests).
 	Lease          time.Duration
@@ -249,21 +246,21 @@ func Run(ctx context.Context, g *grid.Grid, sched Schedule, opt Options) (*fleet
 	if err != nil {
 		return nil, err
 	}
-	return o.Commit(ctx, opt.Out)
+	return o.Commit(ctx)
 }
 
 // converge drives the fleet to completion under the schedule and
-// returns the orchestrator, leaving the commit to the caller (the
-// degradation tests destroy worker artifacts between the two).
+// returns the orchestrator, leaving the commit to the caller (a test
+// destroys worker artifacts between the two).
 func converge(ctx context.Context, g *grid.Grid, sched Schedule, opt Options) (*fleet.Orchestrator, error) {
 	o, err := fleet.New(g, fleet.Config{
+		Out:            opt.Out,
 		Parts:          opt.Parts,
 		Shards:         opt.Shards,
 		BaseSeed:       opt.BaseSeed,
 		Lease:          opt.Lease,
 		Backoff:        opt.Backoff,
 		SpeculateAfter: opt.SpeculateAfter,
-		UploadDir:      opt.UploadDir,
 		JitterSeed:     sched.Seed ^ 0x0fff,
 		// Chaos must converge by tolerance, not by giving up: the
 		// attempt budget stays unlimited.

@@ -76,132 +76,96 @@ func assertDirsEqual(t *testing.T, got, want string) {
 	}
 }
 
-// assertNoStrayAttempts walks every chaos worker's root and fails on
-// any leftover attempt directory that is not a complete partition:
-// abandoned leases and salvage leftovers must have been pruned when
-// the workers saw ErrDone.
-func assertNoStrayAttempts(t *testing.T, workRoot string) {
+// assertNoAttempts fails on any attempt directory left under a chaos
+// worker's root: once the fleet is done the orchestrator holds every
+// partition, so the workers keep nothing — completed, abandoned and
+// salvage-leftover attempts alike.
+func assertNoAttempts(t *testing.T, workRoot string) {
 	t.Helper()
-	workers, err := os.ReadDir(workRoot)
+	left, err := filepath.Glob(filepath.Join(workRoot, "*", "part-*"))
 	if err != nil {
-		if os.IsNotExist(err) {
-			return
-		}
 		t.Fatal(err)
 	}
-	for _, w := range workers {
-		if !w.IsDir() {
-			continue
-		}
-		wdir := filepath.Join(workRoot, w.Name())
-		attempts, err := os.ReadDir(wdir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, a := range attempts {
-			if !a.IsDir() {
-				continue
-			}
-			dir := filepath.Join(wdir, a.Name())
-			mi, err := sweep.ReadManifestDir(dir)
-			if err != nil || mi.Completed < mi.Range.Len() {
-				t.Errorf("stray attempt directory leaked: %s", dir)
-			}
-		}
+	for _, dir := range left {
+		t.Errorf("attempt directory leaked: %s", dir)
 	}
 }
 
 func runSchedule(t *testing.T, sched Schedule, refDir, refSum string) {
 	t.Helper()
-	runScheduleStaged(t, sched, refDir, refSum, false)
-}
-
-func runScheduleStaged(t *testing.T, sched Schedule, refDir, refSum string, uploads bool) {
-	t.Helper()
 	root := t.TempDir()
 	out := filepath.Join(root, "merged")
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	opt := Options{
+	res, err := Run(ctx, chaosGrid(), sched, Options{
 		Workers: 3, Parts: 5, Shards: chaosShards, BaseSeed: chaosSeed, SweepWorkers: 2,
 		Dir: filepath.Join(root, "work"), Out: out,
 		Lease: 150 * time.Millisecond, Heartbeat: 20 * time.Millisecond,
 		Poll: 5 * time.Millisecond, Backoff: 10 * time.Millisecond,
 		SpeculateAfter: 60 * time.Millisecond,
-	}
-	if uploads {
-		opt.UploadDir = filepath.Join(root, "staging")
-	}
-	res, err := Run(ctx, chaosGrid(), sched, opt)
+	})
 	if err != nil {
 		t.Fatalf("chaos fleet did not converge: %v", err)
-	}
-	if res.Degraded {
-		t.Fatalf("shared-directory chaos run degraded: %v", res.Reason)
 	}
 	assertDirsEqual(t, out, refDir)
 	if res.Summary != refSum {
 		t.Fatalf("summary diverged under chaos:\n%s\nvs\n%s", res.Summary, refSum)
 	}
-	assertNoStrayAttempts(t, filepath.Join(root, "work"))
+	assertNoAttempts(t, filepath.Join(root, "work"))
 }
 
 // TestChaosMatrix: every seeded fault schedule converges to a merged
-// directory and Summary byte-identical to the single-process run.
+// directory and Summary byte-identical to the single-process run, with
+// every partition shipped through the (faulty) upload path.
 func TestChaosMatrix(t *testing.T) {
 	refDir, refSum := reference(t)
-	matrix := map[string]struct {
-		sched   Schedule
-		uploads bool
-	}{
-		"clean": {sched: Schedule{Seed: 1}},
-		"kill-heavy": {sched: Schedule{
+	matrix := map[string]Schedule{
+		"clean": {Seed: 1},
+		"kill-heavy": {
 			Seed: 2, Kills: 6, KillMinCells: 1, KillMaxCells: 5,
-		}},
-		"drop-heavy": {sched: Schedule{
+		},
+		"drop-heavy": {
 			Seed: 3, DropProb: 0.3, MaxFaults: 60,
-		}},
-		"dup-delay": {sched: Schedule{
+		},
+		"dup-delay": {
 			Seed: 4, DupProb: 0.3, DelayProb: 0.3, MaxDelay: 5 * time.Millisecond, MaxFaults: 60,
-		}},
-		"torn-writes": {sched: Schedule{
+		},
+		"torn-writes": {
 			Seed: 5, Kills: 4, KillMinCells: 2, KillMaxCells: 6, TornWriteProb: 1.0,
-		}},
-		"bit-flips": {sched: Schedule{
+		},
+		"bit-flips": {
 			Seed: 7, Kills: 4, KillMinCells: 2, KillMaxCells: 6, BitFlipProb: 1.0,
-		}},
-		"shard-delete": {sched: Schedule{
+		},
+		"shard-delete": {
 			Seed: 8, Kills: 3, KillMinCells: 2, KillMaxCells: 6, ShardDeleteProb: 1.0,
-		}},
+		},
 		// CorruptUploadProb 1.0 with MaxFaults 3 corrupts exactly the
 		// first three uploads, then runs clean: every rejection is
 		// retried within the worker's per-file budget, deterministically.
-		"corrupt-upload": {sched: Schedule{
+		"corrupt-upload": {
 			Seed: 9, CorruptUploadProb: 1.0, MaxFaults: 3,
-		}, uploads: true},
-		"everything": {sched: Schedule{
+		},
+		"everything": {
 			Seed: 6, Kills: 4, KillMinCells: 1, KillMaxCells: 6, TornWriteProb: 0.5,
 			DropProb: 0.15, DupProb: 0.15, DelayProb: 0.15, MaxDelay: 5 * time.Millisecond, MaxFaults: 40,
-		}},
-		"everything-v2": {sched: Schedule{
+		},
+		"everything-v2": {
 			Seed: 10, Kills: 4, KillMinCells: 1, KillMaxCells: 6,
 			TornWriteProb: 0.4, BitFlipProb: 0.4, ShardDeleteProb: 0.3,
 			DropProb: 0.1, DupProb: 0.1, DelayProb: 0.1, MaxDelay: 5 * time.Millisecond,
 			CorruptUploadProb: 0.2, MaxFaults: 40,
-		}, uploads: true},
+		},
 	}
-	for name, tc := range matrix {
+	for name, sched := range matrix {
 		t.Run(name, func(t *testing.T) {
-			runScheduleStaged(t, tc.sched, refDir, refSum, tc.uploads)
+			runSchedule(t, sched, refDir, refSum)
 		})
 	}
 }
 
-// TestChaosUploadsSurviveWorkerLoss: with a staging directory
-// configured, full-fidelity shard shipping makes the degraded path
-// unreachable even when every worker directory vanishes before the
-// commit — the byte-identical merge proceeds from the orchestrator's
-// hash-verified staged copies.
+// TestChaosUploadsSurviveWorkerLoss: every worker directory vanishes
+// before the commit, and the byte-identical merge proceeds from the
+// orchestrator's hash-verified staged copies alone.
 func TestChaosUploadsSurviveWorkerLoss(t *testing.T) {
 	refDir, refSum := reference(t)
 	root := t.TempDir()
@@ -211,47 +175,10 @@ func TestChaosUploadsSurviveWorkerLoss(t *testing.T) {
 		Seed: 21, Kills: 2, KillMinCells: 1, KillMaxCells: 5,
 		CorruptUploadProb: 1.0, MaxFaults: 3,
 	}
-	o, err := converge(ctx, chaosGrid(), sched, Options{
-		Workers: 3, Parts: 4, Shards: chaosShards, BaseSeed: chaosSeed, SweepWorkers: 2,
-		Dir:       filepath.Join(root, "work"),
-		UploadDir: filepath.Join(root, "staging"),
-		Lease:     150 * time.Millisecond, Heartbeat: 20 * time.Millisecond,
-		Poll: 5 * time.Millisecond, Backoff: 10 * time.Millisecond,
-		SpeculateAfter: 60 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.RemoveAll(filepath.Join(root, "work")); err != nil {
-		t.Fatal(err)
-	}
 	out := filepath.Join(root, "merged")
-	res, err := o.Commit(ctx, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Degraded {
-		t.Fatalf("commit degraded despite staged uploads: %v", res.Reason)
-	}
-	assertDirsEqual(t, out, refDir)
-	if res.Summary != refSum {
-		t.Fatalf("staged summary diverged:\n%s\nvs\n%s", res.Summary, refSum)
-	}
-}
-
-// TestChaosDegradedConvergence: even when every worker directory is
-// destroyed after the fleet finishes, the shipped aggregates alone
-// reproduce the reference Summary (the aggregate-only/degraded path
-// under chaos).
-func TestChaosDegradedConvergence(t *testing.T) {
-	_, refSum := reference(t)
-	root := t.TempDir()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	sched := Schedule{Seed: 11, Kills: 3, KillMinCells: 1, KillMaxCells: 5, DropProb: 0.15, MaxFaults: 30}
 	o, err := converge(ctx, chaosGrid(), sched, Options{
 		Workers: 3, Parts: 4, Shards: chaosShards, BaseSeed: chaosSeed, SweepWorkers: 2,
-		Dir:   filepath.Join(root, "work"),
+		Dir: filepath.Join(root, "work"), Out: out,
 		Lease: 150 * time.Millisecond, Heartbeat: 20 * time.Millisecond,
 		Poll: 5 * time.Millisecond, Backoff: 10 * time.Millisecond,
 		SpeculateAfter: 60 * time.Millisecond,
@@ -262,15 +189,13 @@ func TestChaosDegradedConvergence(t *testing.T) {
 	if err := os.RemoveAll(filepath.Join(root, "work")); err != nil {
 		t.Fatal(err)
 	}
-	res, err := o.Commit(ctx, filepath.Join(root, "merged"))
+	res, err := o.Commit(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Degraded {
-		t.Fatal("expected a degraded commit with all worker artifacts gone")
-	}
+	assertDirsEqual(t, out, refDir)
 	if res.Summary != refSum {
-		t.Fatalf("degraded summary diverged:\n%s\nvs\n%s", res.Summary, refSum)
+		t.Fatalf("staged summary diverged:\n%s\nvs\n%s", res.Summary, refSum)
 	}
 }
 
@@ -278,7 +203,9 @@ func TestChaosDegradedConvergence(t *testing.T) {
 // chaos transport (a fault-free schedule) and, with a one-attempt
 // budget, fails the fleet with the worker's cell-timeout reason.
 func TestChaosTransportRelaysFail(t *testing.T) {
-	o, err := fleet.New(chaosGrid(), fleet.Config{Parts: 2, Shards: 2, BaseSeed: chaosSeed, MaxAttempts: 1})
+	o, err := fleet.New(chaosGrid(), fleet.Config{
+		Out: filepath.Join(t.TempDir(), "merged"), Parts: 2, Shards: 2, BaseSeed: chaosSeed, MaxAttempts: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,8 +248,7 @@ func TestChaosLong(t *testing.T) {
 			MaxDelay:          time.Duration(rng.Intn(8)+1) * time.Millisecond,
 			MaxFaults:         40 + rng.Intn(40),
 		}
-		uploads := rng.Intn(2) == 0
-		t.Logf("round %d (uploads=%v): %+v", round, uploads, sched)
-		runScheduleStaged(t, sched, refDir, refSum, uploads)
+		t.Logf("round %d: %+v", round, sched)
+		runSchedule(t, sched, refDir, refSum)
 	}
 }

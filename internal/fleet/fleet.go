@@ -35,31 +35,26 @@
 //     writing to its own attempt directory, and must not race the new
 //     attempt.
 //
-//   - Shipping. Workers always ship their partition's mergeable
-//     aggregate (sweep.EncodeAgg) with completion; the merge laws make
-//     aggregate shipping lossless for Summaries. With a staging
-//     directory configured (Config.UploadDir), workers additionally
-//     upload their completed shard files and manifest — gzip on the
-//     HTTP wire, content-hash-verified on receipt, idempotent on retry
-//     — so the orchestrator holds a full-fidelity copy of every
-//     partition even without a shared filesystem.
+//   - Shipping. The orchestrator owns every partition's bytes. A
+//     worker uploads its completed shard files and manifest (gzip on
+//     the HTTP wire, content-hash-verified on receipt, idempotent on
+//     retry) into <Out>.staging/part-KKKK, and Complete accepts a
+//     partition only once that staged copy is complete. The partition's
+//     mergeable aggregate (sweep.EncodeAgg) travels inline with
+//     completion and feeds the live PartialSummary.
 //
 //   - Integrity. Every partition directory carries the sweep layer's
-//     v2 checksummed framing, and Commit's merge verifies every shard's
-//     content hash before hard-linking. A corrupt winner does not
-//     degrade the merge: Commit repairs it in place (sweep.Repair
-//     re-derives exactly the damaged cells from their seeds) and
-//     retries. Only when no full-fidelity copy can be reconstituted at
-//     all does Commit degrade to a summary-only result instead of
-//     failing.
+//     v2 checksummed framing. Commit scrubs each staged copy
+//     (sweep.Verify), repairs a damaged or missing one from the cells'
+//     seeds and the orchestrator's own record of the partition
+//     (sweep.Repair), and then merges once: every commit writes the
+//     single-process bytes, or fails.
 //
 // Two transports carry the worker protocol: Local (direct in-process
-// calls plus a shared directory tree — today's on-disk layout,
-// unchanged) and an HTTP client/server pair that ships aggregates in
-// the Complete message. The chaos subpackage wraps transports and
-// worker lifecycles with seeded fault injection and asserts that every
-// schedule still converges to artifacts byte-identical to a
-// single-process run.
+// calls) and an HTTP client/server pair. The chaos subpackage wraps
+// transports and worker lifecycles with seeded fault injection and
+// asserts that every schedule still converges to artifacts
+// byte-identical to a single-process run.
 package fleet
 
 import (
@@ -88,10 +83,6 @@ var (
 	// ErrFleetFailed means a partition exhausted its attempt budget;
 	// the fleet cannot finish.
 	ErrFleetFailed = errors.New("fleet: failed")
-	// ErrUploadUnsupported means the orchestrator accepts no artifact
-	// uploads (no staging directory is configured); workers skip
-	// shipping shard files and rely on the shared filesystem.
-	ErrUploadUnsupported = errors.New("fleet: uploads not supported")
 	// ErrUploadRejected means an uploaded artifact's bytes did not match
 	// the content hash the worker claimed for them — the upload was
 	// corrupted in flight and must be retried.
@@ -127,23 +118,13 @@ type Assignment struct {
 	Frontier int `json:"frontier,omitempty"`
 }
 
-// WorkerResult is what a worker reports with Complete: where the
-// partition's artifacts live (a path meaningful on a shared
-// filesystem, possibly not reachable by the orchestrator) and the
-// partition's mergeable aggregate, which always travels inline.
+// WorkerResult is what a worker reports with Complete, after it has
+// uploaded the partition's artifacts.
 type WorkerResult struct {
 	// Range echoes the assignment's range as a consistency check.
 	Range grid.Range `json:"range"`
 	// Records is the number of cells the partition holds (Range.Len()).
 	Records int `json:"records"`
-	// Dir is the completed partition directory. The orchestrator uses
-	// it for the full byte-identical merge when reachable.
-	Dir string `json:"dir,omitempty"`
-	// Uploaded reports that the worker shipped every shard file plus
-	// the manifest through Transport.Upload before completing, so the
-	// orchestrator's staging directory holds a full hash-verified copy
-	// of the partition even without a shared filesystem.
-	Uploaded bool `json:"uploaded,omitempty"`
 	// Agg is the partition aggregate in sweep.EncodeAgg form.
 	Agg []byte `json:"agg"`
 }
@@ -171,7 +152,5 @@ type Transport interface {
 	// receiver verifies the bytes against it and rejects a mismatch
 	// with ErrUploadRejected, so a corrupted transfer is retried rather
 	// than staged. Re-uploading the same name is idempotent.
-	// ErrUploadUnsupported means the fleet runs without staging and the
-	// worker should stop offering artifacts.
 	Upload(ctx context.Context, lease int64, name, sum string, data []byte) error
 }

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -63,10 +65,24 @@ func assertDirsEqual(t *testing.T, got, want string) {
 	}
 }
 
+// assertNoAttempts fails if any worker root under root still holds an
+// attempt directory: once the fleet is done the orchestrator owns every
+// partition and the workers keep nothing.
+func assertNoAttempts(t *testing.T, root string) {
+	t.Helper()
+	left, err := filepath.Glob(filepath.Join(root, "*", "part-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) > 0 {
+		t.Fatalf("workers left attempt directories behind: %v", left)
+	}
+}
+
 // TestRunLocalByteIdentical is the fleet acceptance contract: a local
-// fleet (orchestrator + in-process workers, shared directory
-// transport) commits a merged directory and Summary byte-identical to
-// the single-process run.
+// fleet (orchestrator + in-process workers over the Local transport)
+// commits a merged directory and Summary byte-identical to the
+// single-process run, and the workers keep no attempt directory.
 func TestRunLocalByteIdentical(t *testing.T) {
 	refDir, refSum := referenceRun(t, 3)
 	root := t.TempDir()
@@ -79,113 +95,77 @@ func TestRunLocalByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Degraded {
-		t.Fatalf("local fleet degraded: %v", res.Reason)
-	}
-	if res.Dir != out {
-		t.Fatalf("result dir %q, want %q", res.Dir, out)
-	}
 	assertDirsEqual(t, out, refDir)
 	if res.Summary != refSum {
 		t.Fatalf("fleet summary diverged:\n%s\nvs\n%s", res.Summary, refSum)
 	}
+	assertNoAttempts(t, filepath.Join(root, "work"))
 }
 
-// TestCommitDegradesToAggregates: when a winning partition's directory
-// vanishes before commit (unrecoverable shard files), Commit falls
-// back to merging the shipped aggregates — the Summary is still exact.
-func TestCommitDegradesToAggregates(t *testing.T) {
-	_, refSum := referenceRun(t, 2)
-	o, _ := testOrch(t, 2, Config{Lease: time.Minute, SpeculateAfter: -1})
-	for k := 1; k <= 2; k++ {
-		a, err := o.Acquire("w")
-		if err != nil {
-			t.Fatal(err)
-		}
-		dir := filepath.Join(t.TempDir(), "part")
-		res := runPart(t, a, dir)
-		if k == 1 {
-			// Partition 1's shard files are lost after completion.
-			if err := os.RemoveAll(dir); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := o.Complete(a.Lease, res); err != nil {
-			t.Fatal(err)
-		}
-	}
-	out := filepath.Join(t.TempDir(), "merged")
-	res, err := o.Commit(context.Background(), out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Degraded || res.Reason == nil {
-		t.Fatalf("expected a degraded commit, got %+v", res)
-	}
-	if res.Dir != "" {
-		t.Fatalf("degraded commit should not claim a directory, got %q", res.Dir)
-	}
-	if res.Summary != refSum {
-		t.Fatalf("degraded summary diverged:\n%s\nvs\n%s", res.Summary, refSum)
-	}
-}
-
-// TestCommitHealsCorruptSource: a partition directory damaged after
-// completion (one flipped byte mid-shard) makes the merge fail with
-// sweep.ErrCorrupt; Commit repairs the source from its seeds and the
-// orchestrator's own record of the partition, re-merges, and commits
-// the single-process bytes without degrading.
+// TestCommitHealsCorruptSource: a partition's staged copy damaged
+// after completion — one byte flipped mid-shard, or the whole staging
+// directory deleted — is scrubbed and repaired from its seeds and the
+// orchestrator's own record of the partition, and Commit writes the
+// single-process bytes.
 func TestCommitHealsCorruptSource(t *testing.T) {
 	refDir, refSum := referenceRun(t, 2)
-	o, _ := testOrch(t, 2, Config{Lease: time.Minute, SpeculateAfter: -1})
-	var part1 string
-	for k := 1; k <= 2; k++ {
-		a, err := o.Acquire("w")
-		if err != nil {
-			t.Fatal(err)
-		}
-		dir := filepath.Join(t.TempDir(), "part")
-		if k == 1 {
-			part1 = dir
-		}
-		if err := o.Complete(a.Lease, runPart(t, a, dir)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	shard := filepath.Join(part1, "shard-0000.jsonl")
-	data, err := os.ReadFile(shard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x01
-	if err := os.WriteFile(shard, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, staged string)
+	}{
+		{"flip", func(t *testing.T, staged string) {
+			shard := filepath.Join(staged, "shard-0000.jsonl")
+			data, err := os.ReadFile(shard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0x01
+			if err := os.WriteFile(shard, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"delete", func(t *testing.T, staged string) {
+			if err := os.RemoveAll(staged); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o, _ := testOrch(t, 2, Config{Lease: time.Minute, SpeculateAfter: -1})
+			for k := 1; k <= 2; k++ {
+				a, err := o.Acquire("w")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := o.Complete(a.Lease, stagePart(t, Local{O: o}, a)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.damage(t, o.stagingDir(0))
 
-	out := filepath.Join(t.TempDir(), "merged")
-	res, err := o.Commit(context.Background(), out)
-	if err != nil {
-		t.Fatal(err)
+			res, err := o.Commit(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Summary != refSum {
+				t.Fatalf("healed summary diverged:\n%s\nvs\n%s", res.Summary, refSum)
+			}
+			assertDirsEqual(t, o.cfg.Out, refDir)
+		})
 	}
-	if res.Degraded {
-		t.Fatalf("corrupt source should be healed, not degraded: %v", res.Reason)
-	}
-	if res.Summary != refSum {
-		t.Fatalf("healed summary diverged:\n%s\nvs\n%s", res.Summary, refSum)
-	}
-	assertDirsEqual(t, out, refDir)
 }
 
-// TestHTTPFleetEndToEnd drives real workers against the HTTP transport
-// (aggregate-only shipping): the spec travels over the wire, workers
-// run partitions locally, and because this test shares a filesystem
-// the commit still reconstitutes the full byte-identical directory.
-// It then re-commits after deleting the worker artifacts to exercise
-// the degraded path over the same protocol.
+// TestHTTPFleetEndToEnd drives real workers against the HTTP transport:
+// the spec travels over the wire, workers run partitions locally and
+// upload them, and the commit reconstitutes the byte-identical
+// directory from the orchestrator's staged copies alone — every worker
+// directory is deleted first, as if the workers ran on other hosts.
 func TestHTTPFleetEndToEnd(t *testing.T) {
 	refDir, refSum := referenceRun(t, 3)
+	root := t.TempDir()
+	out := filepath.Join(root, "merged")
 	o, err := New(microGrid(), Config{
-		Parts: 3, Shards: 3, BaseSeed: 7, Lease: 5 * time.Second, SpeculateAfter: -1,
+		Out: out, Parts: 3, Shards: 3, BaseSeed: 7, Lease: 5 * time.Second, SpeculateAfter: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +183,6 @@ func TestHTTPFleetEndToEnd(t *testing.T) {
 		t.Fatalf("spec round-trip: fp=%s shards=%d seed=%d", g.Fingerprint()[:12], shards, seed)
 	}
 
-	root := t.TempDir()
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	for w := 0; w < 2; w++ {
@@ -244,34 +223,17 @@ func TestHTTPFleetEndToEnd(t *testing.T) {
 		t.Fatalf("/v1/status after the fleet finished: %+v", st)
 	}
 
-	out := filepath.Join(root, "merged")
-	res, err := o.Commit(context.Background(), out)
-	if err != nil {
+	assertNoAttempts(t, filepath.Join(root, "w"))
+	if err := os.RemoveAll(filepath.Join(root, "w")); err != nil {
 		t.Fatal(err)
 	}
-	if res.Degraded {
-		t.Fatalf("shared-filesystem HTTP fleet should not degrade: %v", res.Reason)
+	res, err := o.Commit(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
 	assertDirsEqual(t, out, refDir)
 	if res.Summary != refSum {
 		t.Fatalf("HTTP fleet summary diverged:\n%s\nvs\n%s", res.Summary, refSum)
-	}
-
-	// Simulate the orchestrator not sharing the workers' filesystem:
-	// with every worker directory gone, a fresh commit degrades but the
-	// Summary — carried by the shipped aggregates — is unchanged.
-	if err := os.RemoveAll(filepath.Join(root, "w")); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := o.Commit(context.Background(), filepath.Join(root, "merged2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res2.Degraded {
-		t.Fatal("expected degradation with worker directories gone")
-	}
-	if res2.Summary != refSum {
-		t.Fatalf("degraded HTTP summary diverged:\n%s\nvs\n%s", res2.Summary, refSum)
 	}
 }
 
@@ -303,7 +265,7 @@ func TestHTTPSentinelRoundTrip(t *testing.T) {
 	if err != nil || !sp.Speculative {
 		t.Fatalf("speculative acquire over HTTP: %+v, %v", sp, err)
 	}
-	res := runPart(t, a, filepath.Join(t.TempDir(), "p"))
+	res := stagePart(t, cl, a)
 	if err := cl.Complete(ctx, a.Lease, res); err != nil {
 		t.Fatal(err)
 	}
@@ -327,12 +289,11 @@ func TestHTTPSentinelRoundTrip(t *testing.T) {
 // transport. Workers upload gzip-compressed, hash-verified artifacts;
 // the orchestrator stages them and commits a byte-identical merge even
 // though no worker directory is reachable. Corrupted claims are
-// rejected with the retryable sentinel, stale leases are refused, and
-// a fleet without a staging directory answers ErrUploadUnsupported.
+// rejected with the retryable sentinel, an artifact over the body cap
+// is refused with the server's reason, and stale leases are refused.
 func TestHTTPUploadRoundTrip(t *testing.T) {
 	refDir, refSum := referenceRun(t, 2)
-	staging := t.TempDir()
-	o, _ := testOrch(t, 2, Config{Lease: time.Minute, SpeculateAfter: -1, UploadDir: staging})
+	o, _ := testOrch(t, 2, Config{Lease: time.Minute, SpeculateAfter: -1})
 	srv := httptest.NewServer(NewServer(o))
 	defer srv.Close()
 	cl := &Client{Base: srv.URL}
@@ -343,8 +304,7 @@ func TestHTTPUploadRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dir := filepath.Join(t.TempDir(), "part")
-		res := runPart(t, a, dir)
+		dir, res := runPart(t, a)
 		// A transfer whose bytes do not match the claimed hash must be
 		// rejected with the retryable sentinel, not staged.
 		badSum := strings.Repeat("0", 64)
@@ -355,14 +315,22 @@ func TestHTTPUploadRoundTrip(t *testing.T) {
 		if err := cl.Upload(ctx, a.Lease, "../escape", badSum, []byte("x")); err == nil {
 			t.Fatal("path-escaping upload name was accepted")
 		}
-		uploaded, err := uploadArtifacts(ctx, cl, WorkerOptions{Poll: time.Millisecond}, a, dir)
-		if err != nil || !uploaded {
-			t.Fatalf("uploadArtifacts: uploaded=%v err=%v", uploaded, err)
+		if k == 1 {
+			big := make([]byte, maxBodyBytes+1)
+			sum := sha256.Sum256(big)
+			err := cl.Upload(ctx, a.Lease, "shard-0000.jsonl", hex.EncodeToString(sum[:]), big)
+			if err == nil || !strings.Contains(err.Error(), "artifact exceeds body limit") {
+				t.Fatalf("over-limit upload over HTTP: %v", err)
+			}
+		}
+		if err := uploadArtifacts(ctx, cl, WorkerOptions{Poll: time.Millisecond}, a, dir); err != nil {
+			t.Fatalf("uploadArtifacts: %v", err)
 		}
 		// The orchestrator cannot reach the worker's path: the staged
 		// copy must carry the commit alone.
-		res.Dir = ""
-		res.Uploaded = true
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
 		if err := cl.Complete(ctx, a.Lease, res); err != nil {
 			t.Fatal(err)
 		}
@@ -372,31 +340,40 @@ func TestHTTPUploadRoundTrip(t *testing.T) {
 		t.Fatalf("stale-lease upload over HTTP: %v", err)
 	}
 
-	out := filepath.Join(t.TempDir(), "merged")
-	res, err := o.Commit(ctx, out)
+	res, err := o.Commit(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Degraded {
-		t.Fatalf("staged uploads should carry the full merge: %v", res.Reason)
-	}
-	assertDirsEqual(t, out, refDir)
+	assertDirsEqual(t, o.cfg.Out, refDir)
 	if res.Summary != refSum {
 		t.Fatalf("staged HTTP summary diverged:\n%s\nvs\n%s", res.Summary, refSum)
 	}
+}
 
-	// Without a staging directory the server answers the sentinel that
-	// turns shipping off client-side.
-	o2, _ := testOrch(t, 1, Config{Lease: time.Minute, SpeculateAfter: -1})
-	srv2 := httptest.NewServer(NewServer(o2))
-	defer srv2.Close()
-	cl2 := &Client{Base: srv2.URL}
-	a2, err := cl2.Acquire(ctx, "w")
+// refusingUploads is a transport that refuses every upload with a
+// non-sentinel error, as the HTTP server refuses an artifact over its
+// body limit.
+type refusingUploads struct{ Local }
+
+func (refusingUploads) Upload(context.Context, int64, string, string, []byte) error {
+	return errors.New("fleet: server rejected request: artifact exceeds body limit")
+}
+
+// TestUploadRefusalFailsLease: a worker whose upload is refused gives
+// the lease back with the refusal as its reason instead of completing,
+// so with a one-attempt budget the fleet fails naming it.
+func TestUploadRefusalFailsLease(t *testing.T) {
+	o, err := New(microGrid(), Config{
+		Out: filepath.Join(t.TempDir(), "merged"), Parts: 1, Shards: 1, BaseSeed: 7, MaxAttempts: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl2.Upload(ctx, a2.Lease, "manifest.json", strings.Repeat("0", 64), []byte("x")); !errors.Is(err, ErrUploadUnsupported) {
-		t.Fatalf("upload without staging: %v", err)
+	err = Work(context.Background(), microGrid(), refusingUploads{Local{O: o}}, WorkerOptions{
+		ID: "w", Dir: t.TempDir(), Workers: 2, Poll: time.Millisecond,
+	})
+	if !errors.Is(err, ErrFleetFailed) || !strings.Contains(err.Error(), "artifact exceeds body limit") {
+		t.Fatalf("want ErrFleetFailed naming the refused upload, got %v", err)
 	}
 }
 

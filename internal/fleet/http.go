@@ -16,11 +16,10 @@ import (
 )
 
 // HTTP transport. The orchestrator serves a small JSON protocol; the
-// client implements Transport over it. Completion ships the partition
-// aggregate inline (aggregate-only shipping), so the protocol is
-// lossless for Summaries even when no shared filesystem exists — the
-// orchestrator degrades to a summary-only commit when worker
-// directories are unreachable.
+// client implements Transport over it. A worker uploads its
+// partition's artifacts and then completes with the partition
+// aggregate inline, so the orchestrator holds every byte it merges and
+// needs no filesystem shared with its workers.
 //
 //	GET  /v1/spec       → spec{grid, shards, base_seed, parts}
 //	GET  /v1/status     → Status
@@ -35,12 +34,15 @@ import (
 // travel in the query string. The server decompresses, verifies the
 // hash, and stages the file — a mismatch answers upload_rejected and
 // the worker retries, so shard shipping is full-fidelity end to end.
+// Each artifact file (every shard of a partition, and its manifest) is
+// bounded by maxBodyBytes after decompression; a larger one is refused
+// and the worker fails the lease with the server's reason.
 //
 // Protocol sentinels travel as envelope.Err codes and are rebuilt into
 // the same sentinel errors client-side, so workers cannot tell the
 // transports apart.
 
-const maxBodyBytes = 16 << 20 // a 16 MiB aggregate is ~3 orders above the demo grid's
+const maxBodyBytes = 16 << 20 // per request body and per uploaded artifact
 
 type wireSpec struct {
 	Grid     json.RawMessage `json:"grid"`
@@ -65,7 +67,6 @@ var errCodes = []struct {
 	{"stale", ErrStaleLease},
 	{"superseded", ErrSuperseded},
 	{"failed", ErrFleetFailed},
-	{"upload_unsupported", ErrUploadUnsupported},
 	{"upload_rejected", ErrUploadRejected},
 }
 
@@ -196,9 +197,6 @@ func (s *Server) complete(w http.ResponseWriter, r *http.Request) {
 	if !readBody(w, r, &req) {
 		return
 	}
-	// Over HTTP the worker's Dir path is not meaningful to the
-	// orchestrator unless the filesystem really is shared; keep it
-	// (Commit stats it and degrades gracefully when it is not there).
 	writeResult(w, s.O.Complete(req.Lease, req.Result), nil)
 }
 

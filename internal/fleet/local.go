@@ -10,11 +10,9 @@ import (
 	"neutrality/internal/grid"
 )
 
-// Local is the shared-directory transport: workers call the
-// orchestrator directly and leave their artifacts on the local
-// filesystem, so Commit can always take the full byte-identical merge
-// path. The on-disk layout is exactly the existing sweep layout —
-// every attempt directory is a plain resumable sweep partition.
+// Local is the in-process transport: workers call the orchestrator
+// directly, and uploads are plain calls into its staging area. Every
+// attempt directory is a plain resumable sweep partition.
 type Local struct {
 	O *Orchestrator
 }
@@ -68,7 +66,8 @@ type LocalOptions struct {
 	BaseSeed int64
 	// Dir is the working root; worker w runs under Dir/worker-W.
 	Dir string
-	// Out, when non-empty, receives the merged single-run directory.
+	// Out receives the merged single-run directory (required); uploads
+	// are staged beside it, at Out.staging.
 	Out string
 	// Lease, Heartbeat, Poll, SpeculateAfter, Backoff tune the
 	// fault-tolerance machinery; zero values take the orchestrator and
@@ -105,6 +104,7 @@ func RunLocal(ctx context.Context, g *grid.Grid, opt LocalOptions) (*Result, err
 		return nil, fmt.Errorf("fleet: RunLocal needs a working directory")
 	}
 	o, err := New(g, Config{
+		Out:            opt.Out,
 		Parts:          opt.Parts,
 		Shards:         opt.Shards,
 		BaseSeed:       opt.BaseSeed,
@@ -141,5 +141,5 @@ func RunLocal(ctx context.Context, g *grid.Grid, opt LocalOptions) (*Result, err
 	if waitErr != nil {
 		return nil, waitErr
 	}
-	return o.Commit(ctx, opt.Out)
+	return o.Commit(ctx)
 }

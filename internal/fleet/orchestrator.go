@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -22,6 +21,9 @@ import (
 // BaseSeed define the artifact identity and must match what a
 // single-process run of the same sweep would use.
 type Config struct {
+	// Out is the merged single-run directory Commit writes (required).
+	// Partition p's uploads are staged at <Out>.staging/part-KKKK.
+	Out string
 	// Parts is n: the grid is split into partitions 1..n by
 	// grid.PartitionBlocks with Shards as the block size.
 	Parts int
@@ -43,18 +45,9 @@ type Config struct {
 	// idle worker is given a speculative copy of it. 0 means
 	// 2×Lease; negative disables speculation.
 	SpeculateAfter time.Duration
-	// MaxReplicas caps concurrent leases per partition (speculation
-	// included). Default 2.
-	MaxReplicas int
 	// MaxAttempts caps dispatches per partition; one more expiry or
 	// failure past it fails the whole fleet. 0 means unlimited.
 	MaxAttempts int
-	// UploadDir, when non-empty, enables full-fidelity shard shipping:
-	// workers upload completed shard files and manifests, which are
-	// hash-verified and staged under UploadDir/part-KKKK. Empty means
-	// Upload returns ErrUploadUnsupported and Commit relies on a shared
-	// filesystem for the full merge.
-	UploadDir string
 	// now overrides the clock in tests.
 	now func() time.Time
 }
@@ -81,14 +74,15 @@ func (c Config) withDefaults() Config {
 	if c.SpeculateAfter == 0 {
 		c.SpeculateAfter = 2 * c.Lease
 	}
-	if c.MaxReplicas <= 0 {
-		c.MaxReplicas = 2
-	}
 	if c.now == nil {
 		c.now = time.Now
 	}
 	return c
 }
+
+// maxReplicas caps concurrent leases per partition, speculation
+// included.
+const maxReplicas = 2
 
 // lease is one active grant.
 type lease struct {
@@ -96,20 +90,17 @@ type lease struct {
 	part        int // partition index (0-based)
 	worker      string
 	expires     time.Time
-	frontier    int
 	speculative bool
-	granted     time.Time
 }
 
 // partState tracks one partition through the lease state machine.
 type partState struct {
 	rng      grid.Range
 	done     bool
-	winner   int64        // lease id whose Complete won
-	result   WorkerResult // the winning attempt's result
-	agg      *sweep.Agg   // decoded winning aggregate
-	attempts int          // lease grants so far
-	frontier int          // best heartbeated completed-cell count
+	winner   int64      // lease id whose Complete won
+	agg      *sweep.Agg // decoded winning aggregate
+	attempts int        // lease grants so far
+	frontier int        // best heartbeated completed-cell count
 	// backoffUntil gates re-dispatch after an expiry or failure.
 	backoffUntil time.Time
 	// firstLeased is when the current activity epoch began (zero when
@@ -148,6 +139,9 @@ type Orchestrator struct {
 func New(g *grid.Grid, cfg Config) (*Orchestrator, error) {
 	if err := sweep.Validate(g); err != nil {
 		return nil, err
+	}
+	if cfg.Out == "" {
+		return nil, fmt.Errorf("fleet: Config.Out (the merged directory) is required")
 	}
 	cfg = cfg.withDefaults()
 	o := &Orchestrator{
@@ -280,7 +274,7 @@ func (o *Orchestrator) Acquire(worker string) (*Assignment, error) {
 		best := -1
 		for p := range o.parts {
 			st := &o.parts[p]
-			if st.done || len(st.leases) == 0 || len(st.leases) >= o.cfg.MaxReplicas {
+			if st.done || len(st.leases) == 0 || len(st.leases) >= maxReplicas {
 				continue
 			}
 			if now.Sub(st.firstLeased) < o.cfg.SpeculateAfter {
@@ -345,9 +339,7 @@ func (o *Orchestrator) grantLocked(now time.Time, p int, worker string, speculat
 		part:        p,
 		worker:      worker,
 		expires:     now.Add(o.cfg.Lease),
-		frontier:    st.frontier,
 		speculative: speculative,
-		granted:     now,
 	}
 	o.leases[l.id] = l
 	st.leases[l.id] = l
@@ -391,9 +383,6 @@ func (o *Orchestrator) Heartbeat(leaseID int64, frontier int) error {
 		return ErrStaleLease
 	}
 	l.expires = now.Add(o.cfg.Lease)
-	if frontier > l.frontier {
-		l.frontier = frontier
-	}
 	if frontier > st.frontier {
 		st.frontier = frontier
 	}
@@ -405,9 +394,9 @@ func (o *Orchestrator) Heartbeat(leaseID int64, frontier int) error {
 // the partition; later ones — from speculative copies or leases that
 // already expired — get ErrSuperseded/ErrStaleLease and are discarded,
 // which is safe because all attempts' artifacts are byte-identical by
-// construction. The aggregate is validated here, so a torn or
-// mismatched result leaves the partition leased (the worker may retry)
-// instead of poisoning the commit point.
+// construction. The staged copy and the aggregate are validated here,
+// so an unstaged, torn or mismatched result leaves the partition leased
+// (the worker may retry) instead of poisoning the commit point.
 func (o *Orchestrator) Complete(leaseID int64, res WorkerResult) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -435,6 +424,11 @@ func (o *Orchestrator) Complete(leaseID int64, res WorkerResult) error {
 	if res.Records != st.rng.Len() {
 		return fmt.Errorf("fleet: completion holds %d records for %d cells", res.Records, st.rng.Len())
 	}
+	if mi, err := sweep.ReadManifestDir(o.stagingDir(l.part)); err != nil ||
+		mi.Fingerprint != o.g.Fingerprint() || mi.Completed != st.rng.Len() {
+		return fmt.Errorf("fleet: partition %d/%d is not fully staged; upload every shard and the manifest before completing",
+			l.part+1, o.cfg.Parts)
+	}
 	agg, err := sweep.DecodeAgg(o.g, res.Agg)
 	if err != nil {
 		return fmt.Errorf("fleet: completion aggregate rejected: %w", err)
@@ -444,7 +438,6 @@ func (o *Orchestrator) Complete(leaseID int64, res WorkerResult) error {
 	}
 	st.done = true
 	st.winner = leaseID
-	st.result = res
 	st.agg = agg
 	st.frontier = st.rng.Len()
 	st.lastErr = ""
@@ -462,7 +455,7 @@ func (o *Orchestrator) Complete(leaseID int64, res WorkerResult) error {
 
 // stagingDir is where partition p's uploaded artifacts live.
 func (o *Orchestrator) stagingDir(p int) string {
-	return filepath.Join(o.cfg.UploadDir, fmt.Sprintf("part-%04d", p+1))
+	return filepath.Join(o.cfg.Out+".staging", fmt.Sprintf("part-%04d", p+1))
 }
 
 // validUploadName accepts exactly the artifact files a partition
@@ -489,9 +482,6 @@ func (o *Orchestrator) validUploadName(name string) bool {
 // therefore never holds a manifest whose shard files are missing,
 // which is the same commit-point discipline the sweep store uses.
 func (o *Orchestrator) Upload(leaseID int64, name, sum string, data []byte) error {
-	if o.cfg.UploadDir == "" {
-		return ErrUploadUnsupported
-	}
 	o.mu.Lock()
 	now := o.cfg.now()
 	o.expireLocked(now)
@@ -638,13 +628,13 @@ type PartialSummary struct {
 	Summary string `json:"summary"`
 }
 
-// PartialSummary merges the completed partitions' shipped aggregates —
-// in partition order, the same walk Commit's aggregate-only path does
-// — so a live fleet can be inspected without waiting for the commit.
-// Because Complete validated every aggregate and partition order is
-// fixed, the view converges monotonically to the committed Summary:
-// once every partition is done, the returned text is byte-identical to
-// Commit's (the directory-merge path renders the same aggregate).
+// PartialSummary merges the completed partitions' shipped aggregates,
+// in partition order, so a live fleet can be inspected without waiting
+// for the commit. Because Complete validated every aggregate and
+// partition order is fixed, the view converges monotonically to the
+// committed Summary: once every partition is done, the returned text
+// is byte-identical to Commit's (the merge laws make folding partition
+// aggregates equal to replaying the merged records).
 func (o *Orchestrator) PartialSummary() (PartialSummary, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -673,39 +663,24 @@ func (o *Orchestrator) PartialSummary() (PartialSummary, error) {
 
 // Result is a committed fleet run.
 type Result struct {
-	// Agg is the whole-grid aggregate: replayed bit-exactly from the
-	// merged directory on the full path, or merged from the shipped
-	// partition aggregates on the degraded path.
+	// Agg is the whole-grid aggregate, replayed bit-exactly from the
+	// merged directory.
 	Agg *sweep.Agg
 	// Summary is Agg.Summary(), captured at commit.
 	Summary string
-	// Dir is the merged single-run directory ("" when no directory was
-	// requested or the commit degraded to summary-only).
-	Dir string
 	// Cells is the grid's cell count.
 	Cells int
-	// Degraded marks a summary-only commit; Reason says why the full
-	// directory merge was not possible.
-	Degraded bool
-	Reason   error
 }
 
-// Commit finalizes a finished fleet. With out non-empty it first tries
-// the full path — sweep.Merge over one full-fidelity directory per
-// partition, producing a directory and Summary byte-identical to a
-// single-process run. For each partition it prefers the hash-verified
-// staging copy the worker uploaded (orchestrator-local, so it survives
-// worker death and needs no shared filesystem) and falls back to the
-// winner's reported directory. The merge verifies every shard's
-// content hash; on corruption Commit self-heals — sweep.Repair
-// re-derives exactly the damaged cells from their seeds, rebuilding
-// destroyed manifests from the assignment identity — and retries the
-// merge once before degrading. Only when no full-fidelity copy can be
-// reconstituted at all does it degrade to a summary-only result (the
-// partition aggregates merged in partition order, lossless for Summary
-// by the merge laws). With out empty it goes straight to the aggregate
-// path.
-func (o *Orchestrator) Commit(ctx context.Context, out string) (*Result, error) {
+// Commit finalizes a finished fleet into Config.Out: a directory and
+// Summary byte-identical to a single-process run. It first heals every
+// partition's staged copy — sweep.Verify scrubs it, and a damaged or
+// missing copy is rebuilt by sweep.Repair, which re-derives exactly the
+// damaged cells from their seeds and takes the partition's identity
+// from the orchestrator, so even a destroyed manifest or directory is
+// reconstituted — and then runs one sweep.Merge. A repair failure is
+// returned.
+func (o *Orchestrator) Commit(ctx context.Context) (*Result, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.failed != nil {
@@ -714,107 +689,43 @@ func (o *Orchestrator) Commit(ctx context.Context, out string) (*Result, error) 
 	if o.remain != 0 {
 		return nil, errKindIncomplete(o.remain, o.cfg.Parts)
 	}
-	res := &Result{Cells: o.g.Cells()}
-	if out != "" {
-		dirs := make([]commitSource, 0, len(o.parts))
-		var missing error
-		for p := range o.parts {
-			st := &o.parts[p]
-			if st.rng.Len() == 0 {
-				continue
-			}
-			dir := ""
-			if o.cfg.UploadDir != "" && st.result.Uploaded {
-				if mi, err := sweep.ReadManifestDir(o.stagingDir(p)); err == nil && mi.Completed == st.rng.Len() {
-					dir = o.stagingDir(p)
-				}
-			}
-			if dir == "" && st.result.Dir != "" {
-				if _, err := os.Stat(st.result.Dir); err == nil {
-					dir = st.result.Dir
-				}
-			}
-			if dir == "" {
-				missing = fmt.Errorf("fleet: partition %d/%d has no reachable directory (no upload staged, worker path %q unreachable)",
-					p+1, o.cfg.Parts, st.result.Dir)
-				break
-			}
-			dirs = append(dirs, commitSource{dir: dir, part: p})
-		}
-		if missing == nil {
-			paths := make([]string, len(dirs))
-			for i, s := range dirs {
-				paths[i] = s.dir
-			}
-			merged, err := sweep.Merge(o.g, paths, out)
-			if err != nil && errors.Is(err, sweep.ErrCorrupt) {
-				// A corrupt source is repairable by construction: every
-				// record is a pure function of (grid, cell, seed), and the
-				// orchestrator knows each partition's identity even when
-				// the damaged directory's own manifest is gone.
-				if herr := o.healSourcesLocked(ctx, dirs); herr != nil {
-					err = fmt.Errorf("%w (repair failed: %v)", err, herr)
-				} else {
-					merged, err = sweep.Merge(o.g, paths, out)
-				}
-			}
-			if err == nil {
-				res.Agg = merged.Agg
-				res.Summary = merged.Agg.Summary()
-				res.Dir = out
-				return res, nil
-			}
-			missing = err
-		}
-		res.Degraded = true
-		res.Reason = missing
-	}
-	// Aggregate-only path: merge the shipped partition aggregates in
-	// partition order. Complete validated each one, so this cannot fail
-	// on a finished fleet.
-	agg := sweep.NewAgg(o.g)
+	dirs := make([]string, 0, len(o.parts))
 	for p := range o.parts {
-		st := &o.parts[p]
-		if st.rng.Len() == 0 || st.agg == nil {
+		if o.parts[p].rng.Len() == 0 {
 			continue
 		}
-		if err := agg.Merge(st.agg); err != nil {
-			return nil, fmt.Errorf("fleet: merging partition %d/%d aggregate: %w", p+1, o.cfg.Parts, err)
+		if err := o.healLocked(ctx, p); err != nil {
+			return nil, fmt.Errorf("fleet: repairing partition %d/%d: %w", p+1, o.cfg.Parts, err)
 		}
+		dirs = append(dirs, o.stagingDir(p))
 	}
-	res.Agg = agg
-	res.Summary = agg.Summary()
-	return res, nil
+	merged, err := sweep.Merge(o.g, dirs, o.cfg.Out)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Agg: merged.Agg, Summary: merged.Agg.Summary(), Cells: o.g.Cells()}, nil
 }
 
-// commitSource is one partition's chosen full-fidelity directory.
-type commitSource struct {
-	dir  string
-	part int
-}
-
-// healSourcesLocked scrubs every commit source and repairs the damaged
-// ones in place, supplying each partition's identity from the
-// orchestrator's own configuration so even a destroyed manifest is
-// rebuilt. Caller holds mu.
-func (o *Orchestrator) healSourcesLocked(ctx context.Context, dirs []commitSource) error {
-	for _, src := range dirs {
-		st := &o.parts[src.part]
-		if rep, err := sweep.Verify(o.g, src.dir); err == nil && rep.Clean {
-			continue
-		}
-		expect := &sweep.ManifestInfo{
-			Shards:    o.cfg.Shards,
-			BaseSeed:  o.cfg.BaseSeed,
-			Completed: st.rng.Len(),
-			Range:     st.rng,
-			Partition: sweep.Partition{K: src.part + 1, N: o.cfg.Parts},
-		}
-		if _, err := sweep.Repair(ctx, o.g, src.dir, sweep.RepairOptions{Expect: expect}); err != nil {
-			return fmt.Errorf("partition %d/%d at %s: %w", src.part+1, o.cfg.Parts, src.dir, err)
-		}
+// healLocked scrubs partition p's staged copy and repairs it in place
+// when it is damaged or gone. Caller holds mu.
+func (o *Orchestrator) healLocked(ctx context.Context, p int) error {
+	dir := o.stagingDir(p)
+	if rep, err := sweep.Verify(o.g, dir); err == nil && rep.Clean {
+		return nil
 	}
-	return nil
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	st := &o.parts[p]
+	expect := &sweep.ManifestInfo{
+		Shards:    o.cfg.Shards,
+		BaseSeed:  o.cfg.BaseSeed,
+		Completed: st.rng.Len(),
+		Range:     st.rng,
+		Partition: sweep.Partition{K: p + 1, N: o.cfg.Parts},
+	}
+	_, err := sweep.Repair(ctx, o.g, dir, sweep.RepairOptions{Expect: expect})
+	return err
 }
 
 // errKindIncomplete tags the unfinished-fleet error as

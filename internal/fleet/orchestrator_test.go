@@ -31,10 +31,11 @@ func (c *clock) now() time.Time          { return c.t }
 func (c *clock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 // testOrch builds an orchestrator on the micro grid with a fake clock
-// and tight, jitter-stable timings.
+// and tight, jitter-stable timings, merging into a fresh directory.
 func testOrch(t *testing.T, parts int, cfg Config) (*Orchestrator, *clock) {
 	t.Helper()
 	c := newClock()
+	cfg.Out = filepath.Join(t.TempDir(), "merged")
 	cfg.Parts = parts
 	if cfg.Shards == 0 {
 		cfg.Shards = parts
@@ -48,10 +49,11 @@ func testOrch(t *testing.T, parts int, cfg Config) (*Orchestrator, *clock) {
 	return o, c
 }
 
-// runPart executes one partition with the real sweep engine and
-// returns a valid completion payload for it.
-func runPart(t *testing.T, a *Assignment, dir string) WorkerResult {
+// runPart executes one partition with the real sweep engine in a fresh
+// directory and returns the directory and a valid completion payload.
+func runPart(t *testing.T, a *Assignment) (string, WorkerResult) {
 	t.Helper()
+	dir := filepath.Join(t.TempDir(), "part")
 	res, err := sweep.Run(context.Background(), microGrid(), sweep.Options{
 		Workers: 2, Shards: a.Shards, BaseSeed: a.BaseSeed,
 		Partition: a.Part, Dir: dir,
@@ -63,7 +65,18 @@ func runPart(t *testing.T, a *Assignment, dir string) WorkerResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return WorkerResult{Range: res.Range, Records: res.Total, Dir: dir, Agg: enc}
+	return dir, WorkerResult{Range: res.Range, Records: res.Total, Agg: enc}
+}
+
+// stagePart runs one partition and uploads it through tr, as a worker
+// does before it completes, and returns the completion payload.
+func stagePart(t *testing.T, tr Transport, a *Assignment) WorkerResult {
+	t.Helper()
+	dir, res := runPart(t, a)
+	if err := uploadArtifacts(context.Background(), tr, WorkerOptions{Poll: time.Millisecond}, a, dir); err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestAcquireOrderAndNoWork: partitions hand out lowest-index first;
@@ -138,7 +151,7 @@ func TestDuplicateCompletionFromSpeculation(t *testing.T) {
 	if err != nil || a2.Part.K != 2 {
 		t.Fatal(err)
 	}
-	done2 := runPart(t, a2, filepath.Join(t.TempDir(), "p2"))
+	done2 := stagePart(t, Local{O: o}, a2)
 	if err := o.Complete(a2.Lease, done2); err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +177,8 @@ func TestDuplicateCompletionFromSpeculation(t *testing.T) {
 	}
 	// Both copies produce identical bytes; the speculative one lands
 	// first and wins.
-	r1 := runPart(t, a1, filepath.Join(t.TempDir(), "orig"))
-	rs := runPart(t, sp, filepath.Join(t.TempDir(), "spec"))
+	r1 := stagePart(t, Local{O: o}, a1)
+	rs := stagePart(t, Local{O: o}, sp)
 	if err := o.Complete(sp.Lease, rs); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +192,7 @@ func TestDuplicateCompletionFromSpeculation(t *testing.T) {
 	if err := o.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	res, err := o.Commit(context.Background(), "")
+	res, err := o.Commit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,16 +248,31 @@ func TestRejoinWithStaleFrontier(t *testing.T) {
 	}
 }
 
-// TestCompleteValidation: a completion whose payload does not match the
-// partition is rejected and the lease survives, so the worker can
-// retry or fail cleanly.
+// TestCompleteValidation: a completion whose partition is not staged,
+// or whose payload does not match the partition, is rejected and the
+// lease survives, so the worker can retry or fail cleanly.
 func TestCompleteValidation(t *testing.T) {
 	o, _ := testOrch(t, 2, Config{Lease: time.Minute, SpeculateAfter: -1})
 	a, err := o.Acquire("w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := runPart(t, a, filepath.Join(t.TempDir(), "p"))
+	dir, good := runPart(t, a)
+
+	// A valid payload for a partition nobody uploaded: the orchestrator
+	// would have nothing to merge, so it stays leased.
+	if err := o.Complete(a.Lease, good); err == nil || !strings.Contains(err.Error(), "not fully staged") {
+		t.Fatalf("unstaged completion: %v", err)
+	}
+	if st := o.Status(); st.DoneParts != 0 || st.Partitions[0].Leases != 1 {
+		t.Fatalf("unstaged completion changed the partition: %+v", st.Partitions[0])
+	}
+	if err := o.Heartbeat(a.Lease, 1); err != nil {
+		t.Fatalf("lease died with the refused completion: %v", err)
+	}
+	if err := uploadArtifacts(context.Background(), Local{O: o}, WorkerOptions{}, a, dir); err != nil {
+		t.Fatal(err)
+	}
 
 	bad := good
 	bad.Range.Hi++ // wrong range
@@ -287,7 +315,7 @@ func TestAttemptBudget(t *testing.T) {
 	if err := o.Wait(context.Background()); !errors.Is(err, ErrFleetFailed) {
 		t.Fatalf("want ErrFleetFailed from Wait, got %v", err)
 	}
-	if _, err := o.Commit(context.Background(), ""); !errors.Is(err, ErrFleetFailed) {
+	if _, err := o.Commit(context.Background()); !errors.Is(err, ErrFleetFailed) {
 		t.Fatalf("want ErrFleetFailed from Commit, got %v", err)
 	}
 }
@@ -297,7 +325,7 @@ func TestAttemptBudget(t *testing.T) {
 // a one-attempt budget the fleet fails naming the worker's reason.
 func TestRunLocalCellTimeoutFails(t *testing.T) {
 	_, err := RunLocal(context.Background(), microGrid(), LocalOptions{
-		Workers: 1, Parts: 2, Shards: 2, BaseSeed: 7, Dir: t.TempDir(),
+		Workers: 1, Parts: 2, Shards: 2, BaseSeed: 7, Dir: t.TempDir(), Out: filepath.Join(t.TempDir(), "merged"),
 		CellTimeout: time.Nanosecond, MaxAttempts: 1, Poll: time.Millisecond,
 	})
 	if !errors.Is(err, ErrFleetFailed) {
@@ -312,7 +340,7 @@ func TestRunLocalCellTimeoutFails(t *testing.T) {
 // resumable-incomplete for the CLI exit-code contract.
 func TestCommitIncomplete(t *testing.T) {
 	o, _ := testOrch(t, 2, Config{Lease: time.Minute})
-	if _, err := o.Commit(context.Background(), ""); !errors.Is(err, sweep.ErrIncomplete) {
+	if _, err := o.Commit(context.Background()); !errors.Is(err, sweep.ErrIncomplete) {
 		t.Fatalf("want ErrIncomplete, got %v", err)
 	}
 }
@@ -368,7 +396,7 @@ func TestAwaitWorkersBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := o.Complete(a.Lease, runPart(t, a, t.TempDir())); err != nil {
+	if err := o.Complete(a.Lease, stagePart(t, Local{O: o}, a)); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -30,7 +29,7 @@ func TestPartialSummaryConverges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := runPart(t, a, filepath.Join(t.TempDir(), "part"))
+		res := stagePart(t, Local{O: o}, a)
 		if err := o.Complete(a.Lease, res); err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +52,7 @@ func TestPartialSummaryConverges(t *testing.T) {
 		t.Fatalf("final view covers %d cells, grid has %d", ps.DoneCells, microGrid().Cells())
 	}
 
-	committed, err := o.Commit(context.Background(), "")
+	committed, err := o.Commit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +83,7 @@ func TestPartialSummaryHTTP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := runPart(t, a, filepath.Join(t.TempDir(), "part"))
+		res := stagePart(t, cl, a)
 		if err := cl.Complete(ctx, a.Lease, res); err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +92,7 @@ func TestPartialSummaryHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	committed, err := o.Commit(ctx, "")
+	committed, err := o.Commit(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,8 +62,8 @@ var errLeaseLost = errors.New("fleet: lease lost mid-run")
 // Work runs assignments from the transport until the fleet finishes
 // (nil), fails (ErrFleetFailed), or ctx ends (its error). It survives
 // transport faults by polling, executes every partition as a resumable
-// sweep, salvages prior attempts' checkpoints, and ships the partition
-// aggregate inline with completion.
+// sweep, salvages prior attempts' checkpoints, uploads the finished
+// partition, and completes it with the partition aggregate inline.
 func Work(ctx context.Context, g *grid.Grid, tr Transport, opt WorkerOptions) error {
 	opt = opt.withDefaults()
 	if opt.Dir == "" {
@@ -79,12 +79,11 @@ func Work(ctx context.Context, g *grid.Grid, tr Transport, opt WorkerOptions) er
 		a, err := tr.Acquire(ctx, opt.ID)
 		switch {
 		case errors.Is(err, ErrDone):
-			// The fleet is finished: nothing under this worker's root can
-			// be needed again, except completed directories the commit
-			// path may still merge from. Prune the rest — abandoned
-			// (lease-lost) attempts and salvage leftovers would otherwise
-			// leak one directory per failure.
-			pruneStaleAttempts(g, opt.Dir)
+			// The fleet is finished and the orchestrator holds every
+			// partition: nothing under this worker's root can be needed
+			// again. Abandoned (lease-lost) attempts and salvage leftovers
+			// would otherwise leak one directory per failure.
+			pruneAttempts(opt.Dir)
 			return nil
 		case errors.Is(err, ErrFleetFailed):
 			return err
@@ -184,34 +183,35 @@ func runAssignment(ctx context.Context, g *grid.Grid, tr Transport, opt WorkerOp
 		_ = tr.Fail(ctx, a.Lease, err.Error())
 		return nil
 	}
-	wr := WorkerResult{Range: res.Range, Records: res.Total, Dir: dir, Agg: enc}
-	uploaded, upErr := uploadArtifacts(ctx, tr, opt, a, dir)
-	if upErr != nil {
+	if err := uploadArtifacts(ctx, tr, opt, a, dir); err != nil {
 		switch {
-		case errors.Is(upErr, ErrSuperseded):
+		case errors.Is(err, ErrSuperseded):
 			// A byte-identical copy already won; ours is redundant.
 			os.RemoveAll(dir)
-			return nil
-		case errors.Is(upErr, ErrStaleLease):
+		case errors.Is(err, ErrStaleLease):
 			// Lease expired mid-upload; leave the directory for the next
 			// attempt to salvage.
-			return nil
 		case ctx.Err() != nil:
 			return ctx.Err()
+		default:
+			// The orchestrator cannot take the partition (for example an
+			// artifact over its body limit): give the lease back with the
+			// reason, so the attempt budget sees it.
+			_ = tr.Fail(ctx, a.Lease, err.Error())
 		}
+		return nil
 	}
-	wr.Uploaded = uploaded
+	wr := WorkerResult{Range: res.Range, Records: res.Total, Agg: enc}
 	// Completion retries around transport faults; if it cannot get
 	// through, expiry reclaims the lease and a later attempt salvages
 	// this directory.
 	for i := 0; ; i++ {
 		err := tr.Complete(ctx, a.Lease, wr)
 		switch {
-		case err == nil:
-			return nil
-		case errors.Is(err, ErrSuperseded), errors.Is(err, ErrStaleLease):
-			// A byte-identical copy already won; our artifacts are
-			// redundant.
+		case err == nil, errors.Is(err, ErrSuperseded), errors.Is(err, ErrStaleLease):
+			// The orchestrator holds the partition's staged copy (ours or
+			// a byte-identical one), or the lease is gone; either way
+			// this directory is no longer needed.
 			os.RemoveAll(dir)
 			return nil
 		case ctx.Err() != nil:
@@ -229,13 +229,10 @@ func runAssignment(ctx context.Context, g *grid.Grid, tr Transport, opt WorkerOp
 // shard files first, the manifest last, so the orchestrator's staging
 // slot never holds a manifest whose shards have not arrived. Each
 // file's SHA-256 travels with its bytes; the receiver verifies and
-// rejects corrupted transfers, which are simply retried. Returns
-// whether the full set was staged. ErrUploadUnsupported turns shipping
-// off without error (shared-filesystem fleets); ErrSuperseded and
-// ErrStaleLease propagate so the caller abandons the attempt. Any
-// other persistent failure leaves uploaded=false and the fleet falls
-// back to the Dir / aggregate paths.
-func uploadArtifacts(ctx context.Context, tr Transport, opt WorkerOptions, a *Assignment, dir string) (bool, error) {
+// rejects corrupted transfers, which are retried like transport
+// faults. ErrSuperseded and ErrStaleLease are returned at once; any
+// other error is returned after four tries of one file.
+func uploadArtifacts(ctx context.Context, tr Transport, opt WorkerOptions, a *Assignment, dir string) error {
 	names := make([]string, 0, a.Shards+1)
 	for s := 0; s < a.Shards; s++ {
 		names = append(names, fmt.Sprintf("shard-%04d.jsonl", s))
@@ -244,56 +241,39 @@ func uploadArtifacts(ctx context.Context, tr Transport, opt WorkerOptions, a *As
 	for _, name := range names {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
-			return false, nil
+			return fmt.Errorf("fleet: upload: %w", err)
 		}
 		sum := sha256.Sum256(data)
 		hexSum := hex.EncodeToString(sum[:])
-		sent := false
-		for try := 0; try < 4 && !sent; try++ {
-			err := tr.Upload(ctx, a.Lease, name, hexSum, data)
-			switch {
-			case err == nil:
-				sent = true
-			case errors.Is(err, ErrUploadUnsupported):
-				return false, nil
-			case errors.Is(err, ErrSuperseded), errors.Is(err, ErrStaleLease):
-				return false, err
-			case ctx.Err() != nil:
-				return false, ctx.Err()
-			default:
-				// A corrupted transfer (ErrUploadRejected) or a transport
-				// fault: the operation is idempotent, retry shortly.
-				if err := sleep(ctx, opt.Poll); err != nil {
-					return false, err
-				}
+		for try := 1; ; try++ {
+			err = tr.Upload(ctx, a.Lease, name, hexSum, data)
+			if err == nil || try == 4 || errors.Is(err, ErrSuperseded) || errors.Is(err, ErrStaleLease) || ctx.Err() != nil {
+				break
+			}
+			// A corrupted transfer (ErrUploadRejected) or a transport
+			// fault: the operation is idempotent, retry shortly.
+			if err := sleep(ctx, opt.Poll); err != nil {
+				return err
 			}
 		}
-		if !sent {
-			return false, nil
+		if err != nil {
+			return fmt.Errorf("fleet: uploading %s: %w", name, err)
 		}
 	}
-	return true, nil
+	return nil
 }
 
-// pruneStaleAttempts removes attempt directories the fleet can no
-// longer need. It runs only once Acquire says ErrDone, when no other
-// attempt in this root can still be writing; directories holding a
-// complete manifest for this grid are kept because the commit path may
-// still merge from them, everything else (abandoned leases, salvage
-// leftovers, mismatched stale runs) is deleted.
-func pruneStaleAttempts(g *grid.Grid, root string) {
+// pruneAttempts removes every attempt directory under root. It runs
+// only once Acquire says ErrDone, when the orchestrator holds every
+// partition and no attempt in this root can still be writing.
+func pruneAttempts(root string) {
 	entries, err := os.ReadDir(root)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), "part-") {
-			continue
-		}
-		dir := filepath.Join(root, e.Name())
-		mi, err := sweep.ReadManifestDir(dir)
-		if err != nil || mi.Fingerprint != g.Fingerprint() || mi.Completed < mi.Range.Len() {
-			os.RemoveAll(dir)
+		if e.IsDir() && strings.HasPrefix(e.Name(), "part-") {
+			os.RemoveAll(filepath.Join(root, e.Name()))
 		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // Aggregate wire form. A fleet worker ships its partition's Agg to the
-// orchestrator as one JSON document, so Summaries survive even when a
-// worker's shard files do not (aggregate-only transport, degradation).
+// orchestrator as one JSON document with its completion, so a running
+// fleet can serve the merged-so-far Summary before it commits.
 // The encoding is exact: encoding/json renders float64 with the
 // shortest round-tripping representation, so a decode of an encode
 // reproduces the aggregate bit for bit — Summary output included.

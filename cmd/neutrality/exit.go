@@ -5,22 +5,26 @@ import (
 	"log"
 	"os"
 
-	"neutrality/internal/measure"
-	"neutrality/internal/sweep"
+	"neutrality/internal/errkind"
 )
 
 // Exit codes. Orchestration scripts around the sweep/merge/fleet
-// subcommands branch on these instead of parsing stderr:
+// subcommands branch on these instead of parsing stderr; classify
+// reads them off the internal/errkind tags every package puts on its
+// errors:
 //
 //	0  success
 //	1  fatal error (environment, I/O, cancellation without a checkpoint)
 //	2  usage error (bad flags; emitted by flag.ExitOnError)
-//	3  validation failure — the inputs or artifacts disagree with the
-//	   spec (fingerprint mismatch, corrupt manifest, overlapping
-//	   partitions); rerunning the same invocation cannot succeed
-//	4  resumable incomplete — the on-disk state is valid but unfinished
-//	   (interrupted sweep with a checkpoint, timed-out cell, coverage
-//	   gap); rerun with -resume (or re-merge once partitions finish)
+//	3  validation failure (errkind.Validation, errkind.Corrupt) — the
+//	   inputs or artifacts disagree with the spec (malformed
+//	   measurements, fingerprint mismatch, corrupt manifest,
+//	   overlapping partitions); rerunning the same invocation cannot
+//	   succeed
+//	4  resumable incomplete (errkind.Incomplete) — the on-disk state is
+//	   valid but unfinished (interrupted sweep with a checkpoint,
+//	   timed-out cell, coverage gap); rerun with -resume (or re-merge
+//	   once partitions finish)
 const (
 	exitFatal      = 1
 	exitUsage      = 2
@@ -28,13 +32,12 @@ const (
 	exitIncomplete = 4
 )
 
-// classify maps an error to its exit code via the sweep error kinds.
+// classify maps an error to its exit code via its error kind.
 func classify(err error) int {
 	switch {
-	case errors.Is(err, sweep.ErrValidation),
-		errors.Is(err, measure.ErrValidation):
+	case errors.Is(err, errkind.Validation):
 		return exitValidation
-	case errors.Is(err, sweep.ErrIncomplete):
+	case errors.Is(err, errkind.Incomplete):
 		return exitIncomplete
 	}
 	return exitFatal

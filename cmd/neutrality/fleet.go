@@ -24,7 +24,7 @@ import (
 // workers under time-bounded leases; `work` pulls assignments, runs
 // them as resumable sweep partitions, heartbeats its frontier, uploads
 // each finished partition to the server (staged at <out>.staging) and
-// completes it with the partition aggregate. Dead workers' leases
+// completes it. Dead workers' leases
 // expire and re-dispatch with backoff; stragglers are speculatively
 // re-issued (first completion wins; the copies are byte-identical by
 // construction). The commit repairs any damaged staged copy and merges

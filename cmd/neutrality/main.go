@@ -136,8 +136,9 @@ commands:
            to workers (expiry + backoff + speculative re-dispatch),
            'work' runs them as resumable checkpoints and uploads
            hash-verified shard files, which the server stages at
-           <out>.staging; commit repairs damaged copies and is
+           <out>.staging; commit repairs damaged copies, is
            byte-identical to 'sweep' (no shared filesystem needed)
+           and removes the staging
   serve    streaming inference service: POST /v1/ingest measurement
            records (JSON lines, gzip ok, idempotent via per-source
            seqs), epochs close on record count and/or wall clock,

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"neutrality/internal/errkind"
 	"neutrality/internal/fleet"
 	"neutrality/internal/grid"
 	"neutrality/internal/measure"
@@ -84,15 +85,16 @@ func TestCommands(t *testing.T) {
 // (artifact corruption and malformed measurements included) exit 3,
 // resumable-incomplete conditions exit 4, anything else exits 1.
 func TestClassify(t *testing.T) {
+	_, csvErr := measure.ReadCSV(strings.NewReader("interval,path0_sent,path0_lost\n0,5,9\n"))
 	for _, tc := range []struct {
 		err  error
 		want int
 	}{
-		{sweep.ErrValidation, exitValidation},
-		{fmt.Errorf("spec mismatch: %w", sweep.ErrValidation), exitValidation},
-		{fmt.Errorf("bad shard: %w", sweep.ErrCorrupt), exitValidation},
-		{fmt.Errorf("bad csv: %w", measure.ErrValidation), exitValidation},
-		{fmt.Errorf("unfinished: %w", sweep.ErrIncomplete), exitIncomplete},
+		{errkind.Validation, exitValidation},
+		{fmt.Errorf("spec mismatch: %w", errkind.Validation), exitValidation},
+		{fmt.Errorf("bad shard: %w", errkind.Corrupt), exitValidation},
+		{fmt.Errorf("bad csv: %w", csvErr), exitValidation},
+		{fmt.Errorf("unfinished: %w", errkind.Incomplete), exitIncomplete},
 		{&sweep.CellTimeoutError{Cell: 3}, exitIncomplete},
 		{fmt.Errorf("sweep: cell 3: %w", &sweep.CellTimeoutError{Cell: 3}), exitIncomplete},
 		{errors.New("disk full"), exitFatal},
@@ -146,7 +148,8 @@ func (l *lateAcquirer) Complete(ctx context.Context, lease int64, res fleet.Work
 // serve must keep answering until the worker has heard the fleet is
 // done, so Work returns nil instead of polling a closed port. The
 // merged -out directory must equal a `sweep` of the same grid byte for
-// byte, and the worker's -dir must hold no attempt directory.
+// byte, the worker's -dir must hold no attempt directory, and the
+// server's <out>.staging must be gone.
 func TestFleetWorkerExitsAfterCommit(t *testing.T) {
 	dir := t.TempDir()
 	g, spec := twoCellGrid(t, dir)
@@ -212,6 +215,9 @@ func TestFleetWorkerExitsAfterCommit(t *testing.T) {
 	}
 	if left, _ := filepath.Glob(filepath.Join(workDir, "part-*")); len(left) > 0 {
 		t.Fatalf("worker left attempt directories behind: %v", left)
+	}
+	if _, err := os.Stat(merged + ".staging"); !os.IsNotExist(err) {
+		t.Fatalf("fleet serve left its staging directory after the commit: %v", err)
 	}
 	sweepDir := filepath.Join(dir, "sweep")
 	run(t, "sweep", "-grid", spec, "-out", sweepDir, "-quiet")

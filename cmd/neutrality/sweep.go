@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"neutrality/internal/errkind"
 	"neutrality/internal/grid"
 	"neutrality/internal/sweep"
 )
@@ -137,7 +138,7 @@ func cmdSweep(ctx context.Context, args []string) {
 	res, err := sweep.Run(ctx, g, opt)
 	if err != nil {
 		resumable := *out != "" &&
-			(errors.Is(err, context.Canceled) || errors.Is(err, sweep.ErrIncomplete))
+			(errors.Is(err, context.Canceled) || errors.Is(err, errkind.Incomplete))
 		if resumable {
 			// An interruption or per-cell timeout leaves a valid
 			// checkpoint; tell the operator how to go on. The hint

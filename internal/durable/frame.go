@@ -20,10 +20,15 @@
 //	crc32c(payload) as 8 lowercase hex digits, one space, payload, '\n'
 //
 // so a damaged line fails its own checksum without poisoning its
-// neighbours.
+// neighbours. Whole files and documents are content-hashed with
+// SHA-256, written as 64 lowercase hex digits (SHA256Hex): the sweep
+// manifest's shard sums, the serve snapshot's hash, the root's epoch
+// report seal and the fleet's upload check.
 package durable
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 )
@@ -83,4 +88,23 @@ func Unframe(line []byte) ([]byte, error) {
 		return nil, fmt.Errorf("framing: payload crc32c %08x, line claims %08x", got, crc)
 	}
 	return payload, nil
+}
+
+// SHA256Hex is the content hash of data: SHA-256, lowercase hex.
+func SHA256Hex(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
+// IsSHA256Hex reports whether s is a well-formed SHA256Hex digest.
+func IsSHA256Hex(s string) bool {
+	if len(s) != 2*sha256.Size {
+		return false
+	}
+	for _, c := range s {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }

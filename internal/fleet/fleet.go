@@ -35,20 +35,21 @@
 //     writing to its own attempt directory, and must not race the new
 //     attempt.
 //
-//   - Shipping. The orchestrator owns every partition's bytes. A
-//     worker uploads its completed shard files and manifest (gzip on
-//     the HTTP wire, content-hash-verified on receipt, idempotent on
-//     retry) into <Out>.staging/part-KKKK, and Complete accepts a
-//     partition only once that staged copy is complete. The partition's
-//     mergeable aggregate (sweep.EncodeAgg) travels inline with
-//     completion and feeds the live PartialSummary.
+//   - Shipping. The orchestrator owns every partition's bytes, and
+//     the staged copy is the only one. A worker uploads its completed
+//     shard files and manifest (gzip on the HTTP wire,
+//     content-hash-verified on receipt, idempotent on retry) into
+//     <Out>.staging/part-KKKK, and Complete accepts a partition only
+//     once that staged copy replays completely (sweep.Replay). The
+//     replayed aggregate feeds the live PartialSummary.
 //
 //   - Integrity. Every partition directory carries the sweep layer's
 //     v2 checksummed framing. Commit scrubs each staged copy
 //     (sweep.Verify), repairs a damaged or missing one from the cells'
 //     seeds and the orchestrator's own record of the partition
 //     (sweep.Repair), and then merges once: every commit writes the
-//     single-process bytes, or fails.
+//     single-process bytes, or fails. A successful commit removes
+//     <Out>.staging; a failed one keeps it.
 //
 // Two transports carry the worker protocol: Local (direct in-process
 // calls) and an HTTP client/server pair. The chaos subpackage wraps
@@ -125,8 +126,6 @@ type WorkerResult struct {
 	Range grid.Range `json:"range"`
 	// Records is the number of cells the partition holds (Range.Len()).
 	Records int `json:"records"`
-	// Agg is the partition aggregate in sweep.EncodeAgg form.
-	Agg []byte `json:"agg"`
 }
 
 // Transport is the worker's view of the orchestrator. Local calls the

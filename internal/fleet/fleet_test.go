@@ -159,7 +159,8 @@ func TestCommitHealsCorruptSource(t *testing.T) {
 // the spec travels over the wire, workers run partitions locally and
 // upload them, and the commit reconstitutes the byte-identical
 // directory from the orchestrator's staged copies alone — every worker
-// directory is deleted first, as if the workers ran on other hosts.
+// directory is deleted first, as if the workers ran on other hosts —
+// and then removes the staging directory.
 func TestHTTPFleetEndToEnd(t *testing.T) {
 	refDir, refSum := referenceRun(t, 3)
 	root := t.TempDir()
@@ -234,6 +235,9 @@ func TestHTTPFleetEndToEnd(t *testing.T) {
 	assertDirsEqual(t, out, refDir)
 	if res.Summary != refSum {
 		t.Fatalf("HTTP fleet summary diverged:\n%s\nvs\n%s", res.Summary, refSum)
+	}
+	if _, err := os.Stat(out + ".staging"); !os.IsNotExist(err) {
+		t.Fatalf("commit left the staging directory behind: %v", err)
 	}
 }
 

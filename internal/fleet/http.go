@@ -17,9 +17,9 @@ import (
 
 // HTTP transport. The orchestrator serves a small JSON protocol; the
 // client implements Transport over it. A worker uploads its
-// partition's artifacts and then completes with the partition
-// aggregate inline, so the orchestrator holds every byte it merges and
-// needs no filesystem shared with its workers.
+// partition's artifacts and then completes, so the orchestrator holds
+// every byte it merges and needs no filesystem shared with its
+// workers.
 //
 //	GET  /v1/spec       → spec{grid, shards, base_seed, parts}
 //	GET  /v1/status     → Status

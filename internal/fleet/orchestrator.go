@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"os"
@@ -12,6 +10,7 @@ import (
 	"time"
 
 	"neutrality/internal/durable"
+	"neutrality/internal/errkind"
 	"neutrality/internal/grid"
 	"neutrality/internal/sweep"
 )
@@ -98,7 +97,7 @@ type partState struct {
 	rng      grid.Range
 	done     bool
 	winner   int64      // lease id whose Complete won
-	agg      *sweep.Agg // decoded winning aggregate
+	agg      *sweep.Agg // replayed from the staged copy at Complete
 	attempts int        // lease grants so far
 	frontier int        // best heartbeated completed-cell count
 	// backoffUntil gates re-dispatch after an expiry or failure.
@@ -394,9 +393,10 @@ func (o *Orchestrator) Heartbeat(leaseID int64, frontier int) error {
 // the partition; later ones — from speculative copies or leases that
 // already expired — get ErrSuperseded/ErrStaleLease and are discarded,
 // which is safe because all attempts' artifacts are byte-identical by
-// construction. The staged copy and the aggregate are validated here,
-// so an unstaged, torn or mismatched result leaves the partition leased
-// (the worker may retry) instead of poisoning the commit point.
+// construction. The staged copy is replayed here (sweep.Replay), so an
+// unstaged, torn or mismatched partition leaves the partition leased
+// (the worker may re-upload and retry) instead of poisoning the commit
+// point, and the replayed aggregate feeds PartialSummary.
 func (o *Orchestrator) Complete(leaseID int64, res WorkerResult) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -424,17 +424,13 @@ func (o *Orchestrator) Complete(leaseID int64, res WorkerResult) error {
 	if res.Records != st.rng.Len() {
 		return fmt.Errorf("fleet: completion holds %d records for %d cells", res.Records, st.rng.Len())
 	}
-	if mi, err := sweep.ReadManifestDir(o.stagingDir(l.part)); err != nil ||
-		mi.Fingerprint != o.g.Fingerprint() || mi.Completed != st.rng.Len() {
-		return fmt.Errorf("fleet: partition %d/%d is not fully staged; upload every shard and the manifest before completing",
-			l.part+1, o.cfg.Parts)
+	agg, err := sweep.Replay(o.g, o.stagingDir(l.part))
+	if err == nil && agg.Cells() != st.rng.Len() {
+		err = fmt.Errorf("the staged copy replays %d of %d cells", agg.Cells(), st.rng.Len())
 	}
-	agg, err := sweep.DecodeAgg(o.g, res.Agg)
 	if err != nil {
-		return fmt.Errorf("fleet: completion aggregate rejected: %w", err)
-	}
-	if agg.Cells() != st.rng.Len() {
-		return fmt.Errorf("fleet: completion aggregate folds %d cells, partition has %d", agg.Cells(), st.rng.Len())
+		return fmt.Errorf("fleet: partition %d/%d is not fully staged; upload every shard and the manifest before completing: %w",
+			l.part+1, o.cfg.Parts, err)
 	}
 	st.done = true
 	st.winner = leaseID
@@ -501,9 +497,8 @@ func (o *Orchestrator) Upload(leaseID int64, name, sum string, data []byte) erro
 	if !o.validUploadName(name) {
 		return fmt.Errorf("fleet: upload name %q is not a partition artifact", name)
 	}
-	got := sha256.Sum256(data)
-	if hex.EncodeToString(got[:]) != sum {
-		return fmt.Errorf("%w: %s claims %.12s…, bytes hash to %.12s…", ErrUploadRejected, name, sum, hex.EncodeToString(got[:]))
+	if got := durable.SHA256Hex(data); got != sum {
+		return fmt.Errorf("%w: %s claims %.12s…, bytes hash to %.12s…", ErrUploadRejected, name, sum, got)
 	}
 	// The disk write happens outside the lock: uploads are the bulk of
 	// the fleet's data plane and must not serialize the state machine.
@@ -628,9 +623,10 @@ type PartialSummary struct {
 	Summary string `json:"summary"`
 }
 
-// PartialSummary merges the completed partitions' shipped aggregates,
-// in partition order, so a live fleet can be inspected without waiting
-// for the commit. Because Complete validated every aggregate and
+// PartialSummary merges the aggregates Complete replayed from the
+// completed partitions' staged copies, in partition order, so a live
+// fleet can be inspected without waiting for the commit (it reads no
+// file, so it keeps working after Commit removed the staging). Because
 // partition order is fixed, the view converges monotonically to the
 // committed Summary: once every partition is done, the returned text
 // is byte-identical to Commit's (the merge laws make folding partition
@@ -679,7 +675,8 @@ type Result struct {
 // damaged cells from their seeds and takes the partition's identity
 // from the orchestrator, so even a destroyed manifest or directory is
 // reconstituted — and then runs one sweep.Merge. A repair failure is
-// returned.
+// returned. Once the merge succeeds the staging directory is removed,
+// since Out now holds the same bytes; a failed heal or merge keeps it.
 func (o *Orchestrator) Commit(ctx context.Context) (*Result, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -702,6 +699,9 @@ func (o *Orchestrator) Commit(ctx context.Context) (*Result, error) {
 	merged, err := sweep.Merge(o.g, dirs, o.cfg.Out)
 	if err != nil {
 		return nil, err
+	}
+	if err := os.RemoveAll(o.cfg.Out + ".staging"); err != nil {
+		return nil, fmt.Errorf("fleet: removing staging: %w", err)
 	}
 	return &Result{Agg: merged.Agg, Summary: merged.Agg.Summary(), Cells: o.g.Cells()}, nil
 }
@@ -731,5 +731,5 @@ func (o *Orchestrator) healLocked(ctx context.Context, p int) error {
 // errKindIncomplete tags the unfinished-fleet error as
 // resumable-incomplete for the CLI exit-code contract.
 func errKindIncomplete(remain, parts int) error {
-	return fmt.Errorf("fleet: %d of %d partitions still unfinished: %w", remain, parts, sweep.ErrIncomplete)
+	return fmt.Errorf("fleet: %d of %d partitions still unfinished: %w", remain, parts, errkind.Incomplete)
 }

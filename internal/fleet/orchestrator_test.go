@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"neutrality/internal/errkind"
 	"neutrality/internal/grid"
 	"neutrality/internal/sweep"
 )
@@ -61,11 +63,7 @@ func runPart(t *testing.T, a *Assignment) (string, WorkerResult) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := sweep.EncodeAgg(res.Agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dir, WorkerResult{Range: res.Range, Records: res.Total, Agg: enc}
+	return dir, WorkerResult{Range: res.Range, Records: res.Total}
 }
 
 // stagePart runs one partition and uploads it through tr, as a worker
@@ -249,8 +247,9 @@ func TestRejoinWithStaleFrontier(t *testing.T) {
 }
 
 // TestCompleteValidation: a completion whose partition is not staged,
-// or whose payload does not match the partition, is rejected and the
-// lease survives, so the worker can retry or fail cleanly.
+// whose staged copy does not replay, or whose payload does not match
+// the partition, is rejected and the lease survives, so the worker can
+// re-upload and retry or fail cleanly.
 func TestCompleteValidation(t *testing.T) {
 	o, _ := testOrch(t, 2, Config{Lease: time.Minute, SpeculateAfter: -1})
 	a, err := o.Acquire("w")
@@ -284,12 +283,28 @@ func TestCompleteValidation(t *testing.T) {
 	if err := o.Complete(a.Lease, bad); err == nil {
 		t.Fatal("mismatched record count accepted")
 	}
-	bad = good
-	bad.Agg = []byte(`{"fingerprint":"nope"}`) // corrupt aggregate
-	if err := o.Complete(a.Lease, bad); err == nil {
-		t.Fatal("corrupt aggregate accepted")
+
+	// A staged shard torn after upload: its manifest still claims every
+	// cell, but the copy does not replay, so the completion is refused.
+	shard := filepath.Join(o.stagingDir(0), "shard-0000.jsonl")
+	data, err := os.ReadFile(shard)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The lease is still live: the good payload lands.
+	if err := os.WriteFile(shard, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Complete(a.Lease, good); err == nil || !strings.Contains(err.Error(), "not fully staged") {
+		t.Fatalf("torn staged copy: %v", err)
+	}
+	if err := o.Heartbeat(a.Lease, 1); err != nil {
+		t.Fatalf("lease died with the refused completion: %v", err)
+	}
+	// The lease is still live: a re-upload heals the staged copy and the
+	// good payload lands.
+	if err := uploadArtifacts(context.Background(), Local{O: o}, WorkerOptions{}, a, dir); err != nil {
+		t.Fatal(err)
+	}
 	if err := o.Complete(a.Lease, good); err != nil {
 		t.Fatalf("valid completion after rejections: %v", err)
 	}
@@ -340,8 +355,8 @@ func TestRunLocalCellTimeoutFails(t *testing.T) {
 // resumable-incomplete for the CLI exit-code contract.
 func TestCommitIncomplete(t *testing.T) {
 	o, _ := testOrch(t, 2, Config{Lease: time.Minute})
-	if _, err := o.Commit(context.Background()); !errors.Is(err, sweep.ErrIncomplete) {
-		t.Fatalf("want ErrIncomplete, got %v", err)
+	if _, err := o.Commit(context.Background()); !errors.Is(err, errkind.Incomplete) {
+		t.Fatalf("want errkind.Incomplete, got %v", err)
 	}
 }
 

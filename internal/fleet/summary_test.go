@@ -10,7 +10,8 @@ import (
 // TestPartialSummaryConverges: the live merged-so-far view grows
 // monotonically as partitions complete and, once the fleet finishes,
 // its Summary is byte-identical to the committed one — the live
-// endpoint is a prefix of the commit, never a different artifact.
+// endpoint is a prefix of the commit, never a different artifact — and
+// stays so after the commit removed the staging directory.
 func TestPartialSummaryConverges(t *testing.T) {
 	const parts = 3
 	o, _ := testOrch(t, parts, Config{Lease: time.Minute, SpeculateAfter: -1})
@@ -58,6 +59,11 @@ func TestPartialSummaryConverges(t *testing.T) {
 	}
 	if ps.Summary != committed.Summary {
 		t.Fatalf("live summary diverges from committed:\n%s\nvs\n%s", ps.Summary, committed.Summary)
+	}
+	// The commit removed the staged copies; the view reads none.
+	after, err := o.PartialSummary()
+	if err != nil || after != ps {
+		t.Fatalf("summary after the commit: %+v, %v", after, err)
 	}
 }
 

@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"neutrality/internal/durable"
 	"neutrality/internal/grid"
 	"neutrality/internal/sweep"
 )
@@ -63,7 +62,7 @@ var errLeaseLost = errors.New("fleet: lease lost mid-run")
 // (nil), fails (ErrFleetFailed), or ctx ends (its error). It survives
 // transport faults by polling, executes every partition as a resumable
 // sweep, salvages prior attempts' checkpoints, uploads the finished
-// partition, and completes it with the partition aggregate inline.
+// partition, and completes it.
 func Work(ctx context.Context, g *grid.Grid, tr Transport, opt WorkerOptions) error {
 	opt = opt.withDefaults()
 	if opt.Dir == "" {
@@ -178,11 +177,6 @@ func runAssignment(ctx context.Context, g *grid.Grid, tr Transport, opt WorkerOp
 			res.Range.Lo, res.Range.Hi, a.Range.Lo, a.Range.Hi))
 		return nil
 	}
-	enc, err := sweep.EncodeAgg(res.Agg)
-	if err != nil {
-		_ = tr.Fail(ctx, a.Lease, err.Error())
-		return nil
-	}
 	if err := uploadArtifacts(ctx, tr, opt, a, dir); err != nil {
 		switch {
 		case errors.Is(err, ErrSuperseded):
@@ -201,7 +195,7 @@ func runAssignment(ctx context.Context, g *grid.Grid, tr Transport, opt WorkerOp
 		}
 		return nil
 	}
-	wr := WorkerResult{Range: res.Range, Records: res.Total, Agg: enc}
+	wr := WorkerResult{Range: res.Range, Records: res.Total}
 	// Completion retries around transport faults; if it cannot get
 	// through, expiry reclaims the lease and a later attempt salvages
 	// this directory.
@@ -243,8 +237,7 @@ func uploadArtifacts(ctx context.Context, tr Transport, opt WorkerOptions, a *As
 		if err != nil {
 			return fmt.Errorf("fleet: upload: %w", err)
 		}
-		sum := sha256.Sum256(data)
-		hexSum := hex.EncodeToString(sum[:])
+		hexSum := durable.SHA256Hex(data)
 		for try := 1; ; try++ {
 			err = tr.Upload(ctx, a.Lease, name, hexSum, data)
 			if err == nil || try == 4 || errors.Is(err, ErrSuperseded) || errors.Is(err, ErrStaleLease) || ctx.Err() != nil {

@@ -94,8 +94,8 @@ func (m *Measurements) EnsureIntervals(n, paths int) {
 }
 
 // Validate checks internal consistency. Failures are tagged with
-// ErrValidation: a table that fails here is malformed input, not an
-// environmental error.
+// errkind.Validation: a table that fails here is malformed input, not
+// an environmental error.
 func (m *Measurements) Validate() error {
 	if len(m.Sent) != len(m.Lost) {
 		return errValidation("measure: %d sent intervals vs %d lost intervals", len(m.Sent), len(m.Lost))

@@ -1,10 +1,10 @@
 package measure
 
 import (
-	"errors"
-	"fmt"
 	"io"
 	"unicode/utf8"
+
+	"neutrality/internal/errkind"
 )
 
 // Measurement sources. The inference pipeline historically consumed
@@ -17,8 +17,9 @@ import (
 // Source supplies a raw measurement table to the inference pipeline.
 type Source interface {
 	// Measurements returns the full, validated table. Implementations
-	// tag malformed input with ErrValidation so callers (and the CLI
-	// exit-code contract) can distinguish bad data from I/O failure.
+	// tag malformed input with errkind.Validation so callers (the CLI's
+	// exit code 3, the services' HTTP 400) can distinguish bad data
+	// from I/O failure.
 	Measurements() (*Measurements, error)
 }
 
@@ -43,27 +44,9 @@ func (s MemSource) Measurements() (*Measurements, error) {
 	return s.M, nil
 }
 
-// ErrValidation tags malformed measurement input: a corrupt or
-// truncated CSV, an inconsistent table, a stream record that cannot be
-// folded. It mirrors the sweep layer's validation kind — rerunning the
-// same input cannot succeed — and is matchable with errors.Is through
-// any wrapping. (measure sits below the sweep layer in the import DAG,
-// so it carries its own sentinel; the CLI maps both to exit code 3.)
-var ErrValidation = errors.New("measurement validation failure")
-
-// taggedError carries a formatted message plus the validation kind;
-// both participate in errors.Is/As chains.
-type taggedError struct {
-	msg  error
-	kind error
-}
-
-func (e *taggedError) Error() string   { return e.msg.Error() }
-func (e *taggedError) Unwrap() []error { return []error{e.msg, e.kind} }
-
-// errValidation builds an ErrValidation-tagged error.
+// errValidation builds an errkind.Validation-tagged error.
 func errValidation(format string, args ...any) error {
-	return &taggedError{msg: fmt.Errorf(format, args...), kind: ErrValidation}
+	return errkind.Errorf(errkind.Validation, format, args...)
 }
 
 // StreamRecord is one streamed measurement observation: a single
@@ -88,8 +71,9 @@ type StreamRecord struct {
 
 // Validate checks one stream record against the receiving topology
 // (paths) and the interval cap (maxIntervals, <= 0 for unlimited).
-// Failures carry ErrValidation — the same taxonomy ReadCSV uses — so
-// an HTTP boundary can map them to 400 and the CLI to exit code 3.
+// Failures carry errkind.Validation — the same kind ReadCSV and every
+// sweep spec check use — so an HTTP boundary can map them to 400 and
+// the CLI to exit code 3.
 func (r StreamRecord) Validate(paths, maxIntervals int) error {
 	switch {
 	case r.Source == "":

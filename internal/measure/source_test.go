@@ -4,11 +4,13 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"neutrality/internal/errkind"
 )
 
 // TestStreamRecordValidate is the table test for the HTTP-boundary
 // record validation: every malformed shape is rejected with the same
-// ErrValidation taxonomy the CSV reader uses.
+// errkind.Validation taxonomy the CSV reader uses.
 func TestStreamRecordValidate(t *testing.T) {
 	ok := StreamRecord{Source: "vp-1", Seq: 1, Interval: 0, Path: 0, Sent: 100, Lost: 1}
 	cases := []struct {
@@ -39,8 +41,8 @@ func TestStreamRecordValidate(t *testing.T) {
 			r := ok
 			tc.mut(&r)
 			err := r.Validate(4, 10)
-			if tc.want && !errors.Is(err, ErrValidation) {
-				t.Fatalf("Validate(%+v) = %v, want an ErrValidation", r, err)
+			if tc.want && !errors.Is(err, errkind.Validation) {
+				t.Fatalf("Validate(%+v) = %v, want an errkind.Validation", r, err)
 			}
 			if !tc.want && err != nil {
 				t.Fatalf("Validate(%+v) = %v, want nil", r, err)
@@ -56,8 +58,8 @@ func TestStreamRecordValidate(t *testing.T) {
 }
 
 // TestCSVValidationTagged asserts the reader's malformed-input errors
-// carry ErrValidation, distinguishing truncated or corrupt files from
-// transport failure.
+// carry errkind.Validation, distinguishing truncated or corrupt files
+// from transport failure.
 func TestCSVValidationTagged(t *testing.T) {
 	cases := []struct {
 		name, in string
@@ -73,8 +75,8 @@ func TestCSVValidationTagged(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ReadCSV(strings.NewReader(tc.in))
-			if !errors.Is(err, ErrValidation) {
-				t.Fatalf("ReadCSV(%q) = %v, want an ErrValidation", tc.in, err)
+			if !errors.Is(err, errkind.Validation) {
+				t.Fatalf("ReadCSV(%q) = %v, want an errkind.Validation", tc.in, err)
 			}
 		})
 	}
@@ -101,12 +103,12 @@ func TestSources(t *testing.T) {
 		}
 	}
 
-	if _, err := (MemSource{}).Measurements(); !errors.Is(err, ErrValidation) {
-		t.Fatalf("nil MemSource = %v, want ErrValidation", err)
+	if _, err := (MemSource{}).Measurements(); !errors.Is(err, errkind.Validation) {
+		t.Fatalf("nil MemSource = %v, want errkind.Validation", err)
 	}
 	bad := &Measurements{Sent: [][]int{{5}}, Lost: [][]int{{9}}}
-	if _, err := (MemSource{M: bad}).Measurements(); !errors.Is(err, ErrValidation) {
-		t.Fatalf("inconsistent MemSource = %v, want ErrValidation", err)
+	if _, err := (MemSource{M: bad}).Measurements(); !errors.Is(err, errkind.Validation) {
+		t.Fatalf("inconsistent MemSource = %v, want errkind.Validation", err)
 	}
 }
 

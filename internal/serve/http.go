@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"neutrality/internal/errkind"
 	"neutrality/internal/measure"
 )
 
@@ -196,7 +197,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) {
 		}{httpError{Err: "busy", Msg: err.Error()}, res, pending, retry})
 	case errors.Is(err, ErrClosed):
 		writeJSON(w, http.StatusServiceUnavailable, httpError{Err: "closed", Msg: err.Error()})
-	case errors.Is(err, measure.ErrValidation):
+	case errors.Is(err, errkind.Validation):
 		writeJSON(w, http.StatusBadRequest, httpError{Err: "validation", Msg: err.Error()})
 	default:
 		writeJSON(w, http.StatusInternalServerError, httpError{Err: "internal", Msg: err.Error()})

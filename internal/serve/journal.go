@@ -2,8 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,8 +11,8 @@ import (
 	"strings"
 
 	"neutrality/internal/durable"
+	"neutrality/internal/errkind"
 	"neutrality/internal/measure"
-	"neutrality/internal/sweep"
 )
 
 // The ingest journal makes the streaming service checkpointable: every
@@ -50,7 +48,7 @@ import (
 // seed — they are external observations — so a torn tail past the
 // claim is truncated (the sender got no ack and retries), while damage
 // inside it, including a claim over a short or deleted shard file, is
-// sweep.ErrCorrupt rather than silently repaired.
+// errkind.Corrupt rather than silently repaired.
 const (
 	legacyJournalName = "journal.jsonl" // journal format v1, rejected
 	manifestName      = "serve.json"
@@ -130,20 +128,20 @@ type journal struct {
 	snapSum string // the current snapshot's content hash
 }
 
-// errValidationf builds a sweep.ErrValidation-tagged error (config or
+// errValidationf builds an errkind.Validation-tagged error (config or
 // identity problems: retrying the same open cannot succeed).
 func errValidationf(format string, args ...any) error {
-	return fmt.Errorf(format+" (%w)", append(args, sweep.ErrValidation)...)
+	return fmt.Errorf(format+" (%w)", append(args, errkind.Validation)...)
 }
 
-// errCorruptf builds a sweep.ErrCorrupt-tagged error (acknowledged
+// errCorruptf builds an errkind.Corrupt-tagged error (acknowledged
 // journal data is damaged and cannot be re-derived).
 func errCorruptf(format string, args ...any) error {
-	return fmt.Errorf(format+" (%w)", append(args, sweep.ErrCorrupt)...)
+	return fmt.Errorf(format+" (%w)", append(args, errkind.Corrupt)...)
 }
 
 // readManifest decodes the JSON manifest name into m and reports
-// whether it exists; one that does not parse is ErrCorrupt.
+// whether it exists; one that does not parse is errkind.Corrupt.
 func readManifest(dir *durable.Dir, name string, m any) (bool, error) {
 	data, err := os.ReadFile(dir.Path(name))
 	switch {
@@ -200,12 +198,6 @@ func shardOf(source string, shards int) int {
 		h *= prime32
 	}
 	return int(h % uint32(shards))
-}
-
-// shaSum is the snapshot content hash: SHA-256, lowercase hex.
-func shaSum(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
 }
 
 // openJournal opens (or creates) the sharded journal in cfg.Dir and
@@ -283,7 +275,7 @@ func openJournal(cfg Config) (*journal, *snapWire, [][]journalEntry, []int, erro
 		if err != nil {
 			return nil, nil, nil, nil, errCorruptf("serve: manifest names snapshot epoch %d but %v", m.SnapshotEpoch, err)
 		}
-		if got := shaSum(sdata); got != m.SnapshotSHA256 {
+		if got := durable.SHA256Hex(sdata); got != m.SnapshotSHA256 {
 			return nil, nil, nil, nil, errCorruptf("serve: snapshot %d content hash %.12s…, manifest claims %.12s…", m.SnapshotEpoch, got, m.SnapshotSHA256)
 		}
 		if snap, err = decodeSnapshot(sdata); err != nil {
@@ -418,7 +410,7 @@ func (j *journal) compact(epoch int, snapData []byte, records int64, epochs int)
 		return err
 	}
 	oldEpoch := j.logs.Gen()
-	j.snapSum = shaSum(snapData)
+	j.snapSum = durable.SHA256Hex(snapData)
 	if err := j.writeManifest(durable.Claim{SnapshotEpoch: epoch, ShardLines: make([]int, j.ident.Shards), Records: records, Epochs: epochs}); err != nil {
 		return err
 	}

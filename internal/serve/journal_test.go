@@ -14,8 +14,8 @@ import (
 	"testing"
 
 	"neutrality/internal/durable"
+	"neutrality/internal/errkind"
 	"neutrality/internal/measure"
-	"neutrality/internal/sweep"
 )
 
 // journalShardName is the path of journal shard s in dir.
@@ -203,7 +203,7 @@ func readFile(t *testing.T, path string) []byte {
 // inside the claim. 32-record acks never reach a line cadence, so a
 // claim taken only every N lines would leave them unclaimed; here a
 // flipped byte in the last acked record — or in the close marker of a
-// closed epoch — after a kill is ErrCorrupt on resume, never a torn
+// closed epoch — after a kill is errkind.Corrupt on resume, never a torn
 // tail silently truncated away.
 func TestAckedRecordsAreClaimed(t *testing.T) {
 	n, recs := testStream(40, 2, 5)
@@ -236,11 +236,11 @@ func TestAckedRecordsAreClaimed(t *testing.T) {
 
 			cfg.Resume = true
 			writeFile(t, jpath, flipLine(t, good, tc.line))
-			if s2, err := New(cfg); !errors.Is(err, sweep.ErrCorrupt) {
+			if s2, err := New(cfg); !errors.Is(err, errkind.Corrupt) {
 				if err == nil {
-					t.Fatalf("damaged acked line resumed with %d records, want ErrCorrupt", s2.Status().Records)
+					t.Fatalf("damaged acked line resumed with %d records, want errkind.Corrupt", s2.Status().Records)
 				}
-				t.Fatalf("damaged acked line = %v, want ErrCorrupt", err)
+				t.Fatalf("damaged acked line = %v, want errkind.Corrupt", err)
 			}
 			writeFile(t, jpath, good)
 			s3 := mustNew(t, cfg)
@@ -276,7 +276,7 @@ func TestClaimLogFallback(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		claims, shard []byte
-		records       int64 // -1: ErrCorrupt
+		records       int64 // -1: errkind.Corrupt
 	}{
 		{"torn-final-claim", append(bytes.Clone(claims), "0badc0de {\"snapshot_ep"...), shard, 96},
 		{"crc-bad-final-claim", badLast, shard, 96},
@@ -289,8 +289,8 @@ func TestClaimLogFallback(t *testing.T) {
 			writeFile(t, jpath, tc.shard)
 			s, err := New(cfg)
 			if tc.records < 0 {
-				if !errors.Is(err, sweep.ErrCorrupt) {
-					t.Fatalf("resume = %v, want ErrCorrupt", err)
+				if !errors.Is(err, errkind.Corrupt) {
+					t.Fatalf("resume = %v, want errkind.Corrupt", err)
 				}
 				return
 			}

@@ -16,9 +16,10 @@ import (
 
 	"neutrality/internal/core"
 	"neutrality/internal/durable"
+	"neutrality/internal/errkind"
 	"neutrality/internal/graph"
 	"neutrality/internal/measure"
-	"neutrality/internal/sweep"
+	"neutrality/internal/stats"
 )
 
 // Multi-instance tree: leaf services each ingest a disjoint slice of
@@ -65,8 +66,8 @@ type EpochReport struct {
 	// Counts is the epoch's table delta, sorted by (interval, path).
 	Counts []PathCount `json:"counts"`
 	// Loss / LossSketch are the epoch's canonical-order loss folds.
-	Loss       sweep.WelfordWire `json:"loss"`
-	LossSketch sweep.SketchWire  `json:"loss_sketch"`
+	Loss       stats.WelfordWire `json:"loss"`
+	LossSketch stats.SketchWire  `json:"loss_sketch"`
 	// Sum is the SHA-256 (lowercase hex) of the report's canonical
 	// JSON with Sum itself empty. It must stay the last field:
 	// sealedReport checks it by cutting it off the end of the JSON.
@@ -77,7 +78,7 @@ type EpochReport struct {
 func sealReport(r *EpochReport) {
 	r.Sum = ""
 	b, _ := json.Marshal(r)
-	r.Sum = shaSum(b)
+	r.Sum = durable.SHA256Hex(b)
 }
 
 // sealedReport marshals rep once and checks its content seal on those
@@ -86,7 +87,7 @@ func sealReport(r *EpochReport) {
 // Sum empty (omitted) is these bytes with the trailing `,"sum":"…"`
 // field cut.
 func sealedReport(rep *EpochReport) ([]byte, bool) {
-	if !sweep.IsSHA256Hex(rep.Sum) {
+	if !durable.IsSHA256Hex(rep.Sum) {
 		return nil, false
 	}
 	b, err := json.Marshal(rep)
@@ -176,10 +177,10 @@ type Root struct {
 // NewRoot builds a Root.
 func NewRoot(cfg RootConfig) (*Root, error) {
 	if cfg.Net == nil {
-		return nil, fmt.Errorf("serve: root config needs a network: %w", sweep.ErrValidation)
+		return nil, fmt.Errorf("serve: root config needs a network: %w", errkind.Validation)
 	}
 	if cfg.Leaves <= 0 {
-		return nil, fmt.Errorf("serve: root config needs the expected leaf count: %w", sweep.ErrValidation)
+		return nil, fmt.Errorf("serve: root config needs the expected leaf count: %w", errkind.Validation)
 	}
 	if cfg.Opts == (measure.Options{}) {
 		cfg.Opts = measure.DefaultOptions()
@@ -219,11 +220,11 @@ type RootDeliverResult struct {
 // per-leaf epoch order. It returns the report's canonical JSON, the
 // line the report log holds; it reports an already-delivered epoch as
 // dup; a per-leaf gap is ErrReportGap, anything else
-// measure.ErrValidation.
+// errkind.Validation.
 func (r *Root) admitLocked(rep *EpochReport) (line []byte, dup bool, err error) {
 	line, ok := sealedReport(rep)
 	if !ok {
-		return nil, false, fmt.Errorf("serve: epoch report content hash mismatch: %w", measure.ErrValidation)
+		return nil, false, fmt.Errorf("serve: epoch report content hash mismatch: %w", errkind.Validation)
 	}
 	dup, err = r.checkLocked(rep)
 	return line, dup, err
@@ -232,35 +233,35 @@ func (r *Root) admitLocked(rep *EpochReport) (line []byte, dup bool, err error) 
 // checkLocked is admitLocked past the seal.
 func (r *Root) checkLocked(rep *EpochReport) (dup bool, err error) {
 	if rep.Leaf == "" || rep.Epoch <= 0 || rep.Records < 0 {
-		return false, fmt.Errorf("serve: epoch report malformed (leaf=%q epoch=%d records=%d): %w", rep.Leaf, rep.Epoch, rep.Records, measure.ErrValidation)
+		return false, fmt.Errorf("serve: epoch report malformed (leaf=%q epoch=%d records=%d): %w", rep.Leaf, rep.Epoch, rep.Records, errkind.Validation)
 	}
 	if rep.Sources < 0 || len(rep.Counts) > rep.Records {
-		return false, fmt.Errorf("serve: epoch report counts inconsistent: %w", measure.ErrValidation)
+		return false, fmt.Errorf("serve: epoch report counts inconsistent: %w", errkind.Validation)
 	}
 	paths := r.net.NumPaths()
 	for i, c := range rep.Counts {
 		if c.Interval < 0 || c.Interval >= r.cfg.MaxIntervals || c.Path < 0 || c.Path >= paths ||
 			c.Sent < 0 || c.Lost < 0 || c.Lost > c.Sent {
-			return false, fmt.Errorf("serve: epoch report count %d out of domain: %w", i, measure.ErrValidation)
+			return false, fmt.Errorf("serve: epoch report count %d out of domain: %w", i, errkind.Validation)
 		}
 		if i > 0 {
 			p := rep.Counts[i-1]
 			if c.Interval < p.Interval || (c.Interval == p.Interval && c.Path <= p.Path) {
-				return false, fmt.Errorf("serve: epoch report counts out of canonical order at %d: %w", i, measure.ErrValidation)
+				return false, fmt.Errorf("serve: epoch report counts out of canonical order at %d: %w", i, errkind.Validation)
 			}
 		}
 	}
-	if loss, err := sweep.CheckWelford(rep.Loss, "report loss"); err != nil {
-		return false, fmt.Errorf("serve: %v: %w", err, measure.ErrValidation)
+	if loss, err := rep.Loss.Check("report loss"); err != nil {
+		return false, fmt.Errorf("serve: %v: %w", err, errkind.Validation)
 	} else if loss.N > rep.Records {
-		return false, fmt.Errorf("serve: epoch report loss folds %d of %d records: %w", loss.N, rep.Records, measure.ErrValidation)
+		return false, fmt.Errorf("serve: epoch report loss folds %d of %d records: %w", loss.N, rep.Records, errkind.Validation)
 	}
-	if _, err := sweep.CheckSketch(rep.LossSketch, "report loss sketch", false); err != nil {
-		return false, fmt.Errorf("serve: %v: %w", err, measure.ErrValidation)
+	if _, err := rep.LossSketch.Check("report loss sketch", false); err != nil {
+		return false, fmt.Errorf("serve: %v: %w", err, errkind.Validation)
 	}
 	hwm, known := r.leafEpoch[rep.Leaf]
 	if !known && len(r.leafEpoch) >= r.cfg.Leaves {
-		return false, fmt.Errorf("serve: leaf %q beyond the expected %d leaves: %w", rep.Leaf, r.cfg.Leaves, measure.ErrValidation)
+		return false, fmt.Errorf("serve: leaf %q beyond the expected %d leaves: %w", rep.Leaf, r.cfg.Leaves, errkind.Validation)
 	}
 	if rep.Epoch <= hwm {
 		return true, nil
@@ -275,7 +276,7 @@ func (r *Root) checkLocked(rep *EpochReport) (dup bool, err error) {
 // per-leaf in-order idempotent delivery, then as many tree-epoch folds
 // as the staged reports complete. Duplicates are acked (not errors);
 // a per-leaf gap is ErrReportGap; validation failures carry
-// measure.ErrValidation and apply nothing; after Close every delivery
+// errkind.Validation and apply nothing; after Close every delivery
 // is ErrClosed.
 func (r *Root) Deliver(rep EpochReport) (RootDeliverResult, error) {
 	r.mu.Lock()
@@ -370,8 +371,8 @@ func (r *Root) foldEpochLocked() error {
 	}
 	sort.Strings(leaves)
 
-	var epochLoss sweep.Welford
-	epochSketch := sweep.NewUnitSketch()
+	var epochLoss stats.Welford
+	epochSketch := stats.NewUnitSketch()
 	sources := 0
 	paths := r.net.NumPaths()
 	from := r.meas.Intervals()
@@ -386,11 +387,11 @@ func (r *Root) foldEpochLocked() error {
 		}
 		r.records += int64(rep.Records)
 		sources += rep.Sources
-		loss, err := sweep.CheckWelford(rep.Loss, "report loss")
+		loss, err := rep.Loss.Check("report loss")
 		if err != nil {
 			return err // validated at delivery; unreachable
 		}
-		sk, err := sweep.CheckSketch(rep.LossSketch, "report loss sketch", false)
+		sk, err := rep.LossSketch.Check("report loss sketch", false)
 		if err != nil {
 			return err
 		}
@@ -463,7 +464,7 @@ func (s *RootServer) epoch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, httpError{Err: "gap", Msg: err.Error()})
 	case errors.Is(err, ErrClosed):
 		writeJSON(w, http.StatusServiceUnavailable, httpError{Err: "closed", Msg: err.Error()})
-	case errors.Is(err, measure.ErrValidation):
+	case errors.Is(err, errkind.Validation):
 		writeJSON(w, http.StatusBadRequest, httpError{Err: "validation", Msg: err.Error()})
 	default:
 		writeJSON(w, http.StatusInternalServerError, httpError{Err: "internal", Msg: err.Error()})
@@ -510,7 +511,7 @@ func (sh *Shipper) Run(ctx context.Context) error {
 				}
 				var perm *permanentShipError
 				if errors.As(err, &perm) {
-					return fmt.Errorf("serve: root rejected epoch %d report: %v: %w", rep.Epoch, perm, measure.ErrValidation)
+					return fmt.Errorf("serve: root rejected epoch %d report: %v: %w", rep.Epoch, perm, errkind.Validation)
 				}
 				select {
 				case <-ctx.Done():

@@ -17,8 +17,8 @@ import (
 	"time"
 
 	"neutrality/internal/durable"
+	"neutrality/internal/errkind"
 	"neutrality/internal/measure"
-	"neutrality/internal/sweep"
 )
 
 // splitBySource deals a stream across leaves by source name, keeping
@@ -191,7 +191,7 @@ func TestRootRejectsAndGaps(t *testing.T) {
 
 	tampered := reports[0]
 	tampered.Records++ // content no longer matches the seal
-	if _, err := root.Deliver(tampered); !errors.Is(err, measure.ErrValidation) {
+	if _, err := root.Deliver(tampered); !errors.Is(err, errkind.Validation) {
 		t.Fatalf("tampered report = %v, want validation error", err)
 	}
 	if _, err := root.Deliver(reports[1]); !errors.Is(err, ErrReportGap) {
@@ -278,7 +278,7 @@ func TestShipperStopsOnRejection(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	err := (&Shipper{S: leaf, URL: ts.URL, Backoff: time.Millisecond}).Run(ctx)
-	if !errors.Is(err, measure.ErrValidation) || !strings.Contains(err.Error(), "report refused") {
+	if !errors.Is(err, errkind.Validation) || !strings.Contains(err.Error(), "report refused") {
 		t.Fatalf("shipper against a rejecting root = %v, want a validation error carrying the root's answer", err)
 	}
 	if got := len(leaf.Reports()); got != queued || queued == 0 {
@@ -320,13 +320,13 @@ func TestRootDurableRestart(t *testing.T) {
 	}
 
 	// The log refuses silent adoption and identity drift.
-	if _, err := NewRoot(cfg); !errors.Is(err, sweep.ErrValidation) {
+	if _, err := NewRoot(cfg); !errors.Is(err, errkind.Validation) {
 		t.Fatalf("adopting a root log without resume = %v, want validation error", err)
 	}
 	wrong := cfg
 	wrong.Leaves = leaves + 1
 	wrong.Resume = true
-	if _, err := NewRoot(wrong); !errors.Is(err, sweep.ErrValidation) {
+	if _, err := NewRoot(wrong); !errors.Is(err, errkind.Validation) {
 		t.Fatalf("resume under a different leaf count = %v, want validation error", err)
 	}
 
@@ -420,7 +420,7 @@ func TestRootLogDamageTaxonomy(t *testing.T) {
 	if err := os.WriteFile(logPath, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRoot(rcfg); !errors.Is(err, sweep.ErrCorrupt) {
+	if _, err := NewRoot(rcfg); !errors.Is(err, errkind.Corrupt) {
 		t.Fatalf("resume over in-claim damage = %v, want corruption error", err)
 	}
 }
@@ -456,8 +456,8 @@ func TestRootDeliverAfterClose(t *testing.T) {
 	cfg.Resume = true
 	unnamed := cfg
 	unnamed.NetName = ""
-	if _, err := NewRoot(unnamed); !errors.Is(err, sweep.ErrValidation) {
-		t.Fatalf("resume of a %q root log with no net name = %v, want ErrValidation", cfg.NetName, err)
+	if _, err := NewRoot(unnamed); !errors.Is(err, errkind.Validation) {
+		t.Fatalf("resume of a %q root log with no net name = %v, want errkind.Validation", cfg.NetName, err)
 	}
 	root2, err := NewRoot(cfg)
 	if err != nil {

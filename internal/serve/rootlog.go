@@ -21,7 +21,7 @@ import (
 // delivery is acked — a leaf that sees 200 may drop its only other
 // copy. The manifest, root.json, holds the identity and a base claim
 // and is written only when the log is created or a v1 log is first
-// resumed. Damage inside the claim is therefore ErrCorrupt; lines past
+// resumed. Damage inside the claim is therefore errkind.Corrupt; lines past
 // it were never acked, so replay adopts them only while they extend
 // the fold cleanly and truncates the rest (the leaf re-sends).
 //
@@ -78,7 +78,7 @@ func rootIdentity(cfg RootConfig) rootLogIdentity {
 // through the same admission as live shipment, rebuilding the per-leaf
 // marks and the fold to the exact pre-restart state. Claimed lines
 // were acked (the leaf may have dropped its copy), so a claimed line
-// that fails to replay is ErrCorrupt; past the claim, replay stops at
+// that fails to replay is errkind.Corrupt; past the claim, replay stops at
 // the first line that does not extend the fold cleanly — a duplicate
 // or a gap included — since it was never acked and the leaf re-sends
 // it.

@@ -13,11 +13,11 @@
 //     increments), which commute — arrival order inside an epoch
 //     cannot change the table an epoch closes with.
 //   - Floating-point folds do not commute, so the epoch's loss-stat
-//     aggregates (sweep.Welford + quantile sketch) are built at close
+//     aggregates (stats.Welford + quantile sketch) are built at close
 //     time over the epoch's records in a canonical sort order, never
 //     in arrival order, and merged into the cumulative aggregates in
-//     epoch order — the same merge laws the distributed sweep relies
-//     on.
+//     epoch order — the same internal/stats merge laws the sweep
+//     aggregates rely on.
 //   - Epoch boundaries are defined by accepted-record counts (or an
 //     explicit CloseEpoch call), not by wall-clock or batch shape, so
 //     any chunking of the same stream closes the same epochs.
@@ -60,9 +60,10 @@ import (
 
 	"neutrality/internal/cluster"
 	"neutrality/internal/core"
+	"neutrality/internal/errkind"
 	"neutrality/internal/graph"
 	"neutrality/internal/measure"
-	"neutrality/internal/sweep"
+	"neutrality/internal/stats"
 )
 
 // ErrBusy reports a full open-epoch buffer: the service is applying
@@ -279,10 +280,10 @@ const maxSummaryBlocks = 256
 
 // New builds a Service, replaying the journal when Dir is set and
 // Resume is on. Journal identity or integrity failures are tagged with
-// sweep.ErrValidation / sweep.ErrCorrupt.
+// errkind.Validation / errkind.Corrupt.
 func New(cfg Config) (*Service, error) {
 	if cfg.Net == nil {
-		return nil, fmt.Errorf("serve: config needs a network: %w", sweep.ErrValidation)
+		return nil, fmt.Errorf("serve: config needs a network: %w", errkind.Validation)
 	}
 	cfg = cfg.withDefaults()
 	s := &Service{
@@ -328,7 +329,7 @@ func New(cfg Config) (*Service, error) {
 // close marker. Each shard's log is then truncated to its adopted
 // prefix — everything past it is torn tail or pre-snapshot residue.
 //
-// Violations inside a shard's claim are ErrCorrupt
+// Violations inside a shard's claim are errkind.Corrupt
 // (acknowledged data is damaged); violations in the unclaimed tail
 // stop adoption of that shard at that point. A close marker missing
 // from some shard's tail discards the marker from the shards that do
@@ -472,7 +473,7 @@ func (s *Service) inHoleLocked(source string, seq int64) bool {
 
 // Ingest validates and applies a batch of stream records. Validation
 // is two-phase: the whole batch is checked first, so a 400-class
-// rejection (measure.ErrValidation) applies nothing. Application then
+// rejection (errkind.Validation) applies nothing. Application then
 // proceeds record by record — records at or below their source's
 // high-water mark are rejected (duplicates, or out-of-order when they
 // land in a never-seen gap), epochs close inline when the accepted
@@ -611,8 +612,8 @@ func (s *Service) foldEpochLocked() error {
 	// below, so it is sorted in place.
 	epochRecs := s.pending
 	sort.Sort(canonicalOrder(epochRecs))
-	var epochLoss sweep.Welford
-	epochSketch := sweep.NewUnitSketch()
+	var epochLoss stats.Welford
+	epochSketch := stats.NewUnitSketch()
 	for _, r := range epochRecs {
 		if r.Sent == 0 {
 			continue // idle probes carry no loss fraction
@@ -642,8 +643,8 @@ func (s *Service) foldEpochLocked() error {
 			Epoch:      s.epoch,
 			Records:    len(epochRecs),
 			Sources:    len(s.seqs),
-			Loss:       sweep.WireWelford(epochLoss),
-			LossSketch: sweep.WireSketch(epochSketch),
+			Loss:       epochLoss.Wire(),
+			LossSketch: epochSketch.Wire(),
 		}
 		// The canonical sort groups (interval, path), so the sparse
 		// count delta aggregates in one linear pass.
@@ -751,7 +752,7 @@ func confidence(cl cluster.Result, unsolv, minGap float64) float64 {
 // deterministic quantities appear: operational counters (duplicates,
 // latency) live in Status, not here, so the summary stays
 // byte-identical across arrival orders, chunkings, and restarts.
-func renderEpochSummary(ev EpochVerdict, loss sweep.Welford, sk *sweep.Sketch, cumLoss sweep.Welford, cumSk *sweep.Sketch) string {
+func renderEpochSummary(ev EpochVerdict, loss stats.Welford, sk *stats.Sketch, cumLoss stats.Welford, cumSk *stats.Sketch) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "epoch %d: %d records total, %d intervals, %d sources\n",
 		ev.Epoch, ev.Records, ev.Intervals, ev.Sources)
@@ -791,10 +792,10 @@ type tally struct {
 	epoch   int                       // closed epochs
 
 	// Cumulative loss-fraction aggregates: per-epoch folds (canonical
-	// order) merged in epoch order — the sweep merge laws make this
+	// order) merged in epoch order — the stats merge laws make this
 	// deterministic under any within-epoch arrival order.
-	cumLoss   sweep.Welford
-	cumSketch *sweep.Sketch
+	cumLoss   stats.Welford
+	cumSketch *stats.Sketch
 
 	verdict []byte   // latest EpochVerdict, canonical JSON
 	listing []string // per-epoch summary blocks (bounded window)
@@ -812,7 +813,7 @@ func (t *tally) init(net *graph.Network, opts measure.Options, infer core.Config
 	t.infer = infer
 	t.meas = measure.NewMeasurements(0, net.NumPaths())
 	t.obs = &core.IncrementalObserver{Opts: opts}
-	t.cumSketch = sweep.NewUnitSketch()
+	t.cumSketch = stats.NewUnitSketch()
 	v, err := json.Marshal(EpochVerdict{})
 	t.verdict = v
 	return err
@@ -832,7 +833,7 @@ func (t *tally) inferConfig() core.Config {
 // the new verdict and summary block. It returns the inference time in
 // ms. When the verdict does not marshal the epoch still counts, but the
 // served verdict and summary stay at the previous epoch's.
-func (t *tally) publishLocked(from, sources int, loss sweep.Welford, sk *sweep.Sketch) (float64, error) {
+func (t *tally) publishLocked(from, sources int, loss stats.Welford, sk *stats.Sketch) (float64, error) {
 	t.cumLoss.Merge(loss)
 	t.cumSketch.Merge(sk) // same unit transform by construction
 	t.epoch++

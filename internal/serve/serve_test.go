@@ -12,9 +12,9 @@ import (
 	"time"
 
 	"neutrality/internal/durable"
+	"neutrality/internal/errkind"
 	"neutrality/internal/graph"
 	"neutrality/internal/measure"
-	"neutrality/internal/sweep"
 	"neutrality/internal/synth"
 	"neutrality/internal/topo"
 )
@@ -99,8 +99,8 @@ func TestIngestValidationAtomic(t *testing.T) {
 	bad := append(append([]measure.StreamRecord(nil), recs[:4]...), measure.StreamRecord{
 		Source: "vp-x", Seq: 1, Interval: 0, Path: n.NumPaths(), Sent: 5,
 	})
-	if _, err := s.Ingest(bad); !errors.Is(err, measure.ErrValidation) {
-		t.Fatalf("Ingest = %v, want ErrValidation", err)
+	if _, err := s.Ingest(bad); !errors.Is(err, errkind.Validation) {
+		t.Fatalf("Ingest = %v, want errkind.Validation", err)
 	}
 	if st := s.Status(); st.Records != 0 || st.RejectsValidation != 1 {
 		t.Fatalf("invalid batch left state behind: %+v", st)
@@ -210,14 +210,14 @@ func TestJournalResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := New(Config{Net: n, NetName: "figure4", EpochRecords: 64, Dir: dir}); !errors.Is(err, sweep.ErrValidation) {
-		t.Fatalf("adopting without resume = %v, want ErrValidation", err)
+	if _, err := New(Config{Net: n, NetName: "figure4", EpochRecords: 64, Dir: dir}); !errors.Is(err, errkind.Validation) {
+		t.Fatalf("adopting without resume = %v, want errkind.Validation", err)
 	}
-	if _, err := New(Config{Net: n, NetName: "figure4", EpochRecords: 32, Dir: dir, Resume: true}); !errors.Is(err, sweep.ErrValidation) {
-		t.Fatalf("resume with changed epoch size = %v, want ErrValidation", err)
+	if _, err := New(Config{Net: n, NetName: "figure4", EpochRecords: 32, Dir: dir, Resume: true}); !errors.Is(err, errkind.Validation) {
+		t.Fatalf("resume with changed epoch size = %v, want errkind.Validation", err)
 	}
-	if _, err := New(Config{Net: n, NetName: "", EpochRecords: 64, Dir: dir, Resume: true}); !errors.Is(err, sweep.ErrValidation) {
-		t.Fatalf("resume with no net name = %v, want ErrValidation", err)
+	if _, err := New(Config{Net: n, NetName: "", EpochRecords: 64, Dir: dir, Resume: true}); !errors.Is(err, errkind.Validation) {
+		t.Fatalf("resume with no net name = %v, want errkind.Validation", err)
 	}
 
 	s2 := mustNew(t, Config{Net: n, NetName: "figure4", EpochRecords: 64, Dir: dir, Resume: true})
@@ -269,8 +269,8 @@ func TestIdentityMismatchNamesFields(t *testing.T) {
 	_, leafErr := New(cfg)
 	_, rootErr := NewRoot(rcfg)
 	for what, err := range map[string]error{"journal": leafErr, "root log": rootErr} {
-		if !errors.Is(err, sweep.ErrValidation) || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s resume with smoothing %v = %v, want ErrValidation naming %q", what, opts.Smoothing, err, want)
+		if !errors.Is(err, errkind.Validation) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s resume with smoothing %v = %v, want errkind.Validation naming %q", what, opts.Smoothing, err, want)
 		}
 	}
 }
@@ -310,8 +310,8 @@ func TestJournalRefusesOtherDraw(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Resume = true
-	if _, err := New(cfg); !errors.Is(err, sweep.ErrValidation) {
-		t.Fatalf("resume of a journal without a draw = %v, want ErrValidation", err)
+	if _, err := New(cfg); !errors.Is(err, errkind.Validation) {
+		t.Fatalf("resume of a journal without a draw = %v, want errkind.Validation", err)
 	}
 }
 
@@ -330,8 +330,8 @@ func TestInvalidUTF8SourceRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := measure.StreamRecord{Source: "vp-\xff\xfe", Seq: 1, Interval: 0, Path: 0, Sent: 10, Lost: 1}
-	if _, err := s.Ingest([]measure.StreamRecord{recs[half], bad}); !errors.Is(err, measure.ErrValidation) {
-		t.Fatalf("Ingest with an invalid UTF-8 source = %v, want ErrValidation", err)
+	if _, err := s.Ingest([]measure.StreamRecord{recs[half], bad}); !errors.Is(err, errkind.Validation) {
+		t.Fatalf("Ingest with an invalid UTF-8 source = %v, want errkind.Validation", err)
 	}
 	if st := s.Status(); st.Records != int64(half) || st.RejectsValidation != 1 {
 		t.Fatalf("refused batch left state behind: %+v", st)
@@ -372,7 +372,7 @@ func TestInvalidUTF8SourceRefused(t *testing.T) {
 }
 
 // TestJournalDamageTaxonomy: damage inside the manifest claim destroys
-// acknowledged data (ErrCorrupt); bytes past the claim are a torn tail
+// acknowledged data (errkind.Corrupt); bytes past the claim are a torn tail
 // and are silently truncated — the sender never got an ack for them.
 func TestJournalDamageTaxonomy(t *testing.T) {
 	n, recs := testStream(20, 2, 5)
@@ -412,8 +412,8 @@ func TestJournalDamageTaxonomy(t *testing.T) {
 	if err := os.WriteFile(jpath, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(cfg); !errors.Is(err, sweep.ErrCorrupt) {
-		t.Fatalf("in-claim damage = %v, want ErrCorrupt", err)
+	if _, err := New(cfg); !errors.Is(err, errkind.Corrupt) {
+		t.Fatalf("in-claim damage = %v, want errkind.Corrupt", err)
 	}
 }
 
@@ -624,7 +624,7 @@ func TestJournalFaultMidBatch(t *testing.T) {
 
 // TestManifestOverClaim: a claim over more lines than the shard holds
 // — a truncated or deleted shard file — is destroyed acknowledged
-// data: ErrCorrupt, never a silent fresh start or a torn-tail
+// data: errkind.Corrupt, never a silent fresh start or a torn-tail
 // truncate. The claim is held either in claims.jsonl only (the
 // manifest's base claim is zero) or in serve.json only (no claim log,
 // as a v2 journal upgraded in place has).
@@ -670,8 +670,8 @@ func TestManifestOverClaim(t *testing.T) {
 				if err := os.Remove(mpath); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := New(cfg); !errors.Is(err, sweep.ErrCorrupt) {
-					t.Fatalf("claim log without a manifest = %v, want ErrCorrupt", err)
+				if _, err := New(cfg); !errors.Is(err, errkind.Corrupt) {
+					t.Fatalf("claim log without a manifest = %v, want errkind.Corrupt", err)
 				}
 				writeFile(t, mpath, mdata)
 			}
@@ -679,15 +679,15 @@ func TestManifestOverClaim(t *testing.T) {
 			good := readFile(t, jpath)
 
 			writeFile(t, jpath, good[:len(good)/2])
-			if _, err := New(cfg); !errors.Is(err, sweep.ErrCorrupt) {
-				t.Fatalf("over-claimed short shard = %v, want ErrCorrupt", err)
+			if _, err := New(cfg); !errors.Is(err, errkind.Corrupt) {
+				t.Fatalf("over-claimed short shard = %v, want errkind.Corrupt", err)
 			}
 
 			if err := os.Remove(jpath); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := New(cfg); !errors.Is(err, sweep.ErrCorrupt) {
-				t.Fatalf("missing claimed shard = %v, want ErrCorrupt", err)
+			if _, err := New(cfg); !errors.Is(err, errkind.Corrupt) {
+				t.Fatalf("missing claimed shard = %v, want errkind.Corrupt", err)
 			}
 		})
 	}
@@ -759,8 +759,8 @@ func TestLegacyJournalRejected(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), []byte("x\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{Net: n, Dir: dir, Resume: true}); !errors.Is(err, sweep.ErrValidation) {
-		t.Fatalf("v1 journal adoption = %v, want ErrValidation", err)
+	if _, err := New(Config{Net: n, Dir: dir, Resume: true}); !errors.Is(err, errkind.Validation) {
+		t.Fatalf("v1 journal adoption = %v, want errkind.Validation", err)
 	}
 }
 
@@ -809,8 +809,8 @@ func TestShardedJournalLayout(t *testing.T) {
 	rcfg := cfg
 	rcfg.Resume = true
 	rcfg.JournalShards = 2
-	if _, err := New(rcfg); !errors.Is(err, sweep.ErrValidation) {
-		t.Fatalf("resume with changed shard count = %v, want ErrValidation", err)
+	if _, err := New(rcfg); !errors.Is(err, errkind.Validation) {
+		t.Fatalf("resume with changed shard count = %v, want errkind.Validation", err)
 	}
 }
 

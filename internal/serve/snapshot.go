@@ -5,7 +5,7 @@ import (
 	"sort"
 
 	"neutrality/internal/measure"
-	"neutrality/internal/sweep"
+	"neutrality/internal/stats"
 )
 
 // The snapshot is the compaction half of the journal story: a single
@@ -25,7 +25,7 @@ import (
 // Integrity: the manifest stores the snapshot's SHA-256, and open
 // refuses to trust a byte of a snapshot that does not hash to it. A
 // snapshot is folded *acknowledged* state, so any damage to it is
-// ErrCorrupt — there is no torn-tail leniency for snapshots (they are
+// errkind.Corrupt — there is no torn-tail leniency for snapshots (they are
 // written to a temp file and renamed, so a torn snapshot can only mean
 // post-rename damage).
 
@@ -43,9 +43,9 @@ type snapWire struct {
 	Sent [][]int `json:"sent"`
 	Lost [][]int `json:"lost"`
 	// CumLoss/CumSketch are the cumulative loss-fraction accumulators,
-	// in the sweep aggregate wire encoding (exact float64 round trip).
-	CumLoss   sweep.WelfordWire `json:"cum_loss"`
-	CumSketch sweep.SketchWire  `json:"cum_sketch"`
+	// in their stats wire forms (exact float64 round trip).
+	CumLoss   stats.WelfordWire `json:"cum_loss"`
+	CumSketch stats.SketchWire  `json:"cum_sketch"`
 	// Verdict is the served EpochVerdict, verbatim; Listing the
 	// summary window; Dropped the blocks aged out of it.
 	Verdict json.RawMessage `json:"verdict"`
@@ -73,8 +73,8 @@ func (s *Service) snapshotLocked() ([]byte, error) {
 		Paths:     s.net.NumPaths(),
 		Sent:      s.meas.Sent,
 		Lost:      s.meas.Lost,
-		CumLoss:   sweep.WireWelford(s.cumLoss),
-		CumSketch: sweep.WireSketch(s.cumSketch),
+		CumLoss:   s.cumLoss.Wire(),
+		CumSketch: s.cumSketch.Wire(),
 		Verdict:   json.RawMessage(s.verdict),
 		Listing:   s.listing,
 		Dropped:   s.dropped,
@@ -93,7 +93,7 @@ func (s *Service) snapshotLocked() ([]byte, error) {
 }
 
 // decodeSnapshot parses a hash-verified snapshot document. Parse
-// failures are ErrCorrupt: the hash matched, so the document is what
+// failures are errkind.Corrupt: the hash matched, so the document is what
 // was written — if it does not parse, acknowledged state is damaged.
 func decodeSnapshot(data []byte) (*snapWire, error) {
 	var w snapWire
@@ -127,11 +127,11 @@ func (s *Service) restoreSnapshot(w *snapWire) error {
 	if err := meas.Validate(); err != nil {
 		return errCorruptf("serve: snapshot table: %v", err)
 	}
-	cumLoss, err := sweep.CheckWelford(w.CumLoss, "snapshot cum_loss")
+	cumLoss, err := w.CumLoss.Check("snapshot cum_loss")
 	if err != nil {
 		return errCorruptf("serve: %v", err)
 	}
-	cumSketch, err := sweep.CheckSketch(w.CumSketch, "snapshot cum_sketch", false)
+	cumSketch, err := w.CumSketch.Check("snapshot cum_sketch", false)
 	if err != nil {
 		return errCorruptf("serve: %v", err)
 	}

@@ -3,8 +3,11 @@
 // distributions that drive the paper's traffic model (Section 6.1),
 // the counter-based hypergeometric draws behind Algorithm 2's packet
 // discounting (draw.go: each draw a pure, integer-only function of its
-// key, with an early-exit form that settles a threshold decision), and
-// five-number summaries for the boxplot-style figures.
+// key, with an early-exit form that settles a threshold decision),
+// five-number summaries for the boxplot-style figures, and the
+// mergeable streaming accumulators (accum.go: Welford moments and
+// quantile sketches, with their validated wire forms) that the sweep
+// aggregates and the streaming service's loss folds share.
 package stats
 
 import (

@@ -2,197 +2,33 @@ package sweep
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"neutrality/internal/grid"
+	"neutrality/internal/stats"
 )
 
 // Online aggregation: every record is folded into bounded-memory
 // streaming statistics as it is emitted, so a 100k-cell sweep produces
-// its summary in one pass without retaining records. Two structures do
-// the work: Welford mean/variance accumulators and fixed-bin quantile
+// its summary in one pass without retaining records. The statistics
+// are internal/stats' Welford accumulators and fixed-bin quantile
 // sketches. Memory is O(axes × values), independent of cell count.
 //
 // Determinism: records are folded in cell order (the executor emits
-// them that way), and both structures are sequential folds, so the
-// summary is byte-identical for every worker and shard count.
+// them that way, and Replay reads them back that way), and both
+// structures are sequential folds, so the summary is byte-identical
+// for every worker and shard count.
 //
 // Mergeability: every structure also merges — Welford moments
 // Chan-style, sketches bin-wise, marginals slice-wise — so partitions
 // of a distributed sweep can each aggregate their own cell range and
-// Agg.Merge combines them. The merge laws: counts, bins, events, and
-// min/max are semigroup sums, associative and commutative exactly;
-// the Welford mean/m2 merge is exact when either side is empty and
-// otherwise matches the sequential fold to floating-point rounding,
-// which is orders of magnitude below Summary's printed precision. The
-// empty Agg is the identity.
-
-// Welford is the numerically stable streaming mean/variance
-// accumulator.
-type Welford struct {
-	N    int
-	Mean float64
-	m2   float64
-}
-
-// Add folds one observation in.
-func (w *Welford) Add(x float64) {
-	w.N++
-	d := x - w.Mean
-	w.Mean += d / float64(w.N)
-	w.m2 += d * (x - w.Mean)
-}
-
-// Merge folds another accumulator in (Chan et al.'s parallel
-// update). Merging with an empty side is exact; otherwise the result
-// matches the sequential fold of both observation streams to
-// floating-point rounding.
-func (w *Welford) Merge(o Welford) {
-	if o.N == 0 {
-		return
-	}
-	if w.N == 0 {
-		*w = o
-		return
-	}
-	na, nb := float64(w.N), float64(o.N)
-	n := na + nb
-	delta := o.Mean - w.Mean
-	w.Mean += delta * nb / n
-	w.m2 += o.m2 + delta*delta*na*nb/n
-	w.N += o.N
-}
-
-// Var returns the population variance (0 for fewer than 2 samples).
-func (w *Welford) Var() float64 {
-	if w.N < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.N)
-}
-
-// StdDev returns the population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Var()) }
-
-// sketchBins is the fixed resolution of a quantile sketch: quantile
-// estimates are exact to one part in sketchBins of the squashed value
-// range, which is far below the run-to-run noise of any sweep metric.
-const sketchBins = 256
-
-// Sketch is a bounded-memory streaming quantile estimator: a
-// fixed-bin histogram over [0,1) of the squashed observation
-// x/(1+x) for unbounded metrics, or of x itself for metrics already
-// in [0,1]. Exact min/max are tracked so the extreme quantiles stay
-// sharp. Unlike P², the fold is a pure bin increment, so sketches
-// built from the same ordered stream are bit-identical and two
-// sketches could even be merged bin-wise.
-type Sketch struct {
-	bins     [sketchBins]int
-	n        int
-	min, max float64
-	// squash marks the x/(1+x) transform for unbounded metrics.
-	squash bool
-}
-
-// NewUnitSketch sketches a metric already bounded in [0,1].
-func NewUnitSketch() *Sketch { return &Sketch{} }
-
-// NewSquashSketch sketches an unbounded non-negative metric through
-// the x/(1+x) transform.
-func NewSquashSketch() *Sketch { return &Sketch{squash: true} }
-
-// Add folds one observation in.
-func (s *Sketch) Add(x float64) {
-	if s.n == 0 || x < s.min {
-		s.min = x
-	}
-	if s.n == 0 || x > s.max {
-		s.max = x
-	}
-	s.n++
-	y := x
-	if s.squash {
-		y = x / (1 + x)
-	}
-	b := int(y * sketchBins)
-	if b < 0 {
-		b = 0
-	}
-	if b >= sketchBins {
-		b = sketchBins - 1
-	}
-	s.bins[b]++
-}
-
-// Merge folds another sketch in bin-wise. Both sketches must use the
-// same transform. Bin counts and min/max are exact semigroup sums, so
-// sketch merging is associative and commutative outright: merged
-// quantiles are bit-identical whatever the merge order.
-func (s *Sketch) Merge(o *Sketch) error {
-	if s.squash != o.squash {
-		return fmt.Errorf("sweep: merging sketches with different transforms")
-	}
-	if o.n == 0 {
-		return nil
-	}
-	if s.n == 0 {
-		*s = *o // value copy: bins is an array
-		return nil
-	}
-	for b := range s.bins {
-		s.bins[b] += o.bins[b]
-	}
-	s.n += o.n
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	return nil
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) by locating the bin
-// holding the q·n-th observation and interpolating linearly inside
-// it, clamped to the exact observed [min, max].
-func (s *Sketch) Quantile(q float64) float64 {
-	if s.n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return s.min
-	}
-	if q >= 1 {
-		return s.max
-	}
-	rank := q * float64(s.n)
-	cum := 0.0
-	for b := 0; b < sketchBins; b++ {
-		c := float64(s.bins[b])
-		if c == 0 {
-			continue
-		}
-		if cum+c >= rank {
-			// Interpolate within the bin's value range.
-			frac := (rank - cum) / c
-			y := (float64(b) + frac) / sketchBins
-			x := y
-			if s.squash {
-				x = y / (1 - y)
-			}
-			if x < s.min {
-				x = s.min
-			}
-			if x > s.max {
-				x = s.max
-			}
-			return x
-		}
-		cum += c
-	}
-	return s.max
-}
+// Agg.Merge combines them; a fleet merges the aggregates it replayed
+// from its staged partition copies. The merge laws: counts, bins,
+// events, and min/max are semigroup sums, associative and commutative
+// exactly; the Welford mean/m2 merge is exact when either side is
+// empty and otherwise matches the sequential fold to floating-point
+// rounding, which is orders of magnitude below Summary's printed
+// precision. The empty Agg is the identity.
 
 // metricAgg aggregates one slice of cells (the whole sweep, or the
 // cells sharing one axis value): verdict counts plus streaming moments
@@ -200,15 +36,15 @@ func (s *Sketch) Quantile(q float64) float64 {
 type metricAgg struct {
 	cells      int
 	nonNeutral int
-	fn, fp     Welford
-	gran       Welford
-	unsolv     Welford
-	unsolvSk   *Sketch
+	fn, fp     stats.Welford
+	gran       stats.Welford
+	unsolv     stats.Welford
+	unsolvSk   *stats.Sketch
 	events     uint64
 }
 
 func newMetricAgg() *metricAgg {
-	return &metricAgg{unsolvSk: NewSquashSketch()}
+	return &metricAgg{unsolvSk: stats.NewSquashSketch()}
 }
 
 func (a *metricAgg) add(r Record) {
@@ -307,7 +143,7 @@ func (a *Agg) Summary() string {
 	fmt.Fprintf(&sb, "  FN mean=%.3f sd=%.3f   FP mean=%.3f sd=%.3f   granularity mean=%.2f\n",
 		g.fn.Mean, g.fn.StdDev(), g.fp.Mean, g.fp.StdDev(), g.gran.Mean)
 	fmt.Fprintf(&sb, "  unsolvability mean=%.4f p50=%.4f p90=%.4f max=%.4f\n",
-		g.unsolv.Mean, g.unsolvSk.Quantile(0.5), g.unsolvSk.Quantile(0.9), g.unsolvSk.max)
+		g.unsolv.Mean, g.unsolvSk.Quantile(0.5), g.unsolvSk.Quantile(0.9), g.unsolvSk.Quantile(1))
 	fmt.Fprintf(&sb, "  emulation events: %d\n", g.events)
 	for ax, axis := range a.g.Axes {
 		if len(axis.Values) < 2 {

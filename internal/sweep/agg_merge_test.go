@@ -192,75 +192,3 @@ func TestAggMergeRejectsDifferentGrids(t *testing.T) {
 		t.Fatal("cross-grid merge accepted")
 	}
 }
-
-// TestWelfordMergeMatchesSequential: the Chan-style moment merge
-// agrees with the sequential fold to tight numerical tolerance across
-// randomized splits.
-func TestWelfordMergeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(500)
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = rng.NormFloat64()*10 + 5
-		}
-		var seq Welford
-		for _, v := range vals {
-			seq.Add(v)
-		}
-		cut := rng.Intn(n + 1)
-		var a, b Welford
-		for _, v := range vals[:cut] {
-			a.Add(v)
-		}
-		for _, v := range vals[cut:] {
-			b.Add(v)
-		}
-		a.Merge(b)
-		if a.N != seq.N {
-			t.Fatalf("trial %d: N %d vs %d", trial, a.N, seq.N)
-		}
-		if math.Abs(a.Mean-seq.Mean) > 1e-9*(1+math.Abs(seq.Mean)) {
-			t.Fatalf("trial %d: mean %v vs %v", trial, a.Mean, seq.Mean)
-		}
-		if math.Abs(a.Var()-seq.Var()) > 1e-9*(1+seq.Var()) {
-			t.Fatalf("trial %d: var %v vs %v", trial, a.Var(), seq.Var())
-		}
-	}
-}
-
-// TestSketchMergeExact: sketch merging is an exact semigroup sum —
-// merged quantiles are bit-identical to the single-stream sketch.
-func TestSketchMergeExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(400)
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = rng.ExpFloat64()
-		}
-		whole := NewSquashSketch()
-		for _, v := range vals {
-			whole.Add(v)
-		}
-		cut := rng.Intn(n + 1)
-		a, b := NewSquashSketch(), NewSquashSketch()
-		for _, v := range vals[:cut] {
-			a.Add(v)
-		}
-		for _, v := range vals[cut:] {
-			b.Add(v)
-		}
-		if err := a.Merge(b); err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range []float64{0, 0.25, 0.5, 0.9, 1} {
-			if a.Quantile(q) != whole.Quantile(q) {
-				t.Fatalf("trial %d q=%v: %v vs %v", trial, q, a.Quantile(q), whole.Quantile(q))
-			}
-		}
-	}
-	if err := NewSquashSketch().Merge(NewUnitSketch()); err == nil {
-		t.Fatal("cross-transform sketch merge accepted")
-	}
-}

@@ -2,87 +2,10 @@ package sweep
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"neutrality/internal/grid"
-	"neutrality/internal/stats"
 )
-
-func TestWelford(t *testing.T) {
-	vals := []float64{0.3, 0.1, 0.9, 0.4, 0.4, 0.05, 0.7}
-	var w Welford
-	for _, v := range vals {
-		w.Add(v)
-	}
-	mean := stats.Mean(vals)
-	if math.Abs(w.Mean-mean) > 1e-12 {
-		t.Fatalf("mean %v, want %v", w.Mean, mean)
-	}
-	varSum := 0.0
-	for _, v := range vals {
-		varSum += (v - mean) * (v - mean)
-	}
-	if want := varSum / float64(len(vals)); math.Abs(w.Var()-want) > 1e-12 {
-		t.Fatalf("var %v, want %v", w.Var(), want)
-	}
-	var w1 Welford
-	w1.Add(5)
-	if w1.Var() != 0 || w1.Mean != 5 {
-		t.Fatalf("single sample: mean=%v var=%v", w1.Mean, w1.Var())
-	}
-}
-
-func TestSketchQuantiles(t *testing.T) {
-	// 10k values with a known shape; the fixed-bin sketch must land
-	// within a bin width of the exact quantile.
-	n := 10000
-	vals := make([]float64, n)
-	for i := range vals {
-		x := float64(i) / float64(n)
-		vals[i] = x * x // quadratic ramp in [0,1)
-	}
-	sk := NewUnitSketch()
-	// Insertion order must not matter beyond bin counts: add in a
-	// scrambled deterministic order.
-	for i := range vals {
-		sk.Add(vals[(i*7919)%n])
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	for _, q := range []float64{0.1, 0.5, 0.9} {
-		got := sk.Quantile(q)
-		want := stats.Quantile(sorted, q)
-		if math.Abs(got-want) > 2.0/sketchBins {
-			t.Fatalf("q%.0f: got %v want %v", q*100, got, want)
-		}
-	}
-	if sk.Quantile(0) != sorted[0] || sk.Quantile(1) != sorted[n-1] {
-		t.Fatal("extreme quantiles are not exact min/max")
-	}
-}
-
-func TestSquashSketch(t *testing.T) {
-	sk := NewSquashSketch()
-	// Unbounded metric: values above 1 must still be ranked correctly.
-	vals := []float64{0.1, 0.5, 1, 2, 4, 8, 16, 32, 64, 128}
-	for _, v := range vals {
-		sk.Add(v)
-	}
-	if got := sk.Quantile(1); got != 128 {
-		t.Fatalf("max %v", got)
-	}
-	// The exact median is between 2 and 4; the fixed-bin estimate may
-	// overshoot by up to one squashed bin width.
-	med := sk.Quantile(0.5)
-	if med < 1.9 || med > 4.5 {
-		t.Fatalf("median %v out of [1.9,4.5]", med)
-	}
-	empty := NewSquashSketch()
-	if empty.Quantile(0.5) != 0 {
-		t.Fatal("empty sketch quantile not 0")
-	}
-}
 
 // TestAggSlices: per-axis marginal aggregation groups cells by their
 // value on that axis.

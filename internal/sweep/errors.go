@@ -1,60 +1,17 @@
 package sweep
 
 import (
-	"errors"
 	"fmt"
 	"time"
+
+	"neutrality/internal/errkind"
 )
-
-// Error kinds. Orchestration scripts need to branch on *why* a sweep,
-// merge, or fleet invocation failed without parsing message strings,
-// so the package tags its errors with one of two sentinel kinds, both
-// matchable with errors.Is through any amount of wrapping:
-//
-//   - ErrIncomplete: the artifacts are valid but the work is
-//     unfinished — an unfinished partition, a coverage gap, a timed-out
-//     cell. Rerunning (typically with -resume) can succeed.
-//   - ErrValidation: the inputs or artifacts disagree with the spec —
-//     a fingerprint mismatch, a corrupt manifest, a directory already
-//     in use. Rerunning the same invocation cannot succeed.
-//
-// Untagged errors are environmental (I/O, cancellation mid-flight) and
-// map to a generic fatal exit.
-var (
-	// ErrIncomplete tags resumable-incomplete failures.
-	ErrIncomplete = errors.New("incomplete (resumable)")
-	// ErrValidation tags spec/artifact validation failures.
-	ErrValidation = errors.New("validation failure")
-	// ErrCorrupt tags artifact-corruption failures: bytes on disk (or
-	// on the wire) disagree with their recorded checksums. It is a
-	// refinement of ErrValidation — errors.Is(err, ErrValidation) also
-	// holds, so existing exit-code mapping is unchanged — but is
-	// separately matchable so orchestrators can react by repairing
-	// (every record is re-derivable from its seed) instead of failing.
-	ErrCorrupt = &kindError{msg: errors.New("artifact corruption"), kind: ErrValidation}
-)
-
-// kindError carries a formatted message plus its sentinel kind; both
-// sides of the pair participate in errors.Is/As chains.
-type kindError struct {
-	msg  error
-	kind error
-}
-
-func (e *kindError) Error() string   { return e.msg.Error() }
-func (e *kindError) Unwrap() []error { return []error{e.msg, e.kind} }
-
-// errKind builds a kind-tagged error. %w verbs in format still work:
-// the formatted error sits first in the unwrap list.
-func errKind(kind error, format string, args ...any) error {
-	return &kindError{msg: fmt.Errorf(format, args...), kind: kind}
-}
 
 // CellTimeoutError reports a cell whose emulation exceeded
 // Options.CellTimeout. It is a named, resumable condition: the
 // checkpoint keeps every cell before it, so a resume (with a larger —
 // or no — timeout) re-executes exactly the timed-out cell onward. It
-// matches errors.Is(err, ErrIncomplete).
+// matches errors.Is(err, errkind.Incomplete).
 type CellTimeoutError struct {
 	// Cell is the global index of the cell that timed out.
 	Cell int
@@ -66,4 +23,4 @@ func (e *CellTimeoutError) Error() string {
 	return fmt.Sprintf("cell %d exceeded the per-cell timeout %s (resume re-runs it; raise -cell-timeout if the cell is legitimately slow)", e.Cell, e.Timeout)
 }
 
-func (e *CellTimeoutError) Unwrap() error { return ErrIncomplete }
+func (e *CellTimeoutError) Unwrap() error { return errkind.Incomplete }

@@ -2,8 +2,6 @@ package sweep
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 
 	"neutrality/internal/durable"
@@ -16,12 +14,6 @@ import (
 // from (fingerprint, seed). The manifest also records a SHA-256 per
 // shard over the claimed prefix, so an intact shard verifies with one
 // hash pass instead of a record-by-record parse. See FORMAT.md.
-
-// shaHex is the manifest's shard content hash: SHA-256, lowercase hex.
-func shaHex(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
 
 // frameSpan is the byte range [off, end) of one kept line inside a
 // shard image. The zero span marks a quarantined slot.
@@ -129,7 +121,7 @@ func scanShard(spec scanSpec, s int, data []byte, claimed int, wantSum string) s
 
 	start, cursor := 0, 0
 	if wantSum != "" && claimed > 0 && len(lines) >= claimed {
-		if prefix := lines[claimed-1].end; shaHex(data[:prefix]) == wantSum {
+		if prefix := lines[claimed-1].end; durable.SHA256Hex(data[:prefix]) == wantSum {
 			// Fast path: the content hash proves the claimed prefix
 			// bit for bit; adopt it without parsing.
 			sc.slots = append(sc.slots, lines[:claimed]...)

@@ -19,7 +19,7 @@ import (
 
 // emptySum is SHA-256 of the empty string — the shard_sha256 of a
 // shard with no claimed records.
-var emptySum = shaHex(nil)
+var emptySum = durable.SHA256Hex(nil)
 
 // FuzzManifestJSON: parseManifest accepts only manifests whose
 // version, frontier, per-shard counts, sums, and range are mutually
@@ -52,7 +52,7 @@ func FuzzManifestJSON(f *testing.F) {
 			t.Fatalf("accepted sum/shard count mismatch: %+v", m)
 		}
 		for _, sum := range m.ShardSums {
-			if !IsSHA256Hex(sum) {
+			if !durable.IsSHA256Hex(sum) {
 				t.Fatalf("accepted malformed shard sum: %+v", m)
 			}
 		}
@@ -189,7 +189,7 @@ func FuzzShardVerify(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec := scanSpec{g: g, baseSeed: 7, rng: g.FullRange(), shards: 1}
 		claimed := g.Cells()
-		sc := scanShard(spec, 0, data, claimed, shaHex(pristine))
+		sc := scanShard(spec, 0, data, claimed, durable.SHA256Hex(pristine))
 
 		// Localization: quarantined and valid slots partition the claim.
 		if len(sc.slots) < claimed {
@@ -248,7 +248,7 @@ func FuzzShardVerify(f *testing.F) {
 			Version: manifestVersion,
 			Name:    g.Name, Fingerprint: g.Fingerprint(), Cells: g.Cells(),
 			Shards: 1, BaseSeed: 7, Completed: claimed, PerShard: []int{claimed},
-			ShardSums: []string{shaHex(pristine)},
+			ShardSums: []string{durable.SHA256Hex(pristine)},
 		}
 		if err := writeManifest(durable.At(dir), m); err != nil {
 			t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"neutrality/internal/durable"
+	"neutrality/internal/errkind"
 	"neutrality/internal/grid"
 )
 
@@ -53,14 +54,14 @@ func Merge(g *grid.Grid, dirs []string, out string) (*Result, error) {
 		}
 		m, err := parseManifest(mdata)
 		if err != nil {
-			return nil, errKind(ErrValidation, "sweep: merge: corrupt manifest in %s: %w", dir, err)
+			return nil, errkind.Errorf(errkind.Validation, "sweep: merge: corrupt manifest in %s: %w", dir, err)
 		}
 		if m.Fingerprint != g.Fingerprint() {
-			return nil, errKind(ErrValidation, "sweep: merge: %s was recorded for spec %s (fingerprint %.12s…), not this spec (%.12s…)",
+			return nil, errkind.Errorf(errkind.Validation, "sweep: merge: %s was recorded for spec %s (fingerprint %.12s…), not this spec (%.12s…)",
 				dir, m.Name, m.Fingerprint, g.Fingerprint())
 		}
 		if m.Cells != cells {
-			return nil, errKind(ErrValidation, "sweep: merge: %s records %d cells, spec has %d", dir, m.Cells, cells)
+			return nil, errkind.Errorf(errkind.Validation, "sweep: merge: %s records %d cells, spec has %d", dir, m.Cells, cells)
 		}
 		if err := m.checkDraw("sweep: merge", dir); err != nil {
 			return nil, err
@@ -70,7 +71,7 @@ func Merge(g *grid.Grid, dirs []string, out string) (*Result, error) {
 	shards, baseSeed := parts[0].m.Shards, parts[0].m.BaseSeed
 	for _, p := range parts[1:] {
 		if p.m.Shards != shards || p.m.BaseSeed != baseSeed {
-			return nil, errKind(ErrValidation, "sweep: merge: %s was recorded with shards=%d seed=%d, %s with shards=%d seed=%d",
+			return nil, errkind.Errorf(errkind.Validation, "sweep: merge: %s was recorded with shards=%d seed=%d, %s with shards=%d seed=%d",
 				parts[0].dir, shards, baseSeed, p.dir, p.m.Shards, p.m.BaseSeed)
 		}
 	}
@@ -79,7 +80,7 @@ func Merge(g *grid.Grid, dirs []string, out string) (*Result, error) {
 	// resumable frontier — report it instead of merging a hole.
 	for _, p := range parts {
 		if p.m.Completed != p.rng.Len() {
-			return nil, errKind(ErrIncomplete, "sweep: merge: %s is incomplete: %d of %d cells done, resumable frontier at cell %d — finish it with -resume before merging",
+			return nil, errkind.Errorf(errkind.Incomplete, "sweep: merge: %s is incomplete: %d of %d cells done, resumable frontier at cell %d — finish it with -resume before merging",
 				p.dir, p.m.Completed, p.rng.Len(), p.rng.Lo+p.m.Completed)
 		}
 	}
@@ -92,19 +93,19 @@ func Merge(g *grid.Grid, dirs []string, out string) (*Result, error) {
 	for _, p := range parts {
 		switch {
 		case p.rng.Lo > cursor:
-			return nil, errKind(ErrIncomplete, "sweep: merge: cells [%d,%d) are covered by no partition directory — run that partition (or resume it) before merging", cursor, p.rng.Lo)
+			return nil, errkind.Errorf(errkind.Incomplete, "sweep: merge: cells [%d,%d) are covered by no partition directory — run that partition (or resume it) before merging", cursor, p.rng.Lo)
 		case p.rng.Lo < cursor:
-			return nil, errKind(ErrValidation, "sweep: merge: %s overlaps cells [%d,%d) already covered by an earlier partition", p.dir, p.rng.Lo, cursor)
+			return nil, errkind.Errorf(errkind.Validation, "sweep: merge: %s overlaps cells [%d,%d) already covered by an earlier partition", p.dir, p.rng.Lo, cursor)
 		}
 		cursor = p.rng.Hi
 	}
 	if cursor != cells {
-		return nil, errKind(ErrIncomplete, "sweep: merge: cells [%d,%d) are covered by no partition directory — run that partition before merging", cursor, cells)
+		return nil, errkind.Errorf(errkind.Incomplete, "sweep: merge: cells [%d,%d) are covered by no partition directory — run that partition before merging", cursor, cells)
 	}
 
 	// Assemble the output directory, verifying every source shard's
 	// bytes against its manifest's content hash on the way through —
-	// a corrupt partition must surface as ErrCorrupt (so the caller
+	// a corrupt partition must surface as errkind.Corrupt (so the caller
 	// can repair or re-speculate it) before anything is hard-linked,
 	// not as a mystery in the replay below.
 	dir, err := durable.Open(out)
@@ -112,7 +113,7 @@ func Merge(g *grid.Grid, dirs []string, out string) (*Result, error) {
 		return nil, fmt.Errorf("sweep: merge: %w", err)
 	}
 	if _, err := os.Stat(manifestPath(out)); err == nil {
-		return nil, errKind(ErrValidation, "sweep: merge: %s already contains a sweep; use a fresh directory", out)
+		return nil, errkind.Errorf(errkind.Validation, "sweep: merge: %s already contains a sweep; use a fresh directory", out)
 	}
 	sums := make([]string, shards)
 	for s := 0; s < shards; s++ {
@@ -161,7 +162,7 @@ func Merge(g *grid.Grid, dirs []string, out string) (*Result, error) {
 // assembleShard builds out's shard s from the partitions' shard-s
 // files, in range order, returning the merged file's SHA-256. Every
 // source's bytes are hashed against its manifest's shard_sha256 on
-// the way through — a mismatch fails with ErrCorrupt before the
+// the way through — a mismatch fails with errkind.Corrupt before the
 // manifest commit point, and a hard link is only taken after the
 // source it aliases has verified. With a single source the file is
 // hard-linked (falling back to a copy across filesystems); otherwise
@@ -182,9 +183,9 @@ func assembleShard(parts []partDir, out string, s int) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("sweep: merge: %w", err)
 		}
-		sum := shaHex(data)
+		sum := durable.SHA256Hex(data)
 		if sum != p.m.ShardSums[s] {
-			return "", errKind(ErrCorrupt, "sweep: merge: %s shard %d content hash %.12s… does not match its manifest's %.12s… — repair the partition (neutrality verify -repair) before merging", p.dir, s, sum, p.m.ShardSums[s])
+			return "", errkind.Errorf(errkind.Corrupt, "sweep: merge: %s shard %d content hash %.12s… does not match its manifest's %.12s… — repair the partition (neutrality verify -repair) before merging", p.dir, s, sum, p.m.ShardSums[s])
 		}
 		if err := os.Link(src, dst); err == nil {
 			return sum, nil
@@ -212,7 +213,7 @@ func assembleShard(parts []partDir, out string, s int) (string, error) {
 		}
 		if sum := hex.EncodeToString(part.Sum(nil)); sum != p.m.ShardSums[s] {
 			f.Close()
-			return "", errKind(ErrCorrupt, "sweep: merge: %s shard %d content hash %.12s… does not match its manifest's %.12s… — repair the partition (neutrality verify -repair) before merging", p.dir, s, sum, p.m.ShardSums[s])
+			return "", errkind.Errorf(errkind.Corrupt, "sweep: merge: %s shard %d content hash %.12s… does not match its manifest's %.12s… — repair the partition (neutrality verify -repair) before merging", p.dir, s, sum, p.m.ShardSums[s])
 		}
 	}
 	if err := f.Close(); err != nil {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"neutrality/internal/durable"
+	"neutrality/internal/errkind"
 	"neutrality/internal/grid"
 )
 
@@ -75,7 +76,7 @@ func cutClaim(t *testing.T, dir string, completed int) {
 			t.Fatal(err)
 		}
 		m.PerShard[s] = keep
-		m.ShardSums[s] = shaHex(lines[:end])
+		m.ShardSums[s] = durable.SHA256Hex(lines[:end])
 	}
 	if err := writeManifest(durable.At(dir), m); err != nil {
 		t.Fatal(err)
@@ -370,7 +371,7 @@ func TestMergeCorruptRecordLeavesNoManifest(t *testing.T) {
 	}
 	out := filepath.Join(t.TempDir(), "merged")
 	if _, err := Merge(g, dirs, out); err == nil ||
-		!errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "content hash") {
+		!errors.Is(err, errkind.Corrupt) || !strings.Contains(err.Error(), "content hash") {
 		t.Fatalf("corrupt-record merge err = %v", err)
 	}
 	if _, err := os.Stat(manifestPath(out)); !os.IsNotExist(err) {
@@ -388,7 +389,7 @@ func TestMergeCorruptRecordLeavesNoManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.ShardSums[0] = shaHex([]byte(corrupted))
+	m.ShardSums[0] = durable.SHA256Hex([]byte(corrupted))
 	if err := writeManifest(durable.At(dirs[1]), m); err != nil {
 		t.Fatal(err)
 	}

@@ -81,6 +81,7 @@ import (
 	"time"
 
 	"neutrality/internal/durable"
+	"neutrality/internal/errkind"
 	"neutrality/internal/grid"
 	"neutrality/internal/measure"
 	"neutrality/internal/runner"
@@ -402,10 +403,10 @@ func parseManifest(data []byte) (*manifest, error) {
 	// fields within a supported version are tolerated (json.Unmarshal
 	// drops them), which is what lets minor additions stay readable.
 	if m.Version > manifestVersion {
-		return nil, errKind(ErrValidation, "manifest version %d is newer than this build's format (version %d); upgrade to read it", m.Version, manifestVersion)
+		return nil, errkind.Errorf(errkind.Validation, "manifest version %d is newer than this build's format (version %d); upgrade to read it", m.Version, manifestVersion)
 	}
 	if m.Version < manifestVersion {
-		return nil, errKind(ErrValidation, "manifest version %d predates the checksummed shard format (version %d); re-run the sweep to regenerate its artifacts", m.Version, manifestVersion)
+		return nil, errkind.Errorf(errkind.Validation, "manifest version %d predates the checksummed shard format (version %d); re-run the sweep to regenerate its artifacts", m.Version, manifestVersion)
 	}
 	if m.Cells < 0 {
 		return nil, fmt.Errorf("negative cell count %d", m.Cells)
@@ -442,25 +443,11 @@ func parseManifest(data []byte) (*manifest, error) {
 		return nil, fmt.Errorf("%d shard sums for %d shards", len(m.ShardSums), m.Shards)
 	}
 	for s, sum := range m.ShardSums {
-		if !IsSHA256Hex(sum) {
+		if !durable.IsSHA256Hex(sum) {
 			return nil, fmt.Errorf("shard %d sum %q is not 64 lowercase hex digits", s, sum)
 		}
 	}
 	return &m, nil
-}
-
-// IsSHA256Hex reports whether s is a well-formed lowercase-hex SHA-256
-// digest.
-func IsSHA256Hex(s string) bool {
-	if len(s) != 64 {
-		return false
-	}
-	for _, c := range s {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
 }
 
 // checkDraw refuses a directory whose records were computed under
@@ -470,7 +457,7 @@ func IsSHA256Hex(s string) bool {
 // op prefixes the error ("sweep", "sweep: merge", ...).
 func (m *manifest) checkDraw(op, dir string) error {
 	if m.Draw != measure.DrawScheme {
-		return errKind(ErrValidation, "%s: %s was recorded under Algorithm 2 draw %q, this build draws %q; re-run the sweep in a fresh directory",
+		return errkind.Errorf(errkind.Validation, "%s: %s was recorded under Algorithm 2 draw %q, this build draws %q; re-run the sweep in a fresh directory",
 			op, dir, m.Draw, measure.DrawScheme)
 	}
 	return nil
@@ -559,25 +546,25 @@ func openStore(g *grid.Grid, opt Options, shards int, rng grid.Range) (*store, e
 	switch {
 	case err == nil:
 		if !opt.Resume {
-			return nil, errKind(ErrValidation, "sweep: %s already contains a sweep; resume it or use a fresh directory", opt.Dir)
+			return nil, errkind.Errorf(errkind.Validation, "sweep: %s already contains a sweep; resume it or use a fresh directory", opt.Dir)
 		}
 		m, err := parseManifest(mdata)
 		if err != nil {
-			return nil, errKind(ErrValidation, "sweep: corrupt manifest in %s: %w", opt.Dir, err)
+			return nil, errkind.Errorf(errkind.Validation, "sweep: corrupt manifest in %s: %w", opt.Dir, err)
 		}
 		if m.Fingerprint != g.Fingerprint() {
-			return nil, errKind(ErrValidation, "sweep: %s was recorded for spec %s (fingerprint %.12s…), not this spec (%.12s…)",
+			return nil, errkind.Errorf(errkind.Validation, "sweep: %s was recorded for spec %s (fingerprint %.12s…), not this spec (%.12s…)",
 				opt.Dir, m.Name, m.Fingerprint, g.Fingerprint())
 		}
 		if err := m.checkDraw("sweep", opt.Dir); err != nil {
 			return nil, err
 		}
 		if m.Shards != shards || m.BaseSeed != opt.BaseSeed {
-			return nil, errKind(ErrValidation, "sweep: %s was recorded with shards=%d seed=%d; resume must reuse them (got shards=%d seed=%d)",
+			return nil, errkind.Errorf(errkind.Validation, "sweep: %s was recorded with shards=%d seed=%d; resume must reuse them (got shards=%d seed=%d)",
 				opt.Dir, m.Shards, m.BaseSeed, shards, opt.BaseSeed)
 		}
 		if m.rng() != rng {
-			return nil, errKind(ErrValidation, "sweep: %s covers cells [%d,%d); resume must request the same partition (got [%d,%d))",
+			return nil, errkind.Errorf(errkind.Validation, "sweep: %s covers cells [%d,%d); resume must request the same partition (got [%d,%d))",
 				opt.Dir, m.rng().Lo, m.rng().Hi, rng.Lo, rng.Hi)
 		}
 		if err := st.recover(m); err != nil {
@@ -790,11 +777,11 @@ func (st *store) replay(fn func(Record)) error {
 		}
 		payload, err := durable.Unframe(sc.Bytes())
 		if err != nil {
-			return errKind(ErrCorrupt, "sweep: resume: shard %d cell %d: %w", j%st.shards, i, err)
+			return errkind.Errorf(errkind.Corrupt, "sweep: resume: shard %d cell %d: %w", j%st.shards, i, err)
 		}
 		var r Record
 		if err := json.Unmarshal(payload, &r); err != nil {
-			return errKind(ErrCorrupt, "sweep: resume: shard %d cell %d: corrupt record: %w", j%st.shards, i, err)
+			return errkind.Errorf(errkind.Corrupt, "sweep: resume: shard %d cell %d: corrupt record: %w", j%st.shards, i, err)
 		}
 		if r.Cell != i {
 			return fmt.Errorf("sweep: resume: shard %d holds cell %d where cell %d belongs", j%st.shards, r.Cell, i)
@@ -896,7 +883,37 @@ func ReadManifestDir(dir string) (*ManifestInfo, error) {
 	}
 	m, err := parseManifest(data)
 	if err != nil {
-		return nil, errKind(ErrValidation, "sweep: corrupt manifest in %s: %w", dir, err)
+		return nil, errkind.Errorf(errkind.Validation, "sweep: corrupt manifest in %s: %w", dir, err)
 	}
 	return manifestInfo(m), nil
+}
+
+// Replay rebuilds the aggregate of dir's completed prefix from its
+// shard records, in cell order, without writing anything: every
+// record must unframe, decode and sit in its expected slot. It checks
+// the manifest against the spec and the draw first. The result equals
+// the aggregate of the run that wrote dir, so a caller holding a
+// directory needs no separate copy of its aggregate.
+func Replay(g *grid.Grid, dir string) (*Agg, error) {
+	data, err := os.ReadFile(manifestPath(dir))
+	if err != nil {
+		return nil, fmt.Errorf("sweep: replay: %w", err)
+	}
+	m, err := parseManifest(data)
+	if err != nil {
+		return nil, errkind.Errorf(errkind.Validation, "sweep: replay: corrupt manifest in %s: %w", dir, err)
+	}
+	if m.Fingerprint != g.Fingerprint() {
+		return nil, errkind.Errorf(errkind.Validation, "sweep: replay: %s was recorded for spec %s (fingerprint %.12s…), not this spec (%.12s…)",
+			dir, m.Name, m.Fingerprint, g.Fingerprint())
+	}
+	if err := m.checkDraw("sweep: replay", dir); err != nil {
+		return nil, err
+	}
+	st := &store{dir: durable.At(dir), g: g, shards: m.Shards, rng: m.rng(), completed: m.Completed}
+	agg := NewAgg(g)
+	if err := st.replay(agg.Add); err != nil {
+		return nil, err
+	}
+	return agg, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"neutrality/internal/durable"
 	"neutrality/internal/emu"
+	"neutrality/internal/errkind"
 	"neutrality/internal/grid"
 	"neutrality/internal/lab"
 	"neutrality/internal/stats"
@@ -157,7 +159,7 @@ func TestPersistedShardsByteIdentical(t *testing.T) {
 	}
 	// The recorded shard sums must match the files on disk.
 	for s := 0; s < 3; s++ {
-		if got := shaHex([]byte(files1[fmt.Sprintf("shard-%04d.jsonl", s)])); got != m.ShardSums[s] {
+		if got := durable.SHA256Hex([]byte(files1[fmt.Sprintf("shard-%04d.jsonl", s)])); got != m.ShardSums[s] {
 			t.Fatalf("shard %d sum %s, manifest records %s", s, got, m.ShardSums[s])
 		}
 	}
@@ -621,5 +623,47 @@ func TestDemoGridFull(t *testing.T) {
 		if !strings.Contains(sum, want) {
 			t.Fatalf("summary missing %q:\n%s", want, sum)
 		}
+	}
+}
+
+// TestReplayMatchesRun: Replay of a partition directory rebuilds the
+// aggregate its run produced, Summary byte for byte, reads the
+// directory without changing it, and refuses a torn shard
+// (errkind.Corrupt) and a directory recorded for another spec
+// (errkind.Validation).
+func TestReplayMatchesRun(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "p2")
+	res, err := Run(context.Background(), microGrid(), Options{
+		Workers: 2, Shards: 2, BaseSeed: 7, Partition: Partition{K: 2, N: 2}, Dir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := readDir(t, dir)
+	agg, err := Replay(microGrid(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.Cells() != res.Range.Len() || agg.Summary() != res.Agg.Summary() {
+		t.Fatalf("replayed %d cells:\n%s\nrun folded %d:\n%s", agg.Cells(), agg.Summary(), res.Range.Len(), res.Agg.Summary())
+	}
+	if !maps.Equal(readDir(t, dir), before) {
+		t.Fatal("Replay changed the directory")
+	}
+
+	other := microGrid().Add("extra", grid.Num(1))
+	if _, err := Replay(other, dir); !errors.Is(err, errkind.Validation) {
+		t.Fatalf("replay under another spec: %v", err)
+	}
+	shard := filepath.Join(dir, shardFile(1))
+	data, err := os.ReadFile(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(shard, data[:len(data)-5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(microGrid(), dir); !errors.Is(err, errkind.Corrupt) {
+		t.Fatalf("replay of a torn shard: %v", err)
 	}
 }

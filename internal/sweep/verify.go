@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"neutrality/internal/durable"
+	"neutrality/internal/errkind"
 	"neutrality/internal/grid"
 )
 
@@ -50,7 +51,7 @@ type VerifyReport struct {
 	Clean bool
 }
 
-// Err returns nil for a clean report, or an ErrCorrupt-tagged error
+// Err returns nil for a clean report, or an errkind.Corrupt-tagged error
 // naming the damage for a dirty one — the shape CLI and orchestration
 // callers branch on.
 func (rep *VerifyReport) Err() error {
@@ -63,7 +64,7 @@ func (rep *VerifyReport) Err() error {
 			bad++
 		}
 	}
-	return errKind(ErrCorrupt, "sweep: verify: %s: %d of %d shards damaged, %d cells quarantined — re-run with -repair to re-derive them", rep.Dir, bad, len(rep.Shards), len(rep.Quarantine))
+	return errkind.Errorf(errkind.Corrupt, "sweep: verify: %s: %d of %d shards damaged, %d cells quarantined — re-run with -repair to re-derive them", rep.Dir, bad, len(rep.Shards), len(rep.Quarantine))
 }
 
 // Verify walks dir's artifacts — manifest, per-shard content hashes,
@@ -71,7 +72,7 @@ func (rep *VerifyReport) Err() error {
 // without mutating anything. The grid must be the one the directory
 // was recorded for (fingerprint-checked); seeds are validated from the
 // manifest's base seed. An unreadable or corrupt manifest fails with
-// ErrCorrupt (there is no identity to verify records against); use
+// errkind.Corrupt (there is no identity to verify records against); use
 // Repair with RepairOptions.Expect to rebuild one.
 func Verify(g *grid.Grid, dir string) (*VerifyReport, error) {
 	if err := Validate(g); err != nil {
@@ -79,14 +80,14 @@ func Verify(g *grid.Grid, dir string) (*VerifyReport, error) {
 	}
 	mdata, err := os.ReadFile(manifestPath(dir))
 	if err != nil {
-		return nil, errKind(ErrCorrupt, "sweep: verify: %s holds no readable manifest: %w", dir, err)
+		return nil, errkind.Errorf(errkind.Corrupt, "sweep: verify: %s holds no readable manifest: %w", dir, err)
 	}
 	m, err := parseManifest(mdata)
 	if err != nil {
-		return nil, errKind(ErrCorrupt, "sweep: verify: corrupt manifest in %s: %w", dir, err)
+		return nil, errkind.Errorf(errkind.Corrupt, "sweep: verify: corrupt manifest in %s: %w", dir, err)
 	}
 	if m.Fingerprint != g.Fingerprint() {
-		return nil, errKind(ErrValidation, "sweep: verify: %s was recorded for spec %s (fingerprint %.12s…), not this spec (%.12s…)",
+		return nil, errkind.Errorf(errkind.Validation, "sweep: verify: %s was recorded for spec %s (fingerprint %.12s…), not this spec (%.12s…)",
 			dir, m.Name, m.Fingerprint, g.Fingerprint())
 	}
 	rng := m.rng()
@@ -140,12 +141,12 @@ func Verify(g *grid.Grid, dir string) (*VerifyReport, error) {
 // find where that prefix ends.
 func claimedPrefixHashOK(data []byte, sc shardScan, claimed int, want string) bool {
 	if claimed == 0 {
-		return shaHex(nil) == want
+		return durable.SHA256Hex(nil) == want
 	}
 	if sc.dirty || len(sc.slots) < claimed {
 		return false
 	}
-	return shaHex(data[:sc.slots[claimed-1].end]) == want
+	return durable.SHA256Hex(data[:sc.slots[claimed-1].end]) == want
 }
 
 // RepairOptions configure Repair.
@@ -201,21 +202,21 @@ func Repair(ctx context.Context, g *grid.Grid, dir string, opt RepairOptions) (*
 		// the shards cannot prove is re-derived.
 		e := opt.Expect
 		if e == nil {
-			return nil, errKind(ErrCorrupt, "sweep: repair: %s holds no valid manifest (%v) and no expected identity was supplied", dir, err)
+			return nil, errkind.Errorf(errkind.Corrupt, "sweep: repair: %s holds no valid manifest (%v) and no expected identity was supplied", dir, err)
 		}
 		if e.Shards < 1 || e.Shards > 4096 {
-			return nil, errKind(ErrValidation, "sweep: repair: expected identity has %d shards (outside [1,4096])", e.Shards)
+			return nil, errkind.Errorf(errkind.Validation, "sweep: repair: expected identity has %d shards (outside [1,4096])", e.Shards)
 		}
 		rng := e.Range
 		if rng == (grid.Range{}) {
 			rng = g.FullRange()
 		}
 		if rng.Lo < 0 || rng.Hi > g.Cells() || rng.Hi < rng.Lo || (rng.Lo%e.Shards != 0 && rng.Lo != g.Cells()) {
-			return nil, errKind(ErrValidation, "sweep: repair: expected range [%d,%d) is not a shard-aligned range of the %d-cell grid", rng.Lo, rng.Hi, g.Cells())
+			return nil, errkind.Errorf(errkind.Validation, "sweep: repair: expected range [%d,%d) is not a shard-aligned range of the %d-cell grid", rng.Lo, rng.Hi, g.Cells())
 		}
 		completed := e.Completed
 		if completed < 0 || completed > rng.Len() {
-			return nil, errKind(ErrValidation, "sweep: repair: expected frontier %d outside range [%d,%d)", completed, rng.Lo, rng.Hi)
+			return nil, errkind.Errorf(errkind.Validation, "sweep: repair: expected frontier %d outside range [%d,%d)", completed, rng.Lo, rng.Hi)
 		}
 		m = &manifest{
 			Version:     manifestVersion,
@@ -232,7 +233,7 @@ func Repair(ctx context.Context, g *grid.Grid, dir string, opt RepairOptions) (*
 		rep.ManifestRebuilt = true
 	}
 	if m.Fingerprint != g.Fingerprint() {
-		return nil, errKind(ErrValidation, "sweep: repair: %s was recorded for spec %s (fingerprint %.12s…), not this spec (%.12s…)",
+		return nil, errkind.Errorf(errkind.Validation, "sweep: repair: %s was recorded for spec %s (fingerprint %.12s…), not this spec (%.12s…)",
 			dir, m.Name, m.Fingerprint, g.Fingerprint())
 	}
 	if !rep.ManifestRebuilt {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"neutrality/internal/errkind"
 	"neutrality/internal/grid"
 	"neutrality/internal/measure"
 )
@@ -31,7 +32,7 @@ func runMicro(t *testing.T, shards int) (string, map[string]string) {
 }
 
 // TestManifestVersionGate: manifests from a future major version are
-// refused with ErrValidation naming the versions; pre-framing (v1)
+// refused with errkind.Validation naming the versions; pre-framing (v1)
 // manifests are refused too — their shard files cannot carry v2's
 // per-record CRCs.
 func TestManifestVersionGate(t *testing.T) {
@@ -45,19 +46,19 @@ func TestManifestVersionGate(t *testing.T) {
 		t.Fatal("manifest does not carry a version field to rewrite")
 	}
 	if _, err := parseManifest([]byte(future)); err == nil ||
-		!errors.Is(err, ErrValidation) || !strings.Contains(err.Error(), "newer than this build") {
+		!errors.Is(err, errkind.Validation) || !strings.Contains(err.Error(), "newer than this build") {
 		t.Fatalf("future-version manifest err = %v", err)
 	}
 	legacy := strings.Replace(string(mdata), `"version": 2`, `"version": 1`, 1)
 	if _, err := parseManifest([]byte(legacy)); err == nil ||
-		!errors.Is(err, ErrValidation) || !strings.Contains(err.Error(), "predates") {
+		!errors.Is(err, errkind.Validation) || !strings.Contains(err.Error(), "predates") {
 		t.Fatalf("legacy-version manifest err = %v", err)
 	}
 }
 
 // TestOtherDrawRefused: a directory whose manifest names no Algorithm 2
 // draw — what the sequential sampler's builds wrote — or another draw
-// is refused with ErrValidation by resume, merge and repair, so no
+// is refused with errkind.Validation by resume, merge and repair, so no
 // artifact mixes records of two estimators. Verify, which only reads,
 // still checks it.
 func TestOtherDrawRefused(t *testing.T) {
@@ -76,14 +77,14 @@ func TestOtherDrawRefused(t *testing.T) {
 		if err := os.WriteFile(manifestPath(dir), []byte(old), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Run(context.Background(), g, Options{Workers: 2, Shards: 2, BaseSeed: 7, Dir: dir, Resume: true}); !errors.Is(err, ErrValidation) || !strings.Contains(err.Error(), "draw") {
-			t.Fatalf("draw %q: resume = %v, want an ErrValidation naming the draw", draw, err)
+		if _, err := Run(context.Background(), g, Options{Workers: 2, Shards: 2, BaseSeed: 7, Dir: dir, Resume: true}); !errors.Is(err, errkind.Validation) || !strings.Contains(err.Error(), "draw") {
+			t.Fatalf("draw %q: resume = %v, want an errkind.Validation naming the draw", draw, err)
 		}
-		if _, err := Merge(g, []string{dir}, t.TempDir()); !errors.Is(err, ErrValidation) {
-			t.Fatalf("draw %q: merge = %v, want ErrValidation", draw, err)
+		if _, err := Merge(g, []string{dir}, t.TempDir()); !errors.Is(err, errkind.Validation) {
+			t.Fatalf("draw %q: merge = %v, want errkind.Validation", draw, err)
 		}
-		if _, err := Repair(context.Background(), g, dir, RepairOptions{}); !errors.Is(err, ErrValidation) {
-			t.Fatalf("draw %q: repair = %v, want ErrValidation", draw, err)
+		if _, err := Repair(context.Background(), g, dir, RepairOptions{}); !errors.Is(err, errkind.Validation) {
+			t.Fatalf("draw %q: repair = %v, want errkind.Validation", draw, err)
 		}
 		rep, err := Verify(g, dir)
 		if err != nil {
@@ -139,7 +140,7 @@ func TestVerifyCleanDirectory(t *testing.T) {
 
 // TestVerifyDetectsDamage: a flipped byte is localized to its record's
 // cell, a deleted shard quarantines all its cells, and Err() carries
-// ErrCorrupt so the CLI maps it to the validation exit code.
+// errkind.Corrupt so the CLI maps it to the validation exit code.
 func TestVerifyDetectsDamage(t *testing.T) {
 	g := microGrid()
 	dir, _ := runMicro(t, 3)
@@ -167,7 +168,7 @@ func TestVerifyDetectsDamage(t *testing.T) {
 	if rep.Clean {
 		t.Fatal("damaged directory verified clean")
 	}
-	if !errors.Is(rep.Err(), ErrCorrupt) || !errors.Is(rep.Err(), ErrValidation) {
+	if !errors.Is(rep.Err(), errkind.Corrupt) || !errors.Is(rep.Err(), errkind.Validation) {
 		t.Fatalf("report err = %v", rep.Err())
 	}
 	// Shard 1 slot 1 is cell 1*3+1 = 4; shard 2 held cells 2,5,8,11.
@@ -278,7 +279,7 @@ func TestRepairRebuildsDestroyedManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := Repair(context.Background(), g, dir, RepairOptions{}); err == nil ||
-		!errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "no valid manifest") {
+		!errors.Is(err, errkind.Corrupt) || !strings.Contains(err.Error(), "no valid manifest") {
 		t.Fatalf("manifest-less repair err = %v", err)
 	}
 	rep, err := Repair(context.Background(), g, dir, RepairOptions{
@@ -359,7 +360,7 @@ func TestRepairPartitionDirectory(t *testing.T) {
 }
 
 // TestMergeRefusesCorruptionThenAcceptsRepair: the merge-side guard —
-// a corrupt partition fails Merge with ErrCorrupt, and after Repair
+// a corrupt partition fails Merge with errkind.Corrupt, and after Repair
 // the identical Merge call succeeds byte-identically.
 func TestMergeRefusesCorruptionThenAcceptsRepair(t *testing.T) {
 	g := microGrid()
@@ -378,7 +379,7 @@ func TestMergeRefusesCorruptionThenAcceptsRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(t.TempDir(), "merged")
-	if _, err := Merge(g, dirs, out); !errors.Is(err, ErrCorrupt) {
+	if _, err := Merge(g, dirs, out); !errors.Is(err, errkind.Corrupt) {
 		t.Fatalf("corrupt-partition merge err = %v", err)
 	}
 	if _, err := Repair(context.Background(), g, dirs[0], RepairOptions{}); err != nil {
@@ -443,7 +444,7 @@ func TestRepairIncompleteDirectory(t *testing.T) {
 }
 
 // TestVerifyWrongGrid: a directory recorded for another spec is an
-// ErrValidation (not corruption) for both Verify and Repair.
+// errkind.Validation (not corruption) for both Verify and Repair.
 func TestVerifyWrongGrid(t *testing.T) {
 	dir, _ := runMicro(t, 2)
 	g2 := microGrid()
@@ -458,11 +459,11 @@ func TestVerifyWrongGrid(t *testing.T) {
 }
 
 // TestVerifyMissingManifest: no manifest means no identity — Verify
-// fails with ErrCorrupt pointing at Repair's Expect escape hatch.
+// fails with errkind.Corrupt pointing at Repair's Expect escape hatch.
 func TestVerifyMissingManifest(t *testing.T) {
 	g := microGrid()
 	dir := t.TempDir()
-	if _, err := Verify(g, dir); err == nil || !errors.Is(err, ErrCorrupt) {
+	if _, err := Verify(g, dir); err == nil || !errors.Is(err, errkind.Corrupt) {
 		t.Fatalf("empty-dir verify err = %v", err)
 	}
 }
@@ -480,7 +481,7 @@ func TestRepairExpectValidation(t *testing.T) {
 	} {
 		dir := t.TempDir()
 		if _, err := Repair(context.Background(), g, dir, RepairOptions{Expect: e}); err == nil ||
-			!errors.Is(err, ErrValidation) {
+			!errors.Is(err, errkind.Validation) {
 			t.Fatalf("expect %+v: err = %v", e, err)
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"neutrality/internal/errkind"
 )
 
 // TestCellTimeoutWatchdog: a per-cell deadline that cannot be met
@@ -32,10 +34,10 @@ func TestCellTimeoutWatchdog(t *testing.T) {
 	if cte.Timeout != time.Nanosecond || cte.Cell < 0 || cte.Cell >= g.Cells() {
 		t.Fatalf("timeout error detail: %+v", cte)
 	}
-	if !errors.Is(err, ErrIncomplete) {
+	if !errors.Is(err, errkind.Incomplete) {
 		t.Fatalf("cell timeout must be resumable-incomplete, got %v", err)
 	}
-	if errors.Is(err, ErrValidation) {
+	if errors.Is(err, errkind.Validation) {
 		t.Fatal("cell timeout wrongly tagged as validation failure")
 	}
 
@@ -66,16 +68,16 @@ func TestCellTimeoutWatchdog(t *testing.T) {
 // TestErrorKinds: the sentinel kinds survive wrapping and stay
 // mutually exclusive.
 func TestErrorKinds(t *testing.T) {
-	inc := errKind(ErrIncomplete, "still going: %w", errors.New("inner"))
-	if !errors.Is(inc, ErrIncomplete) || errors.Is(inc, ErrValidation) {
+	inc := errkind.Errorf(errkind.Incomplete, "still going: %w", errors.New("inner"))
+	if !errors.Is(inc, errkind.Incomplete) || errors.Is(inc, errkind.Validation) {
 		t.Fatalf("incomplete kind mis-tagged: %v", inc)
 	}
-	val := errKind(ErrValidation, "bad spec")
-	if !errors.Is(val, ErrValidation) || errors.Is(val, ErrIncomplete) {
+	val := errkind.Errorf(errkind.Validation, "bad spec")
+	if !errors.Is(val, errkind.Validation) || errors.Is(val, errkind.Incomplete) {
 		t.Fatalf("validation kind mis-tagged: %v", val)
 	}
 	// The message chain still unwraps.
-	if !errors.Is(inc, ErrIncomplete) {
+	if !errors.Is(inc, errkind.Incomplete) {
 		t.Fatal("wrap lost")
 	}
 	if inc.Error() != "still going: inner" {

@@ -3,6 +3,7 @@ package neutrality
 import (
 	"context"
 
+	"neutrality/internal/errkind"
 	"neutrality/internal/grid"
 	"neutrality/internal/sweep"
 )
@@ -82,16 +83,18 @@ func PartitionSweepRange(g *Grid, shards, k, n int) (GridRange, error) {
 	return grid.PartitionBlocks(g.Cells(), shards, k, n)
 }
 
-// Sweep error kinds RunSweep and MergeSweep return, for branching on
-// failure modes without parsing messages: ErrSweepIncomplete tags resumable-incomplete conditions
-// (unfinished partitions, coverage gaps, per-cell timeouts);
-// ErrSweepValidation tags spec/artifact mismatches that rerunning
-// cannot fix. ErrSweepCorrupt additionally tags artifact-corruption
-// findings (failed record CRCs, shard hash mismatches, destroyed
-// manifests); it wraps ErrSweepValidation, so errors.Is branches on
-// validation keep matching.
+// Error kinds RunSweep and MergeSweep return, for branching on failure
+// modes without parsing messages: ErrSweepIncomplete tags
+// resumable-incomplete conditions (unfinished partitions, coverage
+// gaps, per-cell timeouts); ErrSweepValidation tags spec and artifact
+// mismatches that rerunning cannot fix, and also malformed
+// measurements (a corrupt CSV, an invalid stream record).
+// ErrSweepCorrupt additionally tags artifact-corruption findings
+// (failed record CRCs, shard hash mismatches, destroyed manifests); it
+// wraps ErrSweepValidation, so errors.Is branches on validation keep
+// matching.
 var (
-	ErrSweepIncomplete = sweep.ErrIncomplete
-	ErrSweepValidation = sweep.ErrValidation
-	ErrSweepCorrupt    = sweep.ErrCorrupt
+	ErrSweepIncomplete = errkind.Incomplete
+	ErrSweepValidation = errkind.Validation
+	ErrSweepCorrupt    = errkind.Corrupt
 )

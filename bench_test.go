@@ -880,6 +880,74 @@ func BenchmarkJournalAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkCompaction is one compacting epoch close of a durable leaf
+// whose table holds T intervals, as the history workload's leaf grows
+// them: epochs of 256 intervals of four sources, one per Figure 4
+// path, with CompactEvery 1 so every close compacts. Per op one more
+// interval is ingested untimed, then the close is timed: the fold and
+// incremental inference over the one new row, then the compaction —
+// the snapshot encode, its WriteAtomic, the manifest rewrite and the
+// journal truncation. At T=12288 (the history workload's 48-epoch
+// lifetime) the snapshot is about 300 KB, and its encode and write
+// dominate.
+func BenchmarkCompaction(b *testing.B) {
+	const span = 256
+	for _, T := range []int{1024, 12288} {
+		b.Run(fmt.Sprintf("T=%d", T), func(b *testing.B) {
+			n, meas := plantedFigure4Table(T + 1024)
+			paths := n.NumPaths()
+			interval := func(t int) []measure.StreamRecord {
+				recs := make([]measure.StreamRecord, paths)
+				for p := range recs {
+					recs[p] = measure.StreamRecord{
+						Source: fmt.Sprintf("vp-%d", p), Seq: int64(t + 1), Interval: t, Path: p,
+						Sent: meas.Sent[t%len(meas.Sent)][p], Lost: meas.Lost[t%len(meas.Lost)][p],
+					}
+				}
+				return recs
+			}
+			svc, err := serve.New(serve.Config{
+				Net: n, EpochRecords: 0, CompactEvery: 1, JournalShards: 4, Dir: b.TempDir(),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer svc.Close()
+			ingest := func(lo, hi int) {
+				var recs []measure.StreamRecord
+				for t := lo; t < hi; t++ {
+					recs = append(recs, interval(t)...)
+				}
+				if _, err := svc.Ingest(recs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			closeEpoch := func() {
+				if ok, err := svc.CloseEpoch(); err != nil || !ok {
+					b.Fatalf("close: %v, %v", ok, err)
+				}
+			}
+			for lo := 0; lo < T; lo += span {
+				ingest(lo, lo+span)
+				closeEpoch()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ingest(T+i, T+i+1)
+				b.StartTimer()
+				closeEpoch()
+			}
+			b.StopTimer()
+			st := svc.Status()
+			if st.JournalStatus == nil || st.SnapshotEpoch != st.Epochs || st.Intervals != T+b.N {
+				b.Fatalf("after the last close: %+v, want a snapshot at epoch %d over %d intervals", st, st.Epochs, T+b.N)
+			}
+		})
+	}
+}
+
 // BenchmarkShardVerify measures the read-only integrity scrub of a
 // persisted sweep directory: every record's CRC32C frame re-checked
 // and every shard's SHA-256 recomputed over its claimed prefix.

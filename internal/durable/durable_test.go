@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -317,6 +318,83 @@ func TestLog(t *testing.T) {
 	}
 	if got, want := readFile(t, d.Path("l.jsonl")), string(image("a", "c")); got != want {
 		t.Fatalf("log holds %q, want %q", got, want)
+	}
+}
+
+// TestLogBuffering pins when a Log's bytes reach its file: nothing on
+// OpenLog (not even a buffer), nothing on an Append below the spill
+// size, everything at Flush; an Append that fills the buffer to
+// spillAt writes early, a line longer than the buffer still lands
+// whole, and Truncate drops what is buffered.
+func TestLogBuffering(t *testing.T) {
+	d, err := Open(filepath.Join(t.TempDir(), "log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := d.OpenLog("l.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.buf != nil {
+		t.Fatal("OpenLog allocated a write buffer")
+	}
+	size := func() int {
+		t.Helper()
+		return len(readFile(t, d.Path("l.jsonl")))
+	}
+	var want []string
+	add := func(p string) {
+		t.Helper()
+		if _, err := l.Append(func(b []byte) []byte { return append(b, p...) }); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, p)
+	}
+	line := strings.Repeat("r", 90) // about one journal record line
+	for range 256 {
+		add(line)
+	}
+	if n := size(); n != 0 {
+		t.Fatalf("an ack's worth of appends (%d bytes) wrote %d bytes before Flush", len(image(want...)), n)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readFile(t, d.Path("l.jsonl")); got != string(image(want...)) || l.buf != nil {
+		t.Fatalf("after Flush the file holds %d bytes, want %d; buffer held: %v", len(got), len(image(want...)), l.buf != nil)
+	}
+
+	flushed := size()
+	for size() == flushed {
+		add(line)
+		if pending := len(image(want...)) - flushed; pending > spillAt+len(image(line)) {
+			t.Fatalf("%d bytes pending and none written", pending)
+		}
+	}
+	if got := readFile(t, d.Path("l.jsonl")); got != string(image(want...)) {
+		t.Fatalf("the spill wrote %d bytes, want every pending line (%d)", len(got), len(image(want...)))
+	}
+	add(line)
+	if size() != len(image(want[:len(want)-1]...)) {
+		t.Fatal("an append after the spill reached the file before Flush")
+	}
+	add(strings.Repeat("L", 2*logBufSize))
+	if got := readFile(t, d.Path("l.jsonl")); got != string(image(want...)) {
+		t.Fatal("a line longer than the buffer did not spill whole")
+	}
+
+	keep := int64(size())
+	add("dropped")
+	if err := l.Truncate(keep); err != nil {
+		t.Fatal(err)
+	}
+	want = want[:len(want)-1]
+	add("kept")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readFile(t, d.Path("l.jsonl")); got != string(image(want...)) {
+		t.Fatal("Truncate kept a buffered line, or Close lost one")
 	}
 }
 

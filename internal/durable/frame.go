@@ -12,6 +12,12 @@
 // damage inside the claim is corruption (acknowledged data is gone)
 // and damage past it is a torn tail nobody was promised.
 //
+// A Log's appends stay in memory until its Flush, which writes them
+// to the file in one write(2) call; only a log that collects more
+// than about 60 KB between flushes writes early, in pieces of that
+// size. So a journal ack costs one write per log it touched, plus the
+// claim line.
+//
 // Durable means surviving a process kill, not an OS crash or power
 // loss: nothing calls fsync (FORMAT.md, "Failure model").
 //

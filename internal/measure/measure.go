@@ -50,19 +50,36 @@ type Measurements struct {
 	// Lost[t][p] is how many of those were lost. len(Sent) == len(Lost)
 	// == Intervals(); len(Sent[t]) == number of paths.
 	Sent, Lost [][]int
+	// spareSent and spareLost are the zeroed rest of EnsureIntervals'
+	// last chunk, which later rows are cut from.
+	spareSent, spareLost []int
 }
 
-// NewMeasurements allocates a zeroed measurement table.
+// rowChunk is the fewest rows EnsureIntervals allocates at once.
+const rowChunk = 64
+
+// NewMeasurements allocates a zeroed measurement table. Its rows are
+// cut from one backing array per column, and each row's capacity is
+// exactly paths, so an append to one row reallocates it instead of
+// writing into the next.
 func NewMeasurements(intervals, paths int) *Measurements {
 	m := &Measurements{
 		Sent: make([][]int, intervals),
 		Lost: make([][]int, intervals),
 	}
-	for t := range m.Sent {
-		m.Sent[t] = make([]int, paths)
-		m.Lost[t] = make([]int, paths)
-	}
+	cutRows(m.Sent, make([]int, intervals*paths), paths)
+	cutRows(m.Lost, make([]int, intervals*paths), paths)
 	return m
+}
+
+// cutRows points each of rows at the next paths-wide window of back,
+// capped at paths, and returns what is left of back.
+func cutRows(rows [][]int, back []int, paths int) []int {
+	for t := range rows {
+		rows[t] = back[:paths:paths]
+		back = back[paths:]
+	}
+	return back
 }
 
 // Intervals returns the number of measurement intervals T.
@@ -85,12 +102,35 @@ func (m *Measurements) Add(t int, p graph.PathID, sent, lost int) {
 // EnsureIntervals grows the table to cover at least n intervals of
 // `paths` paths each, so streamed records can land at any interval
 // index without the caller pre-sizing the table. Existing rows are
-// untouched; growing is idempotent.
+// untouched; growing is idempotent. New rows are cut from a chunk of
+// max(needed, 64) rows per column, whose unused rest is kept for the
+// next growth, and each has capacity exactly paths, as in
+// NewMeasurements.
 func (m *Measurements) EnsureIntervals(n, paths int) {
-	for len(m.Sent) < n {
-		m.Sent = append(m.Sent, make([]int, paths))
-		m.Lost = append(m.Lost, make([]int, paths))
+	need := n - len(m.Sent)
+	if need <= 0 {
+		return
 	}
+	if m.spareSent == nil || len(m.spareSent) < need*paths {
+		k := max(need, rowChunk) * paths
+		m.spareSent, m.spareLost = make([]int, k), make([]int, k)
+	}
+	m.Sent, m.Lost = growRows(m.Sent, n), growRows(m.Lost, n)
+	m.spareSent = cutRows(m.Sent[n-need:], m.spareSent, paths)
+	m.spareLost = cutRows(m.Lost[n-need:], m.spareLost, paths)
+}
+
+// growRows extends rows to length n. Out of room, it doubles the
+// capacity (to at least n and a chunk): append's gentler growth of
+// long slices would copy a long-lived table's row slices about twice
+// as many bytes.
+func growRows(rows [][]int, n int) [][]int {
+	if cap(rows) < n {
+		grown := make([][]int, len(rows), max(n, 2*cap(rows), rowChunk))
+		copy(grown, rows)
+		rows = grown
+	}
+	return rows[:n]
 }
 
 // Validate checks internal consistency. Failures are tagged with

@@ -3,7 +3,10 @@ package measure
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // The StreamRecord codec must be indistinguishable from encoding/json:
@@ -54,6 +57,10 @@ func FuzzDecodeStreamRecord(f *testing.F) {
 	} {
 		f.Add([]byte(s))
 	}
+	// One table across the whole run, so a line decodes through a
+	// table that already holds names from earlier inputs — its own
+	// source among them once it has been seen.
+	var names SourceNames
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeStreamRecord(data)
 		want, werr := unmarshalRecord(data)
@@ -62,6 +69,15 @@ func FuzzDecodeStreamRecord(f *testing.F) {
 		}
 		if err == nil && got != want {
 			t.Fatalf("%q: codec %+v, encoding/json %+v", data, got, want)
+		}
+		for range 2 {
+			tgot, terr := names.Decode(data)
+			if (terr == nil) != (err == nil) || tgot != got {
+				t.Fatalf("%q: through the name table %+v (%v), plain %+v (%v)", data, tgot, terr, got, err)
+			}
+		}
+		if names.Len() > MaxSourceNames {
+			t.Fatalf("name table holds %d names, bound %d", names.Len(), MaxSourceNames)
 		}
 	})
 }
@@ -79,6 +95,8 @@ func FuzzAppendStreamRecord(f *testing.F) {
 	f.Add("\xff", int64(1), 0, 0, 1, 1)
 	f.Add("\x7f", int64(1), 0, 0, 1, 1)
 	f.Add("q\"b\\s\n\t\x00", int64(1), 0, 0, 1, 1)
+	f.Add("digits", int64(9), 10, 99, 100, 999)
+	f.Add("digits", int64(1000), 9999, 10000, -1, -10000)
 	f.Fuzz(func(t *testing.T, source string, seq int64, interval, path, sent, lost int) {
 		r := StreamRecord{Source: source, Seq: seq, Interval: interval, Path: path, Sent: sent, Lost: lost}
 		want, err := json.Marshal(r)
@@ -104,7 +122,7 @@ func FuzzAppendStreamRecord(f *testing.F) {
 func TestStreamRecordCodecFastPath(t *testing.T) {
 	r := StreamRecord{Source: "vp-a/01", Seq: 12, Interval: 3, Path: 1, Sent: 200, Lost: -1}
 	line := AppendStreamRecordJSON(nil, &r)
-	got, ok := decodeCanonical(line)
+	got, ok := decodeCanonical(line, nil)
 	if !ok || got != r {
 		t.Fatalf("canonical %q: decoded %+v ok=%v", line, got, ok)
 	}
@@ -114,7 +132,7 @@ func TestStreamRecordCodecFastPath(t *testing.T) {
 		"{\"source\":\"v\tp\",\"seq\":1,\"interval\":0,\"path\":0,\"sent\":1,\"lost\":0}",
 		`{"source":"vp-a","seq":1234567890123456789,"interval":0,"path":0,"sent":1,"lost":0}`,
 	} {
-		if _, ok := decodeCanonical([]byte(s)); ok {
+		if _, ok := decodeCanonical([]byte(s), nil); ok {
 			t.Errorf("%s: took the fast path", s)
 		}
 	}
@@ -123,5 +141,49 @@ func TestStreamRecordCodecFastPath(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { r, _ = DecodeStreamRecord(line) }); n != 1 {
 		t.Errorf("decoding a canonical record: %v allocs, want 1 (the source string)", n)
+	}
+	var names SourceNames
+	if n := testing.AllocsPerRun(100, func() { r, _ = names.Decode(line) }); n != 0 {
+		t.Errorf("decoding a canonical record through a table that holds its source: %v allocs, want 0", n)
+	}
+}
+
+// TestSourceNamesBounds holds the table to its bounds: a name past
+// MaxSourceNameLen is never kept, names past MaxSourceNames are
+// decoded but not kept, and a kept name is shared by later records.
+func TestSourceNamesBounds(t *testing.T) {
+	var names SourceNames
+	line := func(src string) []byte {
+		return AppendStreamRecordJSON(nil, &StreamRecord{Source: src, Seq: 1, Sent: 2, Lost: 1})
+	}
+	decode := func(src string) string {
+		t.Helper()
+		r, err := names.Decode(line(src))
+		if err != nil || r.Source != src {
+			t.Fatalf("%.20q: decoded %.20q, %v", src, r.Source, err)
+		}
+		return r.Source
+	}
+	long := strings.Repeat("x", MaxSourceNameLen+1)
+	decode(long)
+	if names.Len() != 0 {
+		t.Fatalf("a %d-byte name was kept", len(long))
+	}
+	edge := strings.Repeat("y", MaxSourceNameLen)
+	if a, b := decode(edge), decode(edge); unsafe.StringData(a) != unsafe.StringData(b) {
+		t.Fatalf("a %d-byte name was not shared", len(edge))
+	}
+	for i := 0; names.Len() < MaxSourceNames; i++ {
+		decode(fmt.Sprintf("vp-%d", i))
+	}
+	decode("one-too-many")
+	if names.Len() != MaxSourceNames {
+		t.Fatalf("table holds %d names, bound %d", names.Len(), MaxSourceNames)
+	}
+	if a, b := decode("one-too-many"), decode("one-too-many"); unsafe.StringData(a) == unsafe.StringData(b) {
+		t.Fatal("a name past the bound was kept")
+	}
+	if a, b := decode("vp-7"), decode("vp-7"); unsafe.StringData(a) != unsafe.StringData(b) {
+		t.Fatal("a kept name stopped being shared once the table filled")
 	}
 }

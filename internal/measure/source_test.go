@@ -1,7 +1,9 @@
 package measure
 
 import (
+	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -127,4 +129,85 @@ func TestEnsureIntervals(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestTableRowsIndependent holds the chunked rows of NewMeasurements
+// and EnsureIntervals to what separate row allocations gave: every row
+// has capacity exactly paths, so an append to one row never writes
+// into its neighbour; growth is idempotent; and a table rebuilt from
+// JSON (as a snapshot restore builds it) grows the same way.
+func TestTableRowsIndependent(t *testing.T) {
+	const paths = 3
+	check := func(m *Measurements, what string) {
+		t.Helper()
+		for r := range m.Sent {
+			if len(m.Sent[r]) != paths || cap(m.Sent[r]) != paths || len(m.Lost[r]) != paths || cap(m.Lost[r]) != paths {
+				t.Fatalf("%s: row %d has len/cap %d/%d sent, %d/%d lost, want %d", what, r,
+					len(m.Sent[r]), cap(m.Sent[r]), len(m.Lost[r]), cap(m.Lost[r]), paths)
+			}
+		}
+		for r := 0; r+1 < len(m.Sent); r++ {
+			next := slices.Clone(m.Sent[r+1])
+			_ = append(m.Sent[r], 99)
+			_ = append(m.Lost[r], 99)
+			if !slices.Equal(m.Sent[r+1], next) || slices.Contains(m.Lost[r+1], 99) {
+				t.Fatalf("%s: an append to row %d wrote into row %d", what, r, r+1)
+			}
+		}
+	}
+	m := NewMeasurements(5, paths)
+	check(m, "NewMeasurements")
+	for n := 1; n <= 200; n += 7 {
+		m.EnsureIntervals(n, paths)
+	}
+	m.EnsureIntervals(300, paths)
+	check(m, "EnsureIntervals")
+	for r := range m.Sent {
+		m.Add(r, 1, r+2, 1)
+	}
+	before := slices.Clone(m.Sent)
+	for _, n := range []int{0, 7, 300} {
+		m.EnsureIntervals(n, paths)
+		if m.Intervals() != 300 || !slices.EqualFunc(m.Sent, before, func(a, b []int) bool { return &a[0] == &b[0] }) {
+			t.Fatalf("EnsureIntervals(%d) on a 300-row table moved or added rows", n)
+		}
+	}
+	m.EnsureIntervals(301, paths)
+	if m.Sent[300][1] != 0 || m.Sent[299][1] != 301 {
+		t.Fatalf("row 300 = %v, row 299 = %v after growth", m.Sent[300], m.Sent[299])
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		g := &Measurements{}
+		for i := 1; i <= rowChunk; i++ {
+			g.EnsureIntervals(i, paths)
+		}
+	}); n > 24 {
+		// One chunk per column plus the doubling of the two row-header
+		// slices; a row allocation per interval would be 128 more.
+		t.Errorf("growing %d rows one at a time: %v allocs, want at most 24", rowChunk, n)
+	}
+
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restored Measurements
+	if err := json.Unmarshal(data, &restored); err != nil {
+		t.Fatal(err)
+	}
+	restored.EnsureIntervals(400, paths)
+	if err := restored.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if restored.Sent[299][1] != 301 || restored.Sent[399][0] != 0 {
+		t.Fatal("a restored table lost rows or grew dirty ones")
+	}
+	for r := 301; r < 400; r++ {
+		if cap(restored.Sent[r]) != paths || cap(restored.Lost[r]) != paths {
+			t.Fatalf("restored table: grown row %d has cap %d", r, cap(restored.Sent[r]))
+		}
+	}
+	restored.Sent = restored.Sent[301:]
+	restored.Lost = restored.Lost[301:]
+	check(&restored, "restored then grown")
 }

@@ -23,11 +23,11 @@ import (
 // (Content-Encoding: gzip) with the same bomb guard as the fleet's
 // upload path.
 //
-// Lines are decoded by measure.DecodeStreamRecord: a line in the
-// canonical shape (keys in field order, no whitespace, no escapes —
-// what encoding/json writes for a plain source name) decodes without
-// reflection, and any other valid JSON line is still accepted, with
-// the values and errors encoding/json gives it.
+// Lines are decoded as measure.DecodeStreamRecord decodes them: a line
+// in the canonical shape (keys in field order, no whitespace, no
+// escapes — what encoding/json writes for a plain source name) decodes
+// without reflection, and any other valid JSON line is still accepted,
+// with the values and errors encoding/json gives it.
 //
 //	POST /v1/ingest   JSON lines of StreamRecord → 200 IngestResult
 //	                  400 on validation failure (nothing applied),
@@ -43,20 +43,27 @@ const maxIngestBytes = 16 << 20
 const maxIngestLine = 1 << 20
 
 // ingestBuffers is one POST's reusable decode state, pooled so a POST
-// allocates neither: the line scanner's initial buffer, which a
+// allocates none of it: the line scanner's initial buffer, which a
 // typical few-KB body never outgrows (a longer line grows the
-// scanner's own buffer, up to the cap, and leaves this one as is), and
-// the decoded batch, which Service.Ingest copies from and does not
-// keep. A batch grown past pooledRecs is not pooled, so one huge body
-// does not pin its memory.
+// scanner's own buffer, up to the cap, and leaves this one as is), the
+// decoded batch, which Service.Ingest copies from and does not keep
+// (sized for a typical 256-line body),
+// and the table of source names seen so far, so a record from a known
+// source reuses its name's string. A batch grown past pooledRecs is
+// not pooled, so one huge body does not pin its memory; the name table
+// is bounded (measure.MaxSourceNames of at most
+// measure.MaxSourceNameLen bytes) for the same reason.
 type ingestBuffers struct {
-	scan []byte
-	recs []measure.StreamRecord
+	scan  []byte
+	recs  []measure.StreamRecord
+	names measure.SourceNames
 }
 
 const pooledRecs = 4096
 
-var ingestPool = sync.Pool{New: func() any { return &ingestBuffers{scan: make([]byte, 64<<10)} }}
+var ingestPool = sync.Pool{New: func() any {
+	return &ingestBuffers{scan: make([]byte, 64<<10), recs: make([]measure.StreamRecord, 0, 256)}
+}}
 
 // httpError is the ingest error envelope.
 type httpError struct {
@@ -156,7 +163,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) {
 		if len(line) == 0 {
 			continue
 		}
-		rec, err := measure.DecodeStreamRecord(line)
+		rec, err := bufs.names.Decode(line)
 		if err != nil {
 			// A body that does not parse is malformed input, same
 			// taxonomy as a corrupt CSV: reject the whole batch.

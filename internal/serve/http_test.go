@@ -389,3 +389,50 @@ func TestHTTPClosedAnswers503(t *testing.T) {
 		t.Fatalf("shipping to a closed root = %v, want a retryable 503", err)
 	}
 }
+
+// TestHTTPSourceNameTable: the ingest handler decodes through a pooled
+// table of source names, bounded in count and name length. Fed more
+// distinct sources than the table holds, plus a 1 KiB one, it acks
+// every batch and serves the verdict exactly as a leaf fed the same
+// batches through Service.Ingest, and no table exceeds its bound.
+func TestHTTPSourceNameTable(t *testing.T) {
+	const distinct = measure.MaxSourceNames + 104
+	n, recs := testStream(1100, 4, 5)
+	for i := range recs {
+		recs[i].Source = fmt.Sprintf("vp-%04d", i%distinct)
+		recs[i].Seq = int64(i/distinct + 1)
+	}
+	recs[17].Source = strings.Repeat("L", 1024)
+	cfg := Config{Net: n, EpochRecords: 1024, Leaf: "east"}
+	viaHTTP, direct := mustNew(t, cfg), mustNew(t, cfg)
+	defer viaHTTP.Close()
+	defer direct.Close()
+	srv := NewServer(viaHTTP)
+	for lo := 0; lo < len(recs); lo += 256 {
+		batch := recs[lo:min(lo+256, len(recs))]
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(recordLines(batch))))
+		var got IngestResult
+		if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil || w.Code != http.StatusOK {
+			t.Fatalf("batch at %d: %d %s", lo, w.Code, w.Body)
+		}
+		want, err := direct.Ingest(batch)
+		if err != nil || got != want {
+			t.Fatalf("batch at %d: HTTP ack %+v, Service.Ingest %+v (%v)", lo, got, want, err)
+		}
+		bufs := ingestPool.Get().(*ingestBuffers)
+		if bufs.names.Len() > measure.MaxSourceNames {
+			t.Fatalf("a pooled name table holds %d names, bound %d", bufs.names.Len(), measure.MaxSourceNames)
+		}
+		ingestPool.Put(bufs)
+	}
+	if viaHTTP.Status().Epochs == 0 {
+		t.Fatal("no epoch closed; the verdicts compare nothing")
+	}
+	if g, w := viaHTTP.VerdictJSON(), direct.VerdictJSON(); !bytes.Equal(g, w) {
+		t.Fatalf("verdict via HTTP differs:\n%s\n%s", g, w)
+	}
+	if viaHTTP.SummaryText() != direct.SummaryText() {
+		t.Fatal("summary via HTTP differs")
+	}
+}

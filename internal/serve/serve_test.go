@@ -839,6 +839,16 @@ func TestServiceIsSource(t *testing.T) {
 	if m2.Sent[0][0] == m.Sent[0][0] {
 		t.Fatal("snapshot aliases the live table")
 	}
+	// Growing the live table (its rows share chunks) leaves a copy
+	// taken earlier as it was.
+	before := fmt.Sprint(m2.Sent, m2.Lost)
+	_, more := testStream(30, 2, 1)
+	if _, err := s.Ingest(more[len(recs):]); err != nil {
+		t.Fatal(err)
+	}
+	if m3, _ := src.Measurements(); m3.Intervals() != 30 || fmt.Sprint(m2.Sent, m2.Lost) != before {
+		t.Fatalf("live table has %d intervals; the earlier copy changed: %v", m3.Intervals(), fmt.Sprint(m2.Sent, m2.Lost) != before)
+	}
 }
 
 // TestWritesAfterClose: a closed service applies, journals and acks

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"maps"
+	"slices"
 	"sort"
 
 	"neutrality/internal/measure"
@@ -28,6 +30,14 @@ import (
 // errkind.Corrupt — there is no torn-tail leniency for snapshots (they are
 // written to a temp file and renamed, so a torn snapshot can only mean
 // post-rename damage).
+//
+// Encoding: encodeSnapshot writes exactly the bytes json.Marshal(snapWire)
+// writes — the content hash, and so every compaction's output, is
+// unchanged by it — but writes the parts that grow with the service's
+// lifetime (the table rows, the sequence marks, the pending records)
+// by hand, without reflection; the small rest goes through
+// encoding/json. Decoding is encoding/json plus restoreSnapshot's
+// checks.
 
 // snapWire is the snapshot document. Field names are part of the
 // on-disk format (FORMAT.md).
@@ -67,10 +77,12 @@ type snapWire struct {
 // document. Only called right after a successful publish, so the
 // verdict bytes and the fold state agree.
 func (s *Service) snapshotLocked() ([]byte, error) {
-	w := snapWire{
+	return encodeSnapshot(&snapWire{
 		Epoch:     s.epoch,
 		Records:   s.records,
 		Paths:     s.net.NumPaths(),
+		Seqs:      s.seqs,
+		Holes:     s.holes,
 		Sent:      s.meas.Sent,
 		Lost:      s.meas.Lost,
 		CumLoss:   s.cumLoss.Wire(),
@@ -79,17 +91,104 @@ func (s *Service) snapshotLocked() ([]byte, error) {
 		Listing:   s.listing,
 		Dropped:   s.dropped,
 		Pending:   s.pending,
+		Outbox:    s.outbox,
+	})
+}
+
+// encodeSnapshot returns exactly the bytes json.Marshal(w) writes, or
+// its error. The parts that grow with the service's lifetime — the
+// table rows, the sequence marks and the pending records — are written
+// by hand; the small rest, and everything holding a float, goes
+// through encoding/json.
+func encodeSnapshot(w *snapWire) ([]byte, error) {
+	b := make([]byte, 0, 256+(len(w.Sent)+len(w.Lost))*(2+4*w.Paths))
+	var err error
+	field := func(name string, v any) {
+		if err != nil {
+			return
+		}
+		var data []byte
+		if data, err = json.Marshal(v); err == nil {
+			b = append(append(append(b, `,"`...), name...), `":`...)
+			b = append(b, data...)
+		}
 	}
-	if len(s.seqs) > 0 {
-		w.Seqs = s.seqs
+	b = append(b, `{"epoch":`...)
+	b = measure.AppendInt(b, int64(w.Epoch))
+	b = append(b, `,"records":`...)
+	b = measure.AppendInt(b, w.Records)
+	b = append(b, `,"paths":`...)
+	b = measure.AppendInt(b, int64(w.Paths))
+	if len(w.Seqs) > 0 {
+		b = append(b, `,"seqs":{`...)
+		for i, src := range slices.Sorted(maps.Keys(w.Seqs)) {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = measure.AppendJSONString(b, src)
+			b = append(b, ':')
+			b = measure.AppendInt(b, w.Seqs[src])
+		}
+		b = append(b, '}')
 	}
-	if len(s.holes) > 0 {
-		w.Holes = s.holes
+	if len(w.Holes) > 0 {
+		field("holes", w.Holes)
 	}
-	if len(s.outbox) > 0 {
-		w.Outbox = s.outbox
+	b = appendRows(append(b, `,"sent":`...), w.Sent)
+	b = appendRows(append(b, `,"lost":`...), w.Lost)
+	field("cum_loss", w.CumLoss)
+	field("cum_sketch", w.CumSketch)
+	field("verdict", w.Verdict)
+	if len(w.Listing) > 0 {
+		field("listing", w.Listing)
 	}
-	return json.Marshal(w)
+	if w.Dropped != 0 {
+		b = append(b, `,"dropped":`...)
+		b = measure.AppendInt(b, int64(w.Dropped))
+	}
+	if len(w.Pending) > 0 {
+		b = append(b, `,"pending":[`...)
+		for i := range w.Pending {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = measure.AppendStreamRecordJSON(b, &w.Pending[i])
+		}
+		b = append(b, ']')
+	}
+	if len(w.Outbox) > 0 {
+		field("outbox", w.Outbox)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '}'), nil
+}
+
+// appendRows appends a table column as encoding/json writes [][]int.
+func appendRows(b []byte, rows [][]int) []byte {
+	if rows == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for t, row := range rows {
+		if t > 0 {
+			b = append(b, ',')
+		}
+		if row == nil {
+			b = append(b, "null"...)
+			continue
+		}
+		b = append(b, '[')
+		for p, v := range row {
+			if p > 0 {
+				b = append(b, ',')
+			}
+			b = measure.AppendInt(b, int64(v))
+		}
+		b = append(b, ']')
+	}
+	return append(b, ']')
 }
 
 // decodeSnapshot parses a hash-verified snapshot document. Parse

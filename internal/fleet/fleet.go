@@ -28,7 +28,8 @@
 //
 //   - Resume. Workers run every partition as a resumable sweep
 //     directory. A re-dispatched partition salvages the best prior
-//     attempt's directory (crash recovery truncates torn writes and
+//     attempt's directory of the same identity, draw included
+//     (sweep.Resumable; crash recovery truncates torn writes and
 //     re-derives the frontier from the files), so work done before a
 //     death is not lost. Salvage copies rather than reuses the old
 //     directory: a worker that is merely partitioned away may still be
@@ -40,8 +41,9 @@
 //     shard files and manifest (gzip on the HTTP wire,
 //     content-hash-verified on receipt, idempotent on retry) into
 //     <Out>.staging/part-KKKK, and Complete accepts a partition only
-//     once that staged copy replays completely (sweep.Replay). The
-//     replayed aggregate feeds the live PartialSummary.
+//     once that staged copy has the partition's identity and replays
+//     completely (sweep.Replay). The replayed aggregate feeds the live
+//     PartialSummary.
 //
 //   - Integrity. Every partition directory carries the sweep layer's
 //     v2 checksummed framing. Commit scrubs each staged copy

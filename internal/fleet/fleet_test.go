@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"neutrality/internal/measure"
 	"neutrality/internal/sweep"
 )
 
@@ -385,7 +387,9 @@ func TestUploadRefusalFailsLease(t *testing.T) {
 // attempt's checkpoint by copy, so pre-crash work is not re-executed
 // from zero. The copy is observed via the Resumed count of the final
 // run being non-zero even though the second attempt used a different
-// directory.
+// directory. A checkpoint of another identity — another seed, or
+// another Algorithm 2 draw — is not salvaged, and a fleet whose worker
+// root holds one still commits the single-process bytes.
 func TestWorkerSalvage(t *testing.T) {
 	g := microGrid()
 	root := t.TempDir()
@@ -423,7 +427,77 @@ func TestWorkerSalvage(t *testing.T) {
 	if err := prepareDir(g, dir3, a3, root); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sweep.ReadManifestDir(dir3); err == nil {
-		t.Fatal("mismatched checkpoint was salvaged")
+	if _, err := os.Stat(filepath.Join(dir3, "manifest.json")); !os.IsNotExist(err) {
+		t.Fatalf("mismatched checkpoint was salvaged (stat err = %v)", err)
+	}
+
+	// A checkpoint of the same spec, shards, seed and range recorded
+	// under another Algorithm 2 draw is neither salvaged nor resumed in
+	// place: sweep.Run would refuse it, and a salvaged copy would fail
+	// every later attempt the same way.
+	other := t.TempDir()
+	stale := attemptDir(other, a1)
+	if _, err := sweep.Run(context.Background(), g, sweep.Options{
+		Workers: 2, Shards: 3, BaseSeed: 7, Dir: stale,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	restampDraw(t, stale, "older-draw")
+	dir4 := attemptDir(other, a2)
+	if err := prepareDir(g, dir4, a2, other); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir4, "manifest.json")); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint of another draw was salvaged (stat err = %v)", err)
+	}
+	if err := prepareDir(g, stale, a1, other); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(stale, "manifest.json")); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint of another draw was kept for resume in place (stat err = %v)", err)
+	}
+
+	// A local fleet whose worker root holds such a checkpoint still
+	// commits the single-process bytes within its attempt budget.
+	refDir, refSum := referenceRun(t, 3)
+	work := t.TempDir()
+	stale = filepath.Join(work, "worker-0", "part-0001-a999")
+	if _, err := sweep.Run(context.Background(), g, sweep.Options{
+		Workers: 2, Shards: 3, BaseSeed: 7, Dir: stale,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	restampDraw(t, stale, "older-draw")
+	out := filepath.Join(t.TempDir(), "merged")
+	res2, err := RunLocal(context.Background(), g, LocalOptions{
+		Parts: 1, Workers: 1, SweepWorkers: 2, Shards: 3, BaseSeed: 7, MaxAttempts: 3,
+		Dir: work, Out: out,
+		Lease: 5 * time.Second, Heartbeat: 20 * time.Millisecond, Poll: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertDirsEqual(t, out, refDir)
+	if res2.Summary != refSum {
+		t.Fatalf("fleet summary diverged:\n%s\nvs\n%s", res2.Summary, refSum)
+	}
+}
+
+// restampDraw rewrites dir's manifest as a build drawing under draw
+// would have written it.
+func restampDraw(t *testing.T, dir, draw string) {
+	t.Helper()
+	path := filepath.Join(dir, "manifest.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamp := fmt.Sprintf("%q: %q", "draw", measure.DrawScheme)
+	old := strings.Replace(string(data), stamp, fmt.Sprintf("%q: %q", "draw", draw), 1)
+	if old == string(data) {
+		t.Fatalf("manifest carries no %s", stamp)
+	}
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -130,6 +130,11 @@ type Orchestrator struct {
 	workers map[string]bool
 	untold  int
 	allTold chan struct{}
+	// artifacts are the only names an upload may carry: the files of a
+	// partition directory (sweep.ArtifactNames). Anything else — path
+	// separators, dotdots, stray names — is rejected before touching the
+	// filesystem.
+	artifacts map[string]bool
 }
 
 // New builds an orchestrator for the grid. The partition split is the
@@ -151,6 +156,10 @@ func New(g *grid.Grid, cfg Config) (*Orchestrator, error) {
 		doneCh:  make(chan struct{}),
 		workers: make(map[string]bool),
 		allTold: make(chan struct{}),
+	}
+	o.artifacts = make(map[string]bool, cfg.Shards+1)
+	for _, name := range sweep.ArtifactNames(cfg.Shards) {
+		o.artifacts[name] = true
 	}
 	o.parts = make([]partState, cfg.Parts)
 	for k := 1; k <= cfg.Parts; k++ {
@@ -393,10 +402,11 @@ func (o *Orchestrator) Heartbeat(leaseID int64, frontier int) error {
 // the partition; later ones — from speculative copies or leases that
 // already expired — get ErrSuperseded/ErrStaleLease and are discarded,
 // which is safe because all attempts' artifacts are byte-identical by
-// construction. The staged copy is replayed here (sweep.Replay), so an
-// unstaged, torn or mismatched partition leaves the partition leased
-// (the worker may re-upload and retry) instead of poisoning the commit
-// point, and the replayed aggregate feeds PartialSummary.
+// construction. The staged copy is replayed here (sweep.Replay, which
+// first checks its range, shards, seed and draw), so an unstaged, torn
+// or mismatched partition leaves the partition leased (the worker may
+// re-upload and retry) instead of poisoning the commit point, and the
+// replayed aggregate feeds PartialSummary.
 func (o *Orchestrator) Complete(leaseID int64, res WorkerResult) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -424,7 +434,8 @@ func (o *Orchestrator) Complete(leaseID int64, res WorkerResult) error {
 	if res.Records != st.rng.Len() {
 		return fmt.Errorf("fleet: completion holds %d records for %d cells", res.Records, st.rng.Len())
 	}
-	agg, err := sweep.Replay(o.g, o.stagingDir(l.part))
+	want := sweep.Identity{Shards: o.cfg.Shards, BaseSeed: o.cfg.BaseSeed, Range: st.rng}
+	agg, err := sweep.Replay(o.g, o.stagingDir(l.part), want)
 	if err == nil && agg.Cells() != st.rng.Len() {
 		err = fmt.Errorf("the staged copy replays %d of %d cells", agg.Cells(), st.rng.Len())
 	}
@@ -454,21 +465,6 @@ func (o *Orchestrator) stagingDir(p int) string {
 	return filepath.Join(o.cfg.Out+".staging", fmt.Sprintf("part-%04d", p+1))
 }
 
-// validUploadName accepts exactly the artifact files a partition
-// directory holds: shard-NNNN.jsonl with NNNN below the shard count,
-// or manifest.json. Anything else — path separators, dotdots, stray
-// names — is rejected before touching the filesystem.
-func (o *Orchestrator) validUploadName(name string) bool {
-	if name == "manifest.json" {
-		return true
-	}
-	var s int
-	if n, err := fmt.Sscanf(name, "shard-%04d.jsonl", &s); err != nil || n != 1 {
-		return false
-	}
-	return fmt.Sprintf("shard-%04d.jsonl", s) == name && s >= 0 && s < o.cfg.Shards
-}
-
 // Upload stages one artifact file for the lease's partition. The bytes
 // are verified against the claimed SHA-256 before anything is written
 // — a corrupted transfer gets ErrUploadRejected and the worker
@@ -494,7 +490,7 @@ func (o *Orchestrator) Upload(leaseID int64, name, sum string, data []byte) erro
 	part := l.part
 	o.mu.Unlock()
 
-	if !o.validUploadName(name) {
+	if !o.artifacts[name] {
 		return fmt.Errorf("fleet: upload name %q is not a partition artifact", name)
 	}
 	if got := durable.SHA256Hex(data); got != sum {

@@ -227,12 +227,7 @@ func runAssignment(ctx context.Context, g *grid.Grid, tr Transport, opt WorkerOp
 // faults. ErrSuperseded and ErrStaleLease are returned at once; any
 // other error is returned after four tries of one file.
 func uploadArtifacts(ctx context.Context, tr Transport, opt WorkerOptions, a *Assignment, dir string) error {
-	names := make([]string, 0, a.Shards+1)
-	for s := 0; s < a.Shards; s++ {
-		names = append(names, fmt.Sprintf("shard-%04d.jsonl", s))
-	}
-	names = append(names, "manifest.json")
-	for _, name := range names {
+	for _, name := range sweep.ArtifactNames(a.Shards) {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return fmt.Errorf("fleet: upload: %w", err)
@@ -276,21 +271,22 @@ func attemptDir(root string, a *Assignment) string {
 	return filepath.Join(root, fmt.Sprintf("part-%04d-a%03d", a.Part.K, a.Attempt))
 }
 
-// prepareDir readies the attempt directory: an existing directory with
-// a matching manifest resumes in place, a mismatched one is cleared,
-// and a fresh one salvages the most advanced compatible checkpoint
-// among prior attempts under root. Salvage copies — never moves or
-// shares — because a partitioned-away worker may still be appending to
-// its own attempt directory; copying takes a consistent prefix
-// (sweep recovery truncates any torn trailing line).
+// prepareDir readies the attempt directory: an existing directory that
+// sweep.Resumable accepts for the assignment resumes in place, any
+// other is cleared, and a fresh one salvages the most advanced
+// checkpoint among prior attempts under root that sweep.Resumable
+// accepts — the same identity rule, draw included, that sweep.Run
+// applies to the copy. Salvage copies — never moves or shares —
+// because a partitioned-away worker may still be appending to its own
+// attempt directory; copying takes a consistent prefix (sweep recovery
+// truncates any torn trailing line).
 func prepareDir(g *grid.Grid, dir string, a *Assignment, root string) error {
-	if mi, err := sweep.ReadManifestDir(dir); err == nil {
-		if manifestMatches(g, mi, a) {
-			return nil
-		}
-		if err := os.RemoveAll(dir); err != nil {
-			return err
-		}
+	id := sweep.Identity{Shards: a.Shards, BaseSeed: a.BaseSeed, Range: a.Range}
+	if _, err := sweep.Resumable(g, dir, id); err == nil {
+		return nil
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		return err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -299,19 +295,13 @@ func prepareDir(g *grid.Grid, dir string, a *Assignment, root string) error {
 	entries, _ := os.ReadDir(root)
 	prefix := fmt.Sprintf("part-%04d-a", a.Part.K)
 	for _, e := range entries {
-		if !e.IsDir() || len(e.Name()) < len(prefix) || e.Name()[:len(prefix)] != prefix {
+		// dir itself holds no manifest now, so Resumable skips it.
+		if !e.IsDir() || !strings.HasPrefix(e.Name(), prefix) {
 			continue
 		}
 		cand := filepath.Join(root, e.Name())
-		if cand == dir {
-			continue
-		}
-		mi, err := sweep.ReadManifestDir(cand)
-		if err != nil || !manifestMatches(g, mi, a) {
-			continue
-		}
-		if mi.Completed > bestDone {
-			best, bestDone = cand, mi.Completed
+		if done, err := sweep.Resumable(g, cand, id); err == nil && done > bestDone {
+			best, bestDone = cand, done
 		}
 	}
 	if best != "" {
@@ -323,13 +313,6 @@ func prepareDir(g *grid.Grid, dir string, a *Assignment, root string) error {
 		}
 	}
 	return nil
-}
-
-func manifestMatches(g *grid.Grid, mi *sweep.ManifestInfo, a *Assignment) bool {
-	return mi.Fingerprint == g.Fingerprint() &&
-		mi.Shards == a.Shards &&
-		mi.BaseSeed == a.BaseSeed &&
-		mi.Range == a.Range
 }
 
 // copySweepDir copies a checkpointed sweep directory's manifest and

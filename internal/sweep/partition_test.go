@@ -183,7 +183,8 @@ func TestPartitionManifest(t *testing.T) {
 }
 
 // TestPartitionResumeValidation: resuming a partition directory under
-// a different partition (or as a full run) is refused.
+// a different partition (or as a full run) is refused, and so are
+// Resumable and Replay under another range, each naming the range.
 func TestPartitionResumeValidation(t *testing.T) {
 	g := microGrid()
 	dir := t.TempDir()
@@ -192,16 +193,19 @@ func TestPartitionResumeValidation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), g, Options{
+	_, err := Run(context.Background(), g, Options{
 		Shards: 3, BaseSeed: 7, Dir: dir, Resume: true, Partition: Partition{K: 2, N: 4},
-	}); err == nil || !strings.Contains(err.Error(), "covers cells") {
-		t.Fatalf("wrong-partition resume err = %v", err)
-	}
-	if _, err := Run(context.Background(), g, Options{
+	})
+	assertRefused(t, "wrong-partition resume", err, "cell range is [0,3) on disk, [3,6) expected")
+	_, err = Run(context.Background(), g, Options{
 		Shards: 3, BaseSeed: 7, Dir: dir, Resume: true,
-	}); err == nil || !strings.Contains(err.Error(), "covers cells") {
-		t.Fatalf("full-run resume of partition dir err = %v", err)
-	}
+	})
+	assertRefused(t, "full-run resume of partition dir", err, "cell range is [0,3) on disk, [0,12) expected")
+	want := Identity{Shards: 3, BaseSeed: 7, Range: grid.Range{Lo: 3, Hi: 6}}
+	_, err = Resumable(g, dir, want)
+	assertRefused(t, "wrong-range resumable", err, "cell range")
+	_, err = Replay(g, dir, want)
+	assertRefused(t, "wrong-range replay", err, "cell range")
 	// The matching partition resumes as a no-op replay.
 	res, err := Run(context.Background(), g, Options{
 		Shards: 3, BaseSeed: 7, Dir: dir, Resume: true, Partition: Partition{K: 1, N: 4},
@@ -242,7 +246,7 @@ func TestPartitionEmptyRange(t *testing.T) {
 }
 
 // TestMergeSingleDirectory: merging one complete full-run directory
-// hard-links (or copies) it into place byte-identically.
+// copies it into place byte-identically.
 func TestMergeSingleDirectory(t *testing.T) {
 	g := microGrid()
 	src := t.TempDir()
@@ -283,21 +287,26 @@ func TestMergeValidation(t *testing.T) {
 	// A different spec is a fingerprint mismatch.
 	g2 := microGrid()
 	g2.Base.DurationSec = 11
-	if _, err := Merge(g2, dirs, filepath.Join(base, "m3")); err == nil ||
-		!strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("fingerprint err = %v", err)
-	}
-	// Partitions recorded with different seeds cannot be merged.
+	_, err := Merge(g2, dirs, filepath.Join(base, "m3"))
+	assertRefused(t, "merge under another spec", err, "fingerprint")
+	// Partitions recorded with different seeds, or different shard
+	// counts, cannot be merged: the first directory sets both.
 	odd := filepath.Join(base, "odd-seed")
 	if _, err := Run(context.Background(), g, Options{
 		Shards: 3, BaseSeed: 8, Dir: odd, Partition: Partition{K: 4, N: 4},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Merge(g, []string{dirs[0], dirs[1], dirs[2], odd}, filepath.Join(base, "m4")); err == nil ||
-		!strings.Contains(err.Error(), "seed") {
-		t.Fatalf("seed mismatch err = %v", err)
+	_, err = Merge(g, []string{dirs[0], dirs[1], dirs[2], odd}, filepath.Join(base, "m4"))
+	assertRefused(t, "merge across seeds", err, "base seed is 8 on disk, 7 expected")
+	odd = filepath.Join(base, "odd-shards")
+	if _, err := Run(context.Background(), g, Options{
+		Shards: 2, BaseSeed: 7, Dir: odd, Partition: Partition{K: 4, N: 4},
+	}); err != nil {
+		t.Fatal(err)
 	}
+	_, err = Merge(g, []string{dirs[0], dirs[1], dirs[2], odd}, filepath.Join(base, "m4s"))
+	assertRefused(t, "merge across shard counts", err, "shards is 2 on disk, 3 expected")
 	// An interrupted partition is incomplete: the error carries its
 	// resumable frontier. The interrupt is built deterministically — a
 	// cancel from OnRecord races the partition's other in-flight cells,
@@ -314,7 +323,7 @@ func TestMergeValidation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	replayed := 0
-	_, err := Run(ctx, g, Options{
+	_, err = Run(ctx, g, Options{
 		Shards: 3, BaseSeed: 7, Dir: half, Partition: Partition{K: 3, N: 4}, Resume: true,
 		OnRecord: func(Record) { replayed++ },
 	})
@@ -357,7 +366,7 @@ func TestMergeCorruptRecordLeavesNoManifest(t *testing.T) {
 	// Swap partition 2's first record for a validly framed wrong-slot
 	// cell, keeping the line count (and so the manifest's frontier)
 	// intact. The shard's bytes no longer match its manifest hash, so
-	// the merge fails before anything is hard-linked.
+	// the merge fails at its content-hash check.
 	path := shardPath(dirs[1], 0)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -403,11 +412,12 @@ func TestMergeCorruptRecordLeavesNoManifest(t *testing.T) {
 	}
 }
 
-// TestMergeRetryNeverDestroysSource: a failed single-source merge
-// leaves hard links to the source's shard files in the output
-// directory; retrying the merge must not write through those links
-// (truncating the source partition's own records) — the stale links
-// are removed first.
+// TestMergeRetryNeverDestroysSource: a failed merge leaves assembled
+// shard files in the output directory, and one from a build that
+// hard-linked single-source merges left links to the source's shard
+// files there. A retry must not write through such a link (truncating
+// the source partition's own records): every stale name is removed
+// before its shard is written.
 func TestMergeRetryNeverDestroysSource(t *testing.T) {
 	g := microGrid()
 	src := t.TempDir()
@@ -433,9 +443,17 @@ func TestMergeRetryNeverDestroysSource(t *testing.T) {
 	if _, err := Merge(g, []string{src}, out); err == nil {
 		t.Fatal("corrupt merge succeeded")
 	}
-	// The retry fails the same way — but must leave the source
-	// partition byte-identical, even though the first attempt left
-	// hard links to it in out.
+	// Leave hard links to the source in out, as such a build's failed
+	// merge did. The retry fails the same way — but must leave the
+	// source partition byte-identical.
+	for s := 0; s < 2; s++ {
+		if err := os.Remove(shardPath(out, s)); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		if err := os.Link(shardPath(src, s), shardPath(out, s)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if _, err := Merge(g, []string{src}, out); err == nil {
 		t.Fatal("corrupt merge retry succeeded")
 	}

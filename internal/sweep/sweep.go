@@ -22,9 +22,19 @@
 //   - Interruption safety. Cancelling the context aborts in-flight
 //     emulations mid-run (emu.Sim.RunCtx), flushes the completed
 //     prefix, and records it in the checkpoint manifest; a -resume
-//     run validates the spec fingerprint, replays the persisted
+//     run checks the directory's identity, replays the persisted
 //     records into the aggregates, and continues from the first
 //     missing cell.
+//
+// # Directory identity
+//
+// A directory's records may be extended or combined only with records
+// of the same spec fingerprint, shard count, base seed, cell range and
+// Algorithm 2 draw. One gate (openManifest) reads, parses and
+// fingerprint-checks a manifest, one rule (checkIdentity) compares the
+// rest and names every differing field with both values. Run's resume,
+// Resumable, Replay, Merge and Repair apply both; Verify, which only
+// reads, checks the fingerprint and reads any draw.
 //
 // # Distributed sweeps
 //
@@ -75,9 +85,11 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"neutrality/internal/durable"
@@ -131,6 +143,15 @@ type Partition struct {
 // IsZero reports whether p is the whole-grid (non-partitioned) run.
 func (p Partition) IsZero() bool { return p == Partition{} }
 
+// Identity is what a directory's records depend on besides the spec and
+// the draw: its shard count, base seed and half-open global cell range
+// (see "Directory identity" in the package comment).
+type Identity struct {
+	Shards   int
+	BaseSeed int64
+	Range    grid.Range
+}
+
 // Options configure one engine run.
 type Options struct {
 	// Workers bounds the worker pool (0 = one per CPU).
@@ -151,10 +172,10 @@ type Options struct {
 	// checkpointing).
 	Dir string
 	// Resume continues a sweep previously interrupted in Dir: the
-	// manifest's spec fingerprint must match, persisted records are
-	// replayed into the aggregates, and execution starts at the first
-	// missing cell. Without Resume, Dir must not already contain a
-	// sweep.
+	// directory's identity must match (see the package comment),
+	// persisted records are replayed into the aggregates, and execution
+	// starts at the first missing cell. Without Resume, Dir must not
+	// already contain a sweep.
 	Resume bool
 	// CellTimeout, when positive, is the per-cell watchdog: each
 	// cell's emulation runs under its own context deadline, so one
@@ -347,10 +368,9 @@ type manifest struct {
 	Shards   int   `json:"shards"`
 	BaseSeed int64 `json:"base_seed"`
 	// Draw is the Algorithm 2 discount draw the records' verdicts come
-	// from (measure.DrawScheme), stamped by writeManifest. Resume,
-	// merge and repair refuse a directory written under another draw
-	// (checkDraw) rather than mix two estimators' records; verify,
-	// which only reads, does not.
+	// from (measure.DrawScheme), stamped by writeManifest. It is part
+	// of the directory's identity (checkIdentity); Verify, which only
+	// reads, does not compare it.
 	Draw string `json:"draw"`
 	// Completed is the contiguous prefix of the directory's cell
 	// range whose records are persisted: every cell in
@@ -364,7 +384,7 @@ type manifest struct {
 	// ShardSums are the per-shard SHA-256 sums (lowercase hex) over
 	// exactly the PerShard[s] claimed lines of each shard file —
 	// recovery and merge verify shard content against them before
-	// trusting (or hard-linking) it.
+	// trusting it.
 	ShardSums []string `json:"shard_sha256"`
 	// Range stamps a partition manifest with its half-open global
 	// cell range and k/n coordinates. nil means the full grid — the
@@ -380,12 +400,43 @@ type manifestRange struct {
 	Hi int `json:"hi"`
 }
 
+// newManifest is the manifest of a directory of g with identity id,
+// claiming the first completed cells of its range: rangeless when the
+// directory covers the full grid outside any partition (the form
+// single-run and merged manifests share), stamped with part and the
+// range otherwise. ShardSums are left empty for the caller to fill.
+func newManifest(g *grid.Grid, id Identity, part Partition, completed int) *manifest {
+	m := &manifest{
+		Version:     manifestVersion,
+		Name:        g.Name,
+		Fingerprint: g.Fingerprint(),
+		Cells:       g.Cells(),
+		Shards:      id.Shards,
+		BaseSeed:    id.BaseSeed,
+		Completed:   completed,
+		PerShard:    make([]int, id.Shards),
+		ShardSums:   make([]string, id.Shards),
+	}
+	if !part.IsZero() || id.Range != g.FullRange() {
+		m.Range = &manifestRange{K: part.K, N: part.N, Lo: id.Range.Lo, Hi: id.Range.Hi}
+	}
+	for s := range m.PerShard {
+		m.PerShard[s] = linesOf(completed, s, id.Shards)
+	}
+	return m
+}
+
 // rng returns the cell range the manifest's directory covers.
 func (m *manifest) rng() grid.Range {
 	if m.Range == nil {
 		return grid.Range{Lo: 0, Hi: m.Cells}
 	}
 	return grid.Range{Lo: m.Range.Lo, Hi: m.Range.Hi}
+}
+
+// identity returns the identity the manifest records.
+func (m *manifest) identity() Identity {
+	return Identity{Shards: m.Shards, BaseSeed: m.BaseSeed, Range: m.rng()}
 }
 
 // parseManifest decodes and structurally validates a manifest. Every
@@ -450,17 +501,57 @@ func parseManifest(data []byte) (*manifest, error) {
 	return &m, nil
 }
 
-// checkDraw refuses a directory whose records were computed under
-// another Algorithm 2 draw than this build's: adding records to it
-// would mix two estimators' verdicts in one artifact. Directories
-// written before the draw was recorded carry none and are refused too.
-// op prefixes the error ("sweep", "sweep: merge", ...).
-func (m *manifest) checkDraw(op, dir string) error {
-	if m.Draw != measure.DrawScheme {
-		return errkind.Errorf(errkind.Validation, "%s: %s was recorded under Algorithm 2 draw %q, this build draws %q; re-run the sweep in a fresh directory",
-			op, dir, m.Draw, measure.DrawScheme)
+// openManifest is the gate every operation on an existing sweep
+// directory passes: it reads dir's manifest, parses it (parseManifest)
+// and refuses one recorded for another spec than g with
+// errkind.Validation. A missing or unreadable manifest comes back
+// unclassified, wrapping the read error (so errors.Is(err,
+// fs.ErrNotExist) tells a fresh directory); one that does not parse is
+// tagged corrupt — errkind.Validation, or errkind.Corrupt where the
+// caller can rebuild it. op prefixes every error ("sweep", "sweep:
+// merge", ...).
+func openManifest(g *grid.Grid, dir, op string, corrupt error) (*manifest, error) {
+	data, err := os.ReadFile(manifestPath(dir))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %s holds no sweep manifest: %w", op, dir, err)
 	}
-	return nil
+	m, err := parseManifest(data)
+	if err != nil {
+		return nil, errkind.Errorf(corrupt, "%s: corrupt manifest in %s: %w", op, dir, err)
+	}
+	if m.Fingerprint != g.Fingerprint() {
+		return nil, errkind.Errorf(errkind.Validation, "%s: %s was recorded for spec %s (fingerprint %.12s…), not this spec (%.12s…)",
+			op, dir, m.Name, m.Fingerprint, g.Fingerprint())
+	}
+	return m, nil
+}
+
+// checkIdentity is the rule deciding whether the records of m's
+// directory may be extended or combined with records of identity want
+// under this build: shard count, base seed and cell range must equal
+// want's, and the draw must be this build's — mixing two draws would
+// mix two estimators' verdicts in one artifact, and directories written
+// before the draw was recorded carry none. A refusal is an
+// errkind.Validation naming every differing field with both values.
+func (m *manifest) checkIdentity(op, dir string, want Identity) error {
+	var diffs []string
+	if m.Shards != want.Shards {
+		diffs = append(diffs, fmt.Sprintf("shards is %d on disk, %d expected", m.Shards, want.Shards))
+	}
+	if m.BaseSeed != want.BaseSeed {
+		diffs = append(diffs, fmt.Sprintf("base seed is %d on disk, %d expected", m.BaseSeed, want.BaseSeed))
+	}
+	if r := m.rng(); r != want.Range {
+		diffs = append(diffs, fmt.Sprintf("cell range is [%d,%d) on disk, [%d,%d) expected", r.Lo, r.Hi, want.Range.Lo, want.Range.Hi))
+	}
+	if m.Draw != measure.DrawScheme {
+		diffs = append(diffs, fmt.Sprintf("Algorithm 2 draw is %q on disk, %q in this build", m.Draw, measure.DrawScheme))
+	}
+	if diffs == nil {
+		return nil
+	}
+	return errkind.Errorf(errkind.Validation, "%s: %s was recorded under another identity: %s; request the recorded values, or re-run the sweep in a fresh directory",
+		op, dir, strings.Join(diffs, "; "))
 }
 
 // writeManifest atomically replaces d's manifest with m (so a kill
@@ -526,6 +617,18 @@ func shardFile(s int) string { return fmt.Sprintf("shard-%04d.jsonl", s) }
 
 func shardPath(dir string, s int) string { return filepath.Join(dir, shardFile(s)) }
 
+// ArtifactNames lists the files a sweep directory with the given shard
+// count holds: the shard files in shard order, then the manifest — the
+// order a copy must write them in, so it never holds a manifest whose
+// shards have not arrived.
+func ArtifactNames(shards int) []string {
+	names := make([]string, 0, shards+1)
+	for s := 0; s < shards; s++ {
+		names = append(names, shardFile(s))
+	}
+	return append(names, manifestFile)
+}
+
 // openStore prepares the sweep directory: fresh directories are
 // initialized, existing ones are validated against the spec and — with
 // Resume — recovered. Recovery re-derives the completed frontier from
@@ -542,35 +645,12 @@ func openStore(g *grid.Grid, opt Options, shards int, rng grid.Range) (*store, e
 		return nil, fmt.Errorf("sweep: %w", err)
 	}
 	st := &store{dir: dir, g: g, shards: shards, rng: rng, part: opt.Partition, baseSeed: opt.BaseSeed}
-	mdata, err := os.ReadFile(manifestPath(opt.Dir))
+	m, err := openManifest(g, opt.Dir, "sweep", errkind.Validation)
+	if err == nil {
+		err = m.checkIdentity("sweep", opt.Dir, Identity{Shards: shards, BaseSeed: opt.BaseSeed, Range: rng})
+	}
 	switch {
-	case err == nil:
-		if !opt.Resume {
-			return nil, errkind.Errorf(errkind.Validation, "sweep: %s already contains a sweep; resume it or use a fresh directory", opt.Dir)
-		}
-		m, err := parseManifest(mdata)
-		if err != nil {
-			return nil, errkind.Errorf(errkind.Validation, "sweep: corrupt manifest in %s: %w", opt.Dir, err)
-		}
-		if m.Fingerprint != g.Fingerprint() {
-			return nil, errkind.Errorf(errkind.Validation, "sweep: %s was recorded for spec %s (fingerprint %.12s…), not this spec (%.12s…)",
-				opt.Dir, m.Name, m.Fingerprint, g.Fingerprint())
-		}
-		if err := m.checkDraw("sweep", opt.Dir); err != nil {
-			return nil, err
-		}
-		if m.Shards != shards || m.BaseSeed != opt.BaseSeed {
-			return nil, errkind.Errorf(errkind.Validation, "sweep: %s was recorded with shards=%d seed=%d; resume must reuse them (got shards=%d seed=%d)",
-				opt.Dir, m.Shards, m.BaseSeed, shards, opt.BaseSeed)
-		}
-		if m.rng() != rng {
-			return nil, errkind.Errorf(errkind.Validation, "sweep: %s covers cells [%d,%d); resume must request the same partition (got [%d,%d))",
-				opt.Dir, m.rng().Lo, m.rng().Hi, rng.Lo, rng.Hi)
-		}
-		if err := st.recover(m); err != nil {
-			return nil, err
-		}
-	case os.IsNotExist(err):
+	case errors.Is(err, fs.ErrNotExist):
 		// Fresh sweep (Resume on an empty directory is allowed — it
 		// makes restart loops idempotent).
 		for s := 0; s < shards; s++ {
@@ -578,8 +658,16 @@ func openStore(g *grid.Grid, opt Options, shards int, rng grid.Range) (*store, e
 				return nil, fmt.Errorf("sweep: %w", err)
 			}
 		}
-	default:
-		return nil, fmt.Errorf("sweep: %w", err)
+		return st, nil
+	case err != nil && !errors.Is(err, errkind.Validation):
+		return nil, err
+	case !opt.Resume:
+		return nil, errkind.Errorf(errkind.Validation, "sweep: %s already contains a sweep; resume it or use a fresh directory", opt.Dir)
+	case err != nil:
+		return nil, err
+	}
+	if err := st.recover(m); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -820,27 +908,13 @@ func (st *store) checkpoint() error {
 			return fmt.Errorf("sweep: %w", err)
 		}
 	}
-	m := manifest{
-		Version:     manifestVersion,
-		Name:        st.g.Name,
-		Fingerprint: st.g.Fingerprint(),
-		Cells:       st.g.Cells(),
-		Shards:      st.shards,
-		BaseSeed:    st.baseSeed,
-		Completed:   st.completed,
-		PerShard:    make([]int, st.shards),
-		ShardSums:   make([]string, st.shards),
-	}
-	if !st.part.IsZero() {
-		m.Range = &manifestRange{K: st.part.K, N: st.part.N, Lo: st.rng.Lo, Hi: st.rng.Hi}
-	}
-	for s := 0; s < st.shards; s++ {
-		m.PerShard[s] = linesOf(st.completed, s, st.shards)
+	m := newManifest(st.g, Identity{Shards: st.shards, BaseSeed: st.baseSeed, Range: st.rng}, st.part, st.completed)
+	for s := range m.ShardSums {
 		// Sum(nil) snapshots without disturbing the running state, so
 		// the recorded digest covers exactly the bytes flushed above.
 		m.ShardSums[s] = hex.EncodeToString(st.sums[s].Sum(nil))
 	}
-	return writeManifest(st.dir, &m)
+	return writeManifest(st.dir, m)
 }
 
 func (st *store) closeFiles() {
@@ -852,8 +926,7 @@ func (st *store) closeFiles() {
 }
 
 // ManifestInfo is the read-only view of a sweep directory's checkpoint
-// manifest — enough for an orchestrator to judge whether a directory
-// matches a spec and how far it got, without opening the store.
+// manifest, as Verify reports it and as Repair's expected identity.
 type ManifestInfo struct {
 	Name        string
 	Fingerprint string
@@ -872,42 +945,34 @@ type ManifestInfo struct {
 	Partition Partition
 }
 
-// ReadManifestDir reads and validates dir's checkpoint manifest. It
-// performs the same structural validation as resume and merge, so a
-// nil error means the manifest is internally consistent — not that the
-// shard files agree with it (recovery re-derives that).
-func ReadManifestDir(dir string) (*ManifestInfo, error) {
-	data, err := os.ReadFile(manifestPath(dir))
-	if err != nil {
-		return nil, fmt.Errorf("sweep: %w", err)
+// Resumable reports how many cells of dir's range hold persisted
+// records, provided Run with Options.Resume would continue dir for g
+// under want; otherwise it returns the error Run refuses with, which
+// wraps fs.ErrNotExist when dir holds no manifest. It reads only the
+// manifest: the shard files are recovery's business.
+func Resumable(g *grid.Grid, dir string, want Identity) (int, error) {
+	m, err := openManifest(g, dir, "sweep", errkind.Validation)
+	if err == nil {
+		err = m.checkIdentity("sweep", dir, want)
 	}
-	m, err := parseManifest(data)
 	if err != nil {
-		return nil, errkind.Errorf(errkind.Validation, "sweep: corrupt manifest in %s: %w", dir, err)
+		return 0, err
 	}
-	return manifestInfo(m), nil
+	return m.Completed, nil
 }
 
 // Replay rebuilds the aggregate of dir's completed prefix from its
 // shard records, in cell order, without writing anything: every
 // record must unframe, decode and sit in its expected slot. It checks
-// the manifest against the spec and the draw first. The result equals
-// the aggregate of the run that wrote dir, so a caller holding a
+// the manifest against the spec, want and the draw first. The result
+// equals the aggregate of the run that wrote dir, so a caller holding a
 // directory needs no separate copy of its aggregate.
-func Replay(g *grid.Grid, dir string) (*Agg, error) {
-	data, err := os.ReadFile(manifestPath(dir))
+func Replay(g *grid.Grid, dir string, want Identity) (*Agg, error) {
+	m, err := openManifest(g, dir, "sweep: replay", errkind.Validation)
+	if err == nil {
+		err = m.checkIdentity("sweep: replay", dir, want)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("sweep: replay: %w", err)
-	}
-	m, err := parseManifest(data)
-	if err != nil {
-		return nil, errkind.Errorf(errkind.Validation, "sweep: replay: corrupt manifest in %s: %w", dir, err)
-	}
-	if m.Fingerprint != g.Fingerprint() {
-		return nil, errkind.Errorf(errkind.Validation, "sweep: replay: %s was recorded for spec %s (fingerprint %.12s…), not this spec (%.12s…)",
-			dir, m.Name, m.Fingerprint, g.Fingerprint())
-	}
-	if err := m.checkDraw("sweep: replay", dir); err != nil {
 		return nil, err
 	}
 	st := &store{dir: durable.At(dir), g: g, shards: m.Shards, rng: m.rng(), completed: m.Completed}

@@ -360,9 +360,19 @@ func TestResumeRecoversDeletedShard(t *testing.T) {
 	}
 }
 
-// TestResumeValidation: resume refuses a different spec, different
-// sharding, or a directory that already holds a sweep when resume was
-// not requested.
+// assertRefused fails unless err is an errkind.Validation naming field.
+func assertRefused(t *testing.T, what string, err error, field string) {
+	t.Helper()
+	if !errors.Is(err, errkind.Validation) || !strings.Contains(err.Error(), field) {
+		t.Fatalf("%s: err = %v, want an errkind.Validation naming %q", what, err, field)
+	}
+}
+
+// TestResumeValidation: resume, Resumable and Replay refuse a
+// directory that differs from the request in exactly one field — the
+// spec, the sharding or the base seed — naming that field, and resume
+// refuses a directory that already holds a sweep when resume was not
+// requested.
 func TestResumeValidation(t *testing.T) {
 	g := microGrid()
 	dir := t.TempDir()
@@ -375,17 +385,23 @@ func TestResumeValidation(t *testing.T) {
 	}
 	g2 := microGrid()
 	g2.Base.DurationSec = 11
-	if _, err := Run(context.Background(), g2, Options{Shards: 2, BaseSeed: 7, Dir: dir, Resume: true}); err == nil ||
-		!strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("spec mismatch err = %v", err)
-	}
-	if _, err := Run(context.Background(), g, Options{Shards: 3, BaseSeed: 7, Dir: dir, Resume: true}); err == nil ||
-		!strings.Contains(err.Error(), "shards") {
-		t.Fatalf("shard mismatch err = %v", err)
-	}
-	if _, err := Run(context.Background(), g, Options{Shards: 2, BaseSeed: 8, Dir: dir, Resume: true}); err == nil ||
-		!strings.Contains(err.Error(), "seed") {
-		t.Fatalf("seed mismatch err = %v", err)
+	for _, c := range []struct {
+		field  string
+		g      *grid.Grid
+		shards int
+		seed   int64
+	}{
+		{"fingerprint", g2, 2, 7},
+		{"shards is 2 on disk, 3 expected", g, 3, 7},
+		{"base seed is 7 on disk, 8 expected", g, 2, 8},
+	} {
+		_, err := Run(context.Background(), c.g, Options{Shards: c.shards, BaseSeed: c.seed, Dir: dir, Resume: true})
+		assertRefused(t, "resume", err, c.field)
+		want := Identity{Shards: c.shards, BaseSeed: c.seed, Range: c.g.FullRange()}
+		_, err = Resumable(c.g, dir, want)
+		assertRefused(t, "resumable", err, c.field)
+		_, err = Replay(c.g, dir, want)
+		assertRefused(t, "replay", err, c.field)
 	}
 }
 
@@ -640,7 +656,8 @@ func TestReplayMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := readDir(t, dir)
-	agg, err := Replay(microGrid(), dir)
+	id := Identity{Shards: 2, BaseSeed: 7, Range: res.Range}
+	agg, err := Replay(microGrid(), dir, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,7 +669,7 @@ func TestReplayMatchesRun(t *testing.T) {
 	}
 
 	other := microGrid().Add("extra", grid.Num(1))
-	if _, err := Replay(other, dir); !errors.Is(err, errkind.Validation) {
+	if _, err := Replay(other, dir, id); !errors.Is(err, errkind.Validation) {
 		t.Fatalf("replay under another spec: %v", err)
 	}
 	shard := filepath.Join(dir, shardFile(1))
@@ -663,7 +680,7 @@ func TestReplayMatchesRun(t *testing.T) {
 	if err := os.WriteFile(shard, data[:len(data)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Replay(microGrid(), dir); !errors.Is(err, errkind.Corrupt) {
+	if _, err := Replay(microGrid(), dir, id); !errors.Is(err, errkind.Corrupt) {
 		t.Fatalf("replay of a torn shard: %v", err)
 	}
 }

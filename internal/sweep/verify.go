@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -71,24 +72,20 @@ func (rep *VerifyReport) Err() error {
 // per-record CRC framing — and reports every integrity violation
 // without mutating anything. The grid must be the one the directory
 // was recorded for (fingerprint-checked); seeds are validated from the
-// manifest's base seed. An unreadable or corrupt manifest fails with
-// errkind.Corrupt (there is no identity to verify records against); use
-// Repair with RepairOptions.Expect to rebuild one.
+// manifest's base seed, and any draw is read. An unreadable or corrupt
+// manifest fails with errkind.Corrupt (there is no identity to verify
+// records against); use Repair with RepairOptions.Expect to rebuild
+// one.
 func Verify(g *grid.Grid, dir string) (*VerifyReport, error) {
 	if err := Validate(g); err != nil {
 		return nil, err
 	}
-	mdata, err := os.ReadFile(manifestPath(dir))
-	if err != nil {
-		return nil, errkind.Errorf(errkind.Corrupt, "sweep: verify: %s holds no readable manifest: %w", dir, err)
+	m, err := openManifest(g, dir, "sweep: verify", errkind.Corrupt)
+	if err != nil && !errors.Is(err, errkind.Validation) {
+		err = errkind.Errorf(errkind.Corrupt, "%w", err)
 	}
-	m, err := parseManifest(mdata)
 	if err != nil {
-		return nil, errkind.Errorf(errkind.Corrupt, "sweep: verify: corrupt manifest in %s: %w", dir, err)
-	}
-	if m.Fingerprint != g.Fingerprint() {
-		return nil, errkind.Errorf(errkind.Validation, "sweep: verify: %s was recorded for spec %s (fingerprint %.12s…), not this spec (%.12s…)",
-			dir, m.Name, m.Fingerprint, g.Fingerprint())
+		return nil, err
 	}
 	rng := m.rng()
 	spec := scanSpec{g: g, baseSeed: m.BaseSeed, rng: rng, shards: m.Shards}
@@ -191,55 +188,24 @@ func Repair(ctx context.Context, g *grid.Grid, dir string, opt RepairOptions) (*
 		return nil, err
 	}
 	rep := &RepairReport{}
-	var m *manifest
-	mdata, err := os.ReadFile(manifestPath(dir))
-	if err == nil {
-		m, err = parseManifest(mdata)
-	}
-	if m == nil {
+	m, err := openManifest(g, dir, "sweep: repair", errkind.Corrupt)
+	switch {
+	case err == nil:
+		// The manifest is the identity Repair converges on, so only its
+		// draw can disagree.
+		if err := m.checkIdentity("sweep: repair", dir, m.identity()); err != nil {
+			return nil, err
+		}
+	case errors.Is(err, errkind.Corrupt) || !errors.Is(err, errkind.Validation):
 		// Destroyed manifest: rebuild the identity from Expect. The
 		// claim drives quarantining, so every cell Expect claims that
 		// the shards cannot prove is re-derived.
-		e := opt.Expect
-		if e == nil {
-			return nil, errkind.Errorf(errkind.Corrupt, "sweep: repair: %s holds no valid manifest (%v) and no expected identity was supplied", dir, err)
-		}
-		if e.Shards < 1 || e.Shards > 4096 {
-			return nil, errkind.Errorf(errkind.Validation, "sweep: repair: expected identity has %d shards (outside [1,4096])", e.Shards)
-		}
-		rng := e.Range
-		if rng == (grid.Range{}) {
-			rng = g.FullRange()
-		}
-		if rng.Lo < 0 || rng.Hi > g.Cells() || rng.Hi < rng.Lo || (rng.Lo%e.Shards != 0 && rng.Lo != g.Cells()) {
-			return nil, errkind.Errorf(errkind.Validation, "sweep: repair: expected range [%d,%d) is not a shard-aligned range of the %d-cell grid", rng.Lo, rng.Hi, g.Cells())
-		}
-		completed := e.Completed
-		if completed < 0 || completed > rng.Len() {
-			return nil, errkind.Errorf(errkind.Validation, "sweep: repair: expected frontier %d outside range [%d,%d)", completed, rng.Lo, rng.Hi)
-		}
-		m = &manifest{
-			Version:     manifestVersion,
-			Name:        g.Name,
-			Fingerprint: g.Fingerprint(),
-			Cells:       g.Cells(),
-			Shards:      e.Shards,
-			BaseSeed:    e.BaseSeed,
-			Completed:   completed,
-		}
-		if !e.Partition.IsZero() || rng != g.FullRange() {
-			m.Range = &manifestRange{K: e.Partition.K, N: e.Partition.N, Lo: rng.Lo, Hi: rng.Hi}
-		}
-		rep.ManifestRebuilt = true
-	}
-	if m.Fingerprint != g.Fingerprint() {
-		return nil, errkind.Errorf(errkind.Validation, "sweep: repair: %s was recorded for spec %s (fingerprint %.12s…), not this spec (%.12s…)",
-			dir, m.Name, m.Fingerprint, g.Fingerprint())
-	}
-	if !rep.ManifestRebuilt {
-		if err := m.checkDraw("sweep: repair", dir); err != nil {
+		if m, err = expectedManifest(g, opt.Expect, err); err != nil {
 			return nil, err
 		}
+		rep.ManifestRebuilt = true
+	default:
+		return nil, err
 	}
 	// At, not Open: Repair may run on a fleet staging copy, where a
 	// concurrent upload's temp file is not a leftover.
@@ -258,6 +224,32 @@ func Repair(ctx context.Context, g *grid.Grid, dir string, opt RepairOptions) (*
 	rep.Completed = st.completed
 	rep.Range = st.rng
 	return rep, nil
+}
+
+// expectedManifest rebuilds the manifest of a directory whose own is
+// destroyed (lost is why) from the caller's expected identity e,
+// refusing an identity no directory of g can have.
+func expectedManifest(g *grid.Grid, e *ManifestInfo, lost error) (*manifest, error) {
+	if e == nil {
+		return nil, errkind.Errorf(errkind.Corrupt, "%w; with no valid manifest, repair needs an expected identity to rebuild one", lost)
+	}
+	if e.Shards < 1 || e.Shards > 4096 {
+		return nil, errkind.Errorf(errkind.Validation, "sweep: repair: expected identity has %d shards (outside [1,4096])", e.Shards)
+	}
+	rng := e.Range
+	if rng == (grid.Range{}) {
+		rng = g.FullRange()
+	}
+	if rng.Lo < 0 || rng.Hi > g.Cells() || rng.Hi < rng.Lo || (rng.Lo%e.Shards != 0 && rng.Lo != g.Cells()) {
+		return nil, errkind.Errorf(errkind.Validation, "sweep: repair: expected range [%d,%d) is not a shard-aligned range of the %d-cell grid", rng.Lo, rng.Hi, g.Cells())
+	}
+	if p := e.Partition; (!p.IsZero() || rng != g.FullRange()) && (p.K < 1 || p.K > p.N) {
+		return nil, errkind.Errorf(errkind.Validation, "sweep: repair: expected range [%d,%d) needs a valid 1-based k/n partition, got %d/%d", rng.Lo, rng.Hi, p.K, p.N)
+	}
+	if e.Completed < 0 || e.Completed > rng.Len() {
+		return nil, errkind.Errorf(errkind.Validation, "sweep: repair: expected frontier %d outside range [%d,%d)", e.Completed, rng.Lo, rng.Hi)
+	}
+	return newManifest(g, Identity{Shards: e.Shards, BaseSeed: e.BaseSeed, Range: rng}, e.Partition, e.Completed), nil
 }
 
 // manifestInfo converts the internal manifest into its exported view.

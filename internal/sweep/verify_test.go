@@ -58,9 +58,9 @@ func TestManifestVersionGate(t *testing.T) {
 
 // TestOtherDrawRefused: a directory whose manifest names no Algorithm 2
 // draw — what the sequential sampler's builds wrote — or another draw
-// is refused with errkind.Validation by resume, merge and repair, so no
-// artifact mixes records of two estimators. Verify, which only reads,
-// still checks it.
+// is refused with an errkind.Validation naming the draw by resume,
+// Resumable, Replay, merge and repair, so no artifact mixes records of
+// two estimators. Verify, which only reads, still checks it.
 func TestOtherDrawRefused(t *testing.T) {
 	g := microGrid()
 	for _, draw := range []string{"", "some-other-draw"} {
@@ -77,15 +77,18 @@ func TestOtherDrawRefused(t *testing.T) {
 		if err := os.WriteFile(manifestPath(dir), []byte(old), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Run(context.Background(), g, Options{Workers: 2, Shards: 2, BaseSeed: 7, Dir: dir, Resume: true}); !errors.Is(err, errkind.Validation) || !strings.Contains(err.Error(), "draw") {
-			t.Fatalf("draw %q: resume = %v, want an errkind.Validation naming the draw", draw, err)
-		}
-		if _, err := Merge(g, []string{dir}, t.TempDir()); !errors.Is(err, errkind.Validation) {
-			t.Fatalf("draw %q: merge = %v, want errkind.Validation", draw, err)
-		}
-		if _, err := Repair(context.Background(), g, dir, RepairOptions{}); !errors.Is(err, errkind.Validation) {
-			t.Fatalf("draw %q: repair = %v, want errkind.Validation", draw, err)
-		}
+		field := fmt.Sprintf("Algorithm 2 draw is %q on disk, %q in this build", draw, measure.DrawScheme)
+		_, err = Run(context.Background(), g, Options{Workers: 2, Shards: 2, BaseSeed: 7, Dir: dir, Resume: true})
+		assertRefused(t, "resume", err, field)
+		id := Identity{Shards: 2, BaseSeed: 7, Range: g.FullRange()}
+		_, err = Resumable(g, dir, id)
+		assertRefused(t, "resumable", err, field)
+		_, err = Replay(g, dir, id)
+		assertRefused(t, "replay", err, field)
+		_, err = Merge(g, []string{dir}, t.TempDir())
+		assertRefused(t, "merge", err, field)
+		_, err = Repair(context.Background(), g, dir, RepairOptions{})
+		assertRefused(t, "repair", err, field)
 		rep, err := Verify(g, dir)
 		if err != nil {
 			t.Fatalf("draw %q: verify = %v, want a clean read", draw, err)
@@ -408,7 +411,7 @@ func TestRepairIncompleteDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	cutClaim(t, dir, 6)
-	m, err := ReadManifestDir(dir)
+	frontier, err := Resumable(g, dir, Identity{Shards: 3, BaseSeed: 7, Range: g.FullRange()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,8 +429,8 @@ func TestRepairIncompleteDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Completed != m.Completed {
-		t.Fatalf("repair moved the frontier: %d -> %d", m.Completed, rep.Completed)
+	if rep.Completed != frontier {
+		t.Fatalf("repair moved the frontier: %d -> %d", frontier, rep.Completed)
 	}
 	if fmt.Sprint(rep.Repaired) != "[0]" {
 		t.Fatalf("repaired %v, want [0]", rep.Repaired)
@@ -449,12 +452,15 @@ func TestVerifyWrongGrid(t *testing.T) {
 	dir, _ := runMicro(t, 2)
 	g2 := microGrid()
 	g2.Base.DurationSec++
-	if _, err := Verify(g2, dir); err == nil || !strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("wrong-grid verify err = %v", err)
-	}
-	if _, err := Repair(context.Background(), g2, dir, RepairOptions{}); err == nil ||
-		!strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("wrong-grid repair err = %v", err)
+	for what, op := range map[string]func() error{
+		"verify": func() error { _, err := Verify(g2, dir); return err },
+		"repair": func() error { _, err := Repair(context.Background(), g2, dir, RepairOptions{}); return err },
+	} {
+		err := op()
+		assertRefused(t, what, err, "fingerprint")
+		if errors.Is(err, errkind.Corrupt) {
+			t.Fatalf("%s: another spec's directory read as corrupt: %v", what, err)
+		}
 	}
 }
 
@@ -478,6 +484,7 @@ func TestRepairExpectValidation(t *testing.T) {
 		{Shards: 3, Completed: 99},
 		{Shards: 3, Completed: -1},
 		{Shards: 3, Range: grid.Range{Lo: 1, Hi: 7}},
+		{Shards: 3, Range: grid.Range{Lo: 3, Hi: 6}},
 	} {
 		dir := t.TempDir()
 		if _, err := Repair(context.Background(), g, dir, RepairOptions{Expect: e}); err == nil ||

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"io/fs"
 	"testing"
 	"time"
 
@@ -85,23 +86,25 @@ func TestErrorKinds(t *testing.T) {
 	}
 }
 
-// TestReadManifestDir: the exported manifest reader reports a
-// checkpoint's identity and tags corruption as a validation failure.
-func TestReadManifestDir(t *testing.T) {
+// TestResumable: Resumable reports a checkpoint's frontier under the
+// identity it was recorded with (a partial one included), and a
+// directory holding no manifest as fs.ErrNotExist — the fresh
+// directory Run starts from.
+func TestResumable(t *testing.T) {
 	g := microGrid()
 	dir := t.TempDir() + "/s"
 	if _, err := Run(context.Background(), g, Options{Workers: 2, Shards: 3, BaseSeed: 7, Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	mi, err := ReadManifestDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	id := Identity{Shards: 3, BaseSeed: 7, Range: g.FullRange()}
+	if done, err := Resumable(g, dir, id); err != nil || done != g.Cells() {
+		t.Fatalf("finished checkpoint: %d cells, err %v", done, err)
 	}
-	if mi.Fingerprint != g.Fingerprint() || mi.Shards != 3 || mi.BaseSeed != 7 ||
-		mi.Cells != g.Cells() || mi.Completed != g.Cells() || mi.Range != g.FullRange() {
-		t.Fatalf("manifest info: %+v", mi)
+	cutClaim(t, dir, 5)
+	if done, err := Resumable(g, dir, id); err != nil || done != 5 {
+		t.Fatalf("partial checkpoint: %d cells, err %v", done, err)
 	}
-	if _, err := ReadManifestDir(t.TempDir()); err == nil {
-		t.Fatal("missing manifest accepted")
+	if _, err := Resumable(g, t.TempDir(), id); !errors.Is(err, fs.ErrNotExist) || errors.Is(err, errkind.Validation) {
+		t.Fatalf("missing manifest: %v", err)
 	}
 }
